@@ -9,7 +9,7 @@ calibration, and a synthetic dataset generator tying them together.
 __version__ = "0.1.0"
 
 from .features import ChartQuery, ImuSample, build_decoder_query, build_features, waterline_target
-from .geometry import CameraModel, PixelPoint, WorldPoint, in_frame, orientation_matrix, project
+from .geometry import CameraModel, PixelPoint, in_frame, orientation_matrix, project
 from .metrics import (
     DetectionReport,
     ErrorStats,
@@ -45,7 +45,6 @@ __all__ = [
     "QueryPrediction",
     "TrainConfig",
     "TrainHistory",
-    "WorldPoint",
     "adamw_step",
     "backward",
     "build_decoder_query",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -22,24 +23,27 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import GenConfig, generate, load_dataset, save_dataset, split, visible_examples
+from .data import (
+    PREDICTIONS_SCHEMA,
+    GenConfig,
+    generate,
+    load_dataset,
+    load_predictions,
+    save_dataset,
+    split,
+    visible_examples,
+)
 from .errors import (
     CheckpointError,
     ConfigError,
     DatasetParseError,
     DatasetSchemaError,
     NumericError,
+    load_json,
 )
 from .features import build_decoder_query, build_features, waterline_target
 from .geometry import CameraModel, project
-from .metrics import (
-    GtBox,
-    QueryPrediction,
-    calibrate_bias,
-    error_stats,
-    pixel_error,
-    write_curve_csv,
-)
+from .metrics import calibrate_bias, error_stats, pixel_error, write_curve_csv, write_report_json
 from .network import forward, load_checkpoint, save_checkpoint
 from .training import TrainConfig, train
 
@@ -53,8 +57,6 @@ EXIT_UNEXPECTED = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-PREDICTIONS_SCHEMA = 1
 
 
 def _utcnow() -> str:
@@ -84,22 +86,12 @@ def _load_camera(path: str | None) -> CameraModel:
     return CameraModel.load(path)
 
 
-def _load_json(path: str, what: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{what} not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
-
-
 def cmd_gen(args) -> int:
     started = _utcnow()
     camera = _load_camera(args.camera)
     config = GenConfig.load(args.config)
     if args.seed is not None:
-        config = GenConfig.from_dict({**_as_dict(config), "seed": args.seed})
+        config = dataclasses.replace(config, seed=args.seed)
     records = generate(camera, config)
     out = Path(args.out)
     save_dataset(records, out)
@@ -129,11 +121,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _as_dict(config) -> dict:
-    # dataclasses.asdict would deep-convert tuples to lists; keep values as-is.
-    return {name: getattr(config, name) for name in config.__dataclass_fields__}
-
-
 def _verify_fidelity(camera: CameraModel, records) -> float:
     """Largest normalized gap between stored labels and fresh projections."""
     worst = 0.0
@@ -159,7 +146,7 @@ def _verify_fidelity(camera: CameraModel, records) -> float:
 
 def cmd_train(args) -> int:
     started = _utcnow()
-    raw = _load_json(args.config, "training config") if args.config else {}
+    raw = load_json(args.config, "training config", ConfigError) if args.config else {}
     val_ratio = raw.pop("val_ratio", DEFAULT_VAL_RATIO)
     if not 0.0 < val_ratio < 1.0:
         raise ConfigError(f"val_ratio must lie in (0, 1), got {val_ratio}")
@@ -210,19 +197,14 @@ def cmd_eval(args) -> int:
     records = load_dataset(args.dataset)
     params = load_checkpoint(args.checkpoint)
 
-    rows = []  # (sample_id, query_index, error_px)
-    feats = []
-    targets = []
-    for record in records:
-        for qi, (query, label) in enumerate(zip(record.queries, record.labels)):
-            if label.visible:
-                feats.append(build_features(query, record.imu))
-                targets.append(waterline_target(label))
-                rows.append([record.sample_id, qi])
-    if not feats:
+    feats, targets = visible_examples(records)
+    if len(feats) == 0:
         raise ConfigError("no visible queries to evaluate")
+    rows = [  # (sample_id, query_index), aligned with feats
+        (r.sample_id, qi) for r in records for qi, lb in enumerate(r.labels) if lb.visible
+    ]
 
-    pred, _ = forward(params, np.stack(feats), training=False)
+    pred, _ = forward(params, feats, training=False)
     errors = [
         pixel_error(p, t, camera.image_w, camera.image_h) for p, t in zip(pred, targets)
     ]
@@ -258,67 +240,6 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def load_predictions(path) -> tuple[list[QueryPrediction], list[GtBox]]:
-    """Read the per-query predictions JSONL used for calibration.
-
-    Line schema: {"schema": 1, "sample_id": str, "query_index": int,
-    "logit": number, "box": {c_x, c_y, w, h}, "gt_visible": bool,
-    "gt_box": {c_x, c_y, w, h} | null}.
-    """
-    preds: list[QueryPrediction] = []
-    gts: list[GtBox] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetParseError(str(exc), line=line_no) from exc
-            if not isinstance(data, dict):
-                raise DatasetSchemaError("prediction line must be an object", line=line_no)
-            if data.get("schema") != PREDICTIONS_SCHEMA:
-                raise DatasetSchemaError(
-                    f"unsupported schema version {data.get('schema')!r}", line=line_no
-                )
-            for key in ("logit", "box", "gt_visible"):
-                if key not in data:
-                    raise DatasetSchemaError(f"missing key {key!r}", line=line_no)
-            box = data["box"]
-            try:
-                pred_box = (
-                    float(box["c_x"]),
-                    float(box["c_y"]),
-                    float(box["w"]),
-                    float(box["h"]),
-                )
-            except (TypeError, KeyError) as exc:
-                raise DatasetSchemaError(f"bad 'box' object: {exc!r}", line=line_no) from exc
-            preds.append(QueryPrediction(objectness_logit=float(data["logit"]), box=pred_box))
-            if data["gt_visible"]:
-                gt_box = data.get("gt_box")
-                if not isinstance(gt_box, dict):
-                    raise DatasetSchemaError(
-                        "visible ground truth requires a 'gt_box' object", line=line_no
-                    )
-                try:
-                    gts.append(
-                        GtBox(
-                            visible=True,
-                            c_x=float(gt_box["c_x"]),
-                            c_y=float(gt_box["c_y"]),
-                            w=float(gt_box["w"]),
-                            h=float(gt_box["h"]),
-                        )
-                    )
-                except (TypeError, KeyError) as exc:
-                    raise DatasetSchemaError(f"bad 'gt_box' object: {exc!r}", line=line_no) from exc
-            else:
-                gts.append(GtBox(visible=False))
-    return preds, gts
-
-
 def cmd_calibrate(args) -> int:
     started = _utcnow()
     preds, gts = load_predictions(args.dataset)
@@ -330,15 +251,15 @@ def cmd_calibrate(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "best_bias": best_bias,
-        "threshold": args.threshold,
-        "grid": {"lo": lo, "hi": hi, "step": args.step},
-    }
-    payload.update(best_report.to_dict())
-    with open(out_dir / "best_bias.json", "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
+    write_report_json(
+        best_report,
+        out_dir / "best_bias.json",
+        extra={
+            "best_bias": best_bias,
+            "threshold": args.threshold,
+            "grid": {"lo": lo, "hi": hi, "step": args.step},
+        },
+    )
     write_curve_csv(curve, out_dir / "curve.csv")
 
     print(f"grid points: {len(curve)}")

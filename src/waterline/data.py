@@ -28,15 +28,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DatasetParseError, DatasetSchemaError, GenerationError
+from .errors import ConfigError, DatasetParseError, DatasetSchemaError, GenerationError, load_json
 from .features import ChartQuery, ImuSample, build_features, waterline_target, wrap_angle_deg
 from .geometry import CameraModel, in_frame, project
-from .metrics import GtBox
+from .metrics import GtBox, QueryPrediction
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # dataset lines
+PREDICTIONS_SCHEMA = 1  # prediction lines: read by load_predictions, written by `predict`
 
 # Box-size clamp: apparent height is limited to [MIN_BOX_PX, image_h / 2].
 MIN_BOX_PX = 2.0
+
+# GenConfig fields that perturb recorded measurements or labels.
+NOISE_FIELDS = (
+    "distance_noise_rel",
+    "bearing_noise_deg",
+    "pitch_noise_deg",
+    "roll_noise_deg",
+    "heading_noise_deg",
+    "label_noise_px",
+)
 
 
 @dataclass(frozen=True)
@@ -99,14 +110,7 @@ class GenConfig:
                 raise ConfigError(f"bad {name} {rng}")
         if self.box_height_coeff <= 0 or self.box_aspect <= 0:
             raise ConfigError("box-size law constants must be positive")
-        for name in (
-            "distance_noise_rel",
-            "bearing_noise_deg",
-            "pitch_noise_deg",
-            "roll_noise_deg",
-            "heading_noise_deg",
-            "label_noise_px",
-        ):
+        for name in NOISE_FIELDS:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if not 0.0 <= self.visibility_dropout <= 1.0:
@@ -114,14 +118,7 @@ class GenConfig:
 
     @property
     def noise_free(self) -> bool:
-        return (
-            self.distance_noise_rel == 0
-            and self.bearing_noise_deg == 0
-            and self.pitch_noise_deg == 0
-            and self.roll_noise_deg == 0
-            and self.heading_noise_deg == 0
-            and self.label_noise_px == 0
-        )
+        return all(getattr(self, name) == 0 for name in NOISE_FIELDS)
 
     @classmethod
     def from_dict(cls, data: dict) -> "GenConfig":
@@ -144,14 +141,7 @@ class GenConfig:
 
     @classmethod
     def load(cls, path) -> "GenConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                data = json.load(f)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"generator config not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"generator config is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
+        return cls.from_dict(load_json(path, "generator config", ConfigError))
 
 
 @dataclass(frozen=True)
@@ -304,18 +294,9 @@ def split(records, ratio: float, seed: int) -> DatasetSplit:
         range(len(strata)), key=lambda j: (-(quotas[j] - takes[j]), j)
     )
     shortfall = n_train - sum(takes)
+    # n_train <= n - 1 keeps floor(quota) + 1 <= len(stratum): no take overshoots.
     for j in remainders[:shortfall]:
         takes[j] += 1
-    for j in range(len(strata)):  # clamp against rounding overshoot
-        takes[j] = min(takes[j], len(strata[j]))
-    deficit = n_train - sum(takes)
-    for j in range(len(strata)):
-        if deficit <= 0:
-            break
-        room = len(strata[j]) - takes[j]
-        grab = min(room, deficit)
-        takes[j] += grab
-        deficit -= grab
 
     train_idx = set()
     for j, stratum in enumerate(strata):
@@ -335,8 +316,8 @@ def save_dataset(records, path) -> None:
             f.write("\n")
 
 
-def load_dataset(path) -> list[SampleRecord]:
-    records = []
+def _jsonl(path):
+    """Yield (line number, parsed value) for every non-blank line of a JSONL file."""
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, 1):
             line = line.strip()
@@ -344,10 +325,47 @@ def load_dataset(path) -> list[SampleRecord]:
                 continue
             try:
                 data = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an over-long integer
                 raise DatasetParseError(str(exc), line=line_no) from exc
-            records.append(_record_from_dict(data, line_no))
-    return records
+            yield line_no, data
+
+
+def load_dataset(path) -> list[SampleRecord]:
+    return [_record_from_dict(data, line_no) for line_no, data in _jsonl(path)]
+
+
+def load_predictions(path) -> tuple[list[QueryPrediction], list[GtBox]]:
+    """Read the per-query predictions JSONL used for calibration.
+
+    Line schema: {"schema": 1, "sample_id": str, "query_index": int,
+    "logit": number, "box": {c_x, c_y, w, h}, "gt_visible": bool,
+    "gt_box": {c_x, c_y, w, h} | null}.
+    """
+    preds: list[QueryPrediction] = []
+    gts: list[GtBox] = []
+    for line_no, data in _jsonl(path):
+        if not isinstance(data, dict):
+            raise DatasetSchemaError("prediction line must be an object", line=line_no)
+        if data.get("schema") != PREDICTIONS_SCHEMA:
+            raise DatasetSchemaError(
+                f"unsupported schema version {data.get('schema')!r}", line=line_no
+            )
+        logit = _number(data, "logit", line_no)
+        box = _box(_require(data, "box", line_no), "box", line_no)
+        gt_visible = _require(data, "gt_visible", line_no)
+        if not isinstance(gt_visible, bool):
+            raise DatasetSchemaError("'gt_visible' must be a boolean", line=line_no)
+        preds.append(QueryPrediction(objectness_logit=logit, box=box))
+        if gt_visible:
+            gt_box = data.get("gt_box")
+            if not isinstance(gt_box, dict):
+                raise DatasetSchemaError(
+                    "visible ground truth requires a 'gt_box' object", line=line_no
+                )
+            gts.append(GtBox(True, *_box(gt_box, "gt_box", line_no)))
+        else:
+            gts.append(GtBox(visible=False))
+    return preds, gts
 
 
 def _record_to_dict(record: SampleRecord) -> dict:
@@ -380,10 +398,27 @@ def _require(data: dict, key: str, line_no: int):
     return data[key]
 
 
-def _number(value, key: str, line_no: int) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DatasetSchemaError(f"{key!r} must be a number, got {value!r}", line=line_no)
-    return float(value)
+def _number(data: dict, key: str, line_no: int) -> float:
+    """data[key] as a finite float; JSON booleans are not numbers."""
+    value = _require(data, key, line_no)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise DatasetSchemaError(f"{key!r} must be a finite number, got {value!r}", line=line_no)
+
+
+def _box(data, key: str, line_no: int) -> tuple[float, float, float, float]:
+    if not isinstance(data, dict):
+        raise DatasetSchemaError(f"{key!r} must be an object", line=line_no)
+    return (
+        _number(data, "c_x", line_no),
+        _number(data, "c_y", line_no),
+        _number(data, "w", line_no),
+        _number(data, "h", line_no),
+    )
 
 
 def _record_from_dict(data: dict, line_no: int) -> SampleRecord:
@@ -400,10 +435,10 @@ def _record_from_dict(data: dict, line_no: int) -> SampleRecord:
     if not isinstance(imu_data, dict):
         raise DatasetSchemaError("'imu' must be an object", line=line_no)
     imu = ImuSample(
-        pitch_deg=_number(_require(imu_data, "pitch_deg", line_no), "pitch_deg", line_no),
-        roll_deg=_number(_require(imu_data, "roll_deg", line_no), "roll_deg", line_no),
+        pitch_deg=_number(imu_data, "pitch_deg", line_no),
+        roll_deg=_number(imu_data, "roll_deg", line_no),
         heading_deg=wrap_angle_deg(
-            _number(_require(imu_data, "heading_deg", line_no), "heading_deg", line_no)
+            _number(imu_data, "heading_deg", line_no)
         ),
     )
 
@@ -422,8 +457,8 @@ def _record_from_dict(data: dict, line_no: int) -> SampleRecord:
             raise DatasetSchemaError("query entries must be objects", line=line_no)
         queries.append(
             ChartQuery(
-                distance_m=_number(_require(q, "distance_m", line_no), "distance_m", line_no),
-                bearing_deg=_number(_require(q, "bearing_deg", line_no), "bearing_deg", line_no),
+                distance_m=_number(q, "distance_m", line_no),
+                bearing_deg=_number(q, "bearing_deg", line_no),
             )
         )
 
@@ -435,15 +470,7 @@ def _record_from_dict(data: dict, line_no: int) -> SampleRecord:
         if not isinstance(visible, bool):
             raise DatasetSchemaError("'visible' must be a boolean", line=line_no)
         if visible:
-            labels.append(
-                GtBox(
-                    visible=True,
-                    c_x=_number(_require(entry, "c_x", line_no), "c_x", line_no),
-                    c_y=_number(_require(entry, "c_y", line_no), "c_y", line_no),
-                    w=_number(_require(entry, "w", line_no), "w", line_no),
-                    h=_number(_require(entry, "h", line_no), "h", line_no),
-                )
-            )
+            labels.append(GtBox(True, *_box(entry, "label", line_no)))
         else:
             labels.append(GtBox(visible=False))
 

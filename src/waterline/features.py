@@ -92,15 +92,6 @@ def build_features(query: ChartQuery, imu: ImuSample) -> np.ndarray:
     )
 
 
-def build_feature_matrix(queries, imus) -> np.ndarray:
-    """Stack build_features over aligned query/IMU sequences into (n, 6)."""
-    if len(queries) != len(imus):
-        raise ValueError("queries and IMU samples must align")
-    if len(queries) == 0:
-        return np.zeros((0, len(FEATURE_NAMES)), dtype=np.float64)
-    return np.stack([build_features(q, s) for q, s in zip(queries, imus)])
-
-
 def waterline_target(box: GtBox) -> tuple[float, float]:
     """Bottom-center of a ground-truth box: the waterline contact point.
 

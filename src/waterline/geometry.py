@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, load_json
 from .features import ChartQuery, ImuSample
 
 # Camera-frame depth below which a point counts as behind the image plane.
@@ -112,40 +112,13 @@ class CameraModel:
 
     @classmethod
     def load(cls, path) -> "CameraModel":
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                data = json.load(f)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"camera config not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"camera config is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-
-@dataclass(frozen=True)
-class WorldPoint:
-    """Water-plane point in the vessel-azimuth frame (x starboard, y forward)."""
-
-    x: float
-    y: float
-    z: float = 0.0
+        return cls.from_dict(load_json(path, "camera config", ConfigError))
 
 
 @dataclass(frozen=True)
 class PixelPoint:
     u: float
     v: float
-
-
-def world_point(query: ChartQuery) -> WorldPoint:
-    """Convert a chart polar measurement to Cartesian vessel-frame coordinates."""
-    query.validate()
-    beta = math.radians(query.bearing_deg)
-    return WorldPoint(
-        x=query.distance_m * math.sin(beta),
-        y=query.distance_m * math.cos(beta),
-        z=0.0,
-    )
 
 
 def orientation_matrix(imu: ImuSample) -> np.ndarray:

@@ -2,9 +2,8 @@
 per-query detection scoring (F1, mIoU, Overall) with logit-bias calibration.
 
 Matching rule: the pipeline emits exactly one prediction per chart query, so
-detections are matched to ground truth by query index. No IoU gate is applied
-by default; mIoU averages over true-positive pairs only. An optional IoU gate
-can be enabled via ``iou_gate`` for sensitivity studies.
+detections are matched to ground truth by query index, with no IoU gate; mIoU
+averages over true-positive pairs only.
 """
 
 from __future__ import annotations
@@ -43,6 +42,8 @@ class GtBox:
         """Raise ValueError if a visible box violates its invariants."""
         if not self.visible:
             return
+        if not all(math.isfinite(v) for v in self.box):
+            raise ValueError(f"visible box has a non-finite field: {self.box}")
         if not (self.w > 0 and self.h > 0):
             raise ValueError(f"visible box must have positive size, got w={self.w}, h={self.h}")
         if (
@@ -178,7 +179,6 @@ def detection_report(
     gts: Sequence[GtBox],
     logit_bias: float = 0.0,
     threshold: float = 0.90,
-    iou_gate: float | None = None,
 ) -> DetectionReport:
     """Score per-query visibility decisions against ground truth.
 
@@ -198,13 +198,8 @@ def detection_report(
     for pred, gt in zip(predictions, gts):
         visible = _sigmoid(pred.objectness_logit + logit_bias) > threshold
         if visible and gt.visible:
-            pair_iou = iou(pred.box, gt.box)
-            if iou_gate is not None and pair_iou < iou_gate:
-                fp += 1
-                fn += 1
-            else:
-                tp += 1
-                ious.append(pair_iou)
+            tp += 1
+            ious.append(iou(pred.box, gt.box))
         elif visible:
             fp += 1
         elif gt.visible:
@@ -248,7 +243,6 @@ def calibrate_bias(
     hi: float = 3.0,
     step: float = 0.25,
     threshold: float = 0.90,
-    iou_gate: float | None = None,
 ) -> tuple[float, list[tuple[float, DetectionReport]]]:
     """Grid-sweep the logit bias and return the Overall-maximizing value.
 
@@ -256,7 +250,7 @@ def calibrate_bias(
     Returns (best_bias, curve) where curve lists (bias, report) in grid order.
     """
     curve = [
-        (bias, detection_report(predictions, gts, bias, threshold, iou_gate))
+        (bias, detection_report(predictions, gts, bias, threshold))
         for bias in bias_grid(lo, hi, step)
     ]
     best_bias, _ = min(curve, key=lambda item: (-item[1].overall, abs(item[0]), item[0]))

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckpointError, NumericError
+from .errors import CheckpointError, NumericError, load_json
 
 LAYER_SIZES = (6, 128, 128, 128, 2)
 N_HIDDEN = 3
@@ -148,7 +148,6 @@ class ForwardCache:
     layers: list = field(default_factory=list)
     out_in: np.ndarray | None = None
     pred: np.ndarray | None = None
-    dropout_p: float = 0.0
     params_ref: MlpParams | None = None
 
 
@@ -183,7 +182,7 @@ def forward(
     if not 0.0 <= dropout_p < 1.0:
         raise ValueError(f"dropout probability must lie in [0, 1), got {dropout_p}")
 
-    cache = ForwardCache(dropout_p=dropout_p, params_ref=params) if training else None
+    cache = ForwardCache(params_ref=params) if training else None
     rng = np.random.default_rng(dropout_seed) if training and dropout_p > 0 else None
 
     a = x
@@ -253,9 +252,7 @@ def smooth_l1_grad(
     return g / x.size
 
 
-def backward(
-    params: MlpParams, cache: ForwardCache, target: np.ndarray, loss_scale: float = 1.0
-) -> dict[str, np.ndarray]:
+def backward(params: MlpParams, cache: ForwardCache, target: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients of the SmoothL1 loss w.r.t. every learnable tensor.
 
     Requires the cache of a train-mode forward on the same params and batch.
@@ -271,7 +268,7 @@ def backward(
 
     grads: dict[str, np.ndarray] = {}
 
-    dpred = smooth_l1_grad(cache.pred, target) * loss_scale
+    dpred = smooth_l1_grad(cache.pred, target)
     # sigmoid: d pred / d z = pred * (1 - pred)
     dz = dpred * cache.pred * (1.0 - cache.pred)
     grads["w4"] = cache.out_in.T @ dz
@@ -321,13 +318,7 @@ def save_checkpoint(params: MlpParams, path) -> None:
 
 
 def load_checkpoint(path) -> MlpParams:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            payload = json.load(f)
-    except FileNotFoundError as exc:
-        raise CheckpointError(f"checkpoint not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"checkpoint is not valid JSON: {exc}") from exc
+    payload = load_json(path, "checkpoint", CheckpointError)
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {payload.get('format_version')}")
     if payload.get("layer_sizes") != list(LAYER_SIZES):
@@ -339,6 +330,8 @@ def load_checkpoint(path) -> MlpParams:
             raise CheckpointError(f"checkpoint missing tensor {name!r}")
         entry = tensors[name]
         arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        if not np.all(np.isfinite(arr)):  # 1e999 parses to inf without a JSON constant
+            raise CheckpointError(f"checkpoint tensor {name!r} has non-finite values")
         return arr
 
     params = MlpParams(

@@ -1,13 +1,16 @@
 import csv
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from waterline.cli import DEFAULT_VAL_RATIO, load_predictions, main
 from waterline.data import GenConfig, generate, load_dataset, save_dataset
-from waterline.errors import DatasetSchemaError
+from waterline.errors import DatasetParseError, DatasetSchemaError
 from waterline.geometry import CameraModel
 from waterline.metrics import GtBox
 from waterline.training import TrainConfig
@@ -104,6 +107,15 @@ class TestGen:
         code = main(["gen", "--config", str(tmp_path / "nope.json"), "--out", str(out)])
         assert code == 2
 
+    def test_nan_config_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "gen.json"
+        config.write_text('{"n_samples": 5, "distance_noise_rel": NaN, "seed": 1}')
+        out = tmp_path / "data.jsonl"
+        code = main(["gen", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert "generator config is not valid JSON: non-finite number NaN" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_camera_flag(self, tmp_path):
         camera_path = tmp_path / "camera.json"
         CameraModel(300.0, 320.0, 180.0, 640, 360, 5.0).save(camera_path)
@@ -174,6 +186,27 @@ class TestTrain:
         code = main(["train", "--dataset", str(bad), "--out", str(tmp_path / "o")])
         assert code == 3
 
+    def test_nan_box_field_is_data_error(self, tmp_path, dataset, capsys):
+        lines = dataset.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if '"visible":true' in line)
+        record = json.loads(lines[i])
+        record["labels"] = [{**lb, "c_x": "C_X"} if lb["visible"] else lb for lb in record["labels"]]
+        lines[i] = json.dumps(record).replace('"C_X"', "NaN")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--dataset", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert f"line {i + 1}: 'c_x' must be a finite number" in capsys.readouterr().err
+
+    def test_non_object_config_is_config_error(self, tmp_path, dataset, capsys):
+        config_path = tmp_path / "train.json"
+        config_path.write_text("[2]")
+        code = main(
+            ["train", "--dataset", str(dataset), "--config", str(config_path), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "training config must be a JSON object" in capsys.readouterr().err
+
     def test_no_visible_queries_is_config_error(self, tmp_path):
         records = load_dataset_without_visible(tmp_path)
         code = main(["train", "--dataset", str(records), "--out", str(tmp_path / "o")])
@@ -229,6 +262,17 @@ class TestEval:
             ["eval", "--dataset", str(dataset), "--checkpoint", str(bad), "--out", str(tmp_path / "e")]
         )
         assert code == 2
+
+    def test_nan_checkpoint_is_config_error(self, tmp_path, dataset, checkpoint, capsys):
+        payload = json.loads(checkpoint.read_text())
+        payload["tensors"]["w1"]["data"][0] = "WEIGHT"
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(payload).replace('"WEIGHT"', "NaN"))
+        code = main(
+            ["eval", "--dataset", str(dataset), "--checkpoint", str(bad), "--out", str(tmp_path / "e")]
+        )
+        assert code == 2
+        assert "checkpoint is not valid JSON: non-finite number NaN" in capsys.readouterr().err
 
 
 class TestPredict:
@@ -357,6 +401,18 @@ class TestCalibrate:
         code = main(["calibrate", "--dataset", str(bad), "--out", str(tmp_path / "cal")])
         assert code == 3
 
+    @pytest.mark.parametrize("logit", ["true", "NaN", "Infinity", "1e999", '"abc"'])
+    def test_bad_logit_is_data_error(self, tmp_path, capsys, logit):
+        preds = _write_predictions(tmp_path / "preds.jsonl", n=5)
+        lines = preds.read_text().splitlines()
+        row = json.loads(lines[2])
+        row["logit"] = "LOGIT"
+        lines[2] = json.dumps(row).replace('"LOGIT"', logit)
+        preds.write_text("\n".join(lines) + "\n")
+        code = main(["calibrate", "--dataset", str(preds), "--out", str(tmp_path / "cal")])
+        assert code == 3
+        assert "line 3: 'logit' must be a finite number" in capsys.readouterr().err
+
     def test_load_predictions_requires_gt_box_when_visible(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         row = {
@@ -377,6 +433,51 @@ class TestCalibrate:
         preds, gts = load_predictions(path)
         assert len(preds) == len(gts) == 10
         assert all(isinstance(g, GtBox) for g in gts)
+
+
+# Any JSON value, plus the non-finite floats and the out-of-range integers that
+# json.dumps writes as NaN, Infinity and long digit strings.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+)
+_NUMBER = st.one_of(st.floats(), st.integers(-(10**400), 10**400), _JUNK)
+_BOX = st.one_of(st.fixed_dictionaries({k: _NUMBER for k in ("c_x", "c_y", "w", "h")}), _JUNK)
+_PREDICTION_LINE = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "schema": st.one_of(st.just(1), _JUNK),
+            "logit": _NUMBER,
+            "box": _BOX,
+            "gt_visible": st.one_of(st.booleans(), _JUNK),
+        },
+        optional={"gt_box": _BOX},
+    ).map(json.dumps),
+    st.dictionaries(st.sampled_from(["schema", "logit", "box", "gt_visible", "gt_box"]), _JUNK).map(
+        json.dumps
+    ),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_PREDICTION_LINE, min_size=1, max_size=4))
+def test_load_predictions_yields_finite_typed_values_or_a_data_error(tmp_path, lines):
+    path = tmp_path / "preds.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        preds, gts = load_predictions(path)
+    except (DatasetParseError, DatasetSchemaError):
+        return  # main maps both to exit code 3
+    assert len(preds) == len(gts)
+    for pred, gt in zip(preds, gts):
+        values = (pred.objectness_logit, *pred.box) + (gt.box if gt.visible else ())
+        assert all(type(v) is float and math.isfinite(v) for v in values)
+        assert type(gt.visible) is bool
 
 
 class TestMisc:

@@ -76,6 +76,18 @@ class TestGenConfig:
         assert config.n_samples == 7
         assert config.distance_range_m == (20, 400)
 
+    def test_load_rejects_nan(self, tmp_path):
+        path = tmp_path / "gen.json"
+        path.write_text('{"n_samples": 7, "distance_noise_rel": NaN}')
+        with pytest.raises(ConfigError, match="generator config.*NaN"):
+            GenConfig.load(path)
+
+    def test_load_rejects_non_object(self, tmp_path):
+        path = tmp_path / "gen.json"
+        path.write_text("[7]")
+        with pytest.raises(ConfigError, match="generator config must be a JSON object"):
+            GenConfig.load(path)
+
     def test_noise_free_flag(self):
         assert GenConfig(n_samples=1).noise_free
         assert not GenConfig(n_samples=1, bearing_noise_deg=0.5).noise_free
@@ -380,6 +392,20 @@ class TestSerialization:
         }
         path.write_text(json.dumps(line) + "\n")
         with pytest.raises(DatasetSchemaError, match="pitch_deg"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_box_field_rejected(self, tmp_path, token):
+        path = tmp_path / "data.jsonl"
+        line = {
+            "schema": 1,
+            "sample_id": "x",
+            "imu": {"pitch_deg": 0, "roll_deg": 0, "heading_deg": 0},
+            "queries": [{"distance_m": 100, "bearing_deg": 5}],
+            "labels": [{"visible": True, "c_x": "C_X", "c_y": 0.5, "w": 0.05, "h": 0.08}],
+        }
+        path.write_text(json.dumps(line).replace('"C_X"', token) + "\n")
+        with pytest.raises(DatasetSchemaError, match="line 1: 'c_x' must be a finite number"):
             load_dataset(path)
 
     def test_blank_lines_skipped(self, tmp_path):

@@ -15,38 +15,9 @@ from waterline.geometry import (
     in_frame,
     orientation_matrix,
     project,
-    world_point,
 )
 
 from conftest import random_imu, random_query
-
-
-class TestWorldPoint:
-    def test_dead_ahead(self):
-        p = world_point(ChartQuery(100.0, 0.0))
-        assert (p.x, p.y, p.z) == (0.0, 100.0, 0.0)
-
-    def test_pure_starboard(self):
-        p = world_point(ChartQuery(100.0, 90.0))
-        assert p.x == pytest.approx(100.0, rel=1e-15)
-        assert p.y == pytest.approx(0.0, abs=1e-12)
-        assert p.z == 0.0
-
-    def test_thirty_degrees(self):
-        # closed form: 50 sin(30) = 25, 50 cos(30) = 25 sqrt(3)
-        p = world_point(ChartQuery(50.0, 30.0))
-        assert p.x == pytest.approx(25.0, rel=1e-12)
-        assert p.y == pytest.approx(43.30127018922193, rel=1e-12)
-
-    def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            world_point(ChartQuery(0.0, 10.0))
-        with pytest.raises(ValueError):
-            world_point(ChartQuery(-5.0, 10.0))
-
-    def test_rejects_out_of_range_bearing(self):
-        with pytest.raises(ValueError):
-            world_point(ChartQuery(5.0, 181.0))
 
 
 class TestOrientationMatrix:

@@ -279,15 +279,6 @@ class TestBackward:
                 rel = np.abs(a - f) / np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-7)
                 assert rel.max() < 1e-4, f"{name}: {rel.max():.3e}"
 
-    def test_loss_scale_linearity(self):
-        p = init_params(0)
-        x, y = _random_batch(11, n=8)
-        _, cache = forward(p, x, training=True, dropout_p=0.2, dropout_seed=3)
-        g1 = backward(p, cache, y, loss_scale=1.0)
-        g2 = backward(p, cache, y, loss_scale=2.0)
-        for name in g1:
-            assert np.array_equal(2.0 * g1[name], g2[name])
-
     def test_gradients_flow_with_dropout_mask(self):
         p = init_params(0)
         x, y = _random_batch(12, n=16)
@@ -376,4 +367,14 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         path.write_text("not json at all")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("token, cause", [("NaN", "NaN"), ("1e999", "non-finite")])
+    def test_rejects_non_finite_weight(self, tmp_path, token, cause):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(init_params(0), path)
+        payload = json.loads(path.read_text())
+        payload["tensors"]["w1"]["data"][0] = "WEIGHT"
+        path.write_text(json.dumps(payload).replace('"WEIGHT"', token))
+        with pytest.raises(CheckpointError, match=cause):
             load_checkpoint(path)
