@@ -28,7 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DatasetParseError, DatasetSchemaError, GenerationError, load_json
+from .errors import (
+    ConfigError,
+    DatasetParseError,
+    DatasetSchemaError,
+    GenerationError,
+    load_json,
+    reject_non_finite,
+)
 from .features import ChartQuery, ImuSample, build_features, waterline_target, wrap_angle_deg
 from .geometry import CameraModel, in_frame, project
 from .metrics import GtBox, QueryPrediction
@@ -96,6 +103,7 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.n_samples < 1:
             raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
         qlo, qhi = self.queries_per_sample
@@ -318,14 +326,14 @@ def save_dataset(records, path) -> None:
 
 def _jsonl(path):
     """Yield (line number, parsed value) for every non-blank line of a JSONL file."""
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as f:  # decoded per line, so a bad byte is reported with its line
+        for line_no, raw in enumerate(f, 1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 data = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an over-long integer
+            except ValueError as exc:  # bad UTF-8, JSONDecodeError, or an over-long integer
                 raise DatasetParseError(str(exc), line=line_no) from exc
             yield line_no, data
 
@@ -413,12 +421,12 @@ def _number(data: dict, key: str, line_no: int) -> float:
 def _box(data, key: str, line_no: int) -> tuple[float, float, float, float]:
     if not isinstance(data, dict):
         raise DatasetSchemaError(f"{key!r} must be an object", line=line_no)
-    return (
-        _number(data, "c_x", line_no),
-        _number(data, "c_y", line_no),
-        _number(data, "w", line_no),
-        _number(data, "h", line_no),
-    )
+    c_x, c_y, w, h = (_number(data, name, line_no) for name in ("c_x", "c_y", "w", "h"))
+    if w <= 0 or h <= 0:
+        raise DatasetSchemaError(
+            f"{key!r} must have positive width and height, got w={w!r}, h={h!r}", line=line_no
+        )
+    return c_x, c_y, w, h
 
 
 def _record_from_dict(data: dict, line_no: int) -> SampleRecord:

@@ -4,7 +4,9 @@ The split matters for the CLI, which maps each category to a distinct
 exit code (config -> 2, data -> 3, numeric -> 4).
 """
 
+import dataclasses
 import json
+import math
 
 
 class ConfigError(ValueError):
@@ -47,6 +49,16 @@ class TrainingAborted(NumericError):
     def __init__(self, message, history=None):
         super().__init__(message)
         self.history = history
+
+
+def reject_non_finite(config) -> None:
+    """Raise ConfigError if a float field of dataclass `config`, or a float in
+    one of its tuple fields, is NaN or infinite (JSON's 1e999 parses to inf)."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        values = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 def _reject_constant(name: str):

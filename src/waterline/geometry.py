@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, load_json
+from .errors import ConfigError, load_json, reject_non_finite
 from .features import ChartQuery, ImuSample
 
 # Camera-frame depth below which a point counts as behind the image plane.
@@ -60,6 +60,7 @@ class CameraModel:
     mount_height_m: float
 
     def __post_init__(self):
+        reject_non_finite(self)
         if not (self.focal_px > 0 and self.image_w > 0 and self.image_h > 0):
             raise ConfigError("focal length and image dimensions must be positive")
         if not self.mount_height_m > 0:
@@ -102,7 +103,7 @@ class CameraModel:
                 image_h=int(data["image_h"]),
                 mount_height_m=float(data["mount_height_m"]),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # int() of inf overflows
             raise ConfigError(f"camera config has a non-numeric field: {exc}") from exc
 
     def save(self, path) -> None:

@@ -24,7 +24,12 @@ Pinned numerical conventions:
   - SmoothL1 transition point beta = 1.0, mean reduction over all elements.
 
 Train-mode forwards update the running statistics in place; eval-mode
-forwards are pure functions of (params, input).
+forwards are pure functions of (params, input). Eval mode runs each hidden
+layer as one affine map with BatchNorm folded in (Jacob et al., arXiv
+1712.05877, section 3.2): with s = gain / sqrt(var + eps), W' = W * s and
+b' = (b - mean) * s + shift. load_checkpoint builds the folded maps once and
+marks every loaded tensor read-only, so an in-place write raises instead of
+leaving the folded maps stale; other params fold on each eval call.
 """
 
 from __future__ import annotations
@@ -58,6 +63,8 @@ class MlpParams:
     bn_var: list  # 3 running variances (not learned)
     init_seed: int
     train_seed: int | None = None
+    # Folded eval maps (weights, biases) of read-only tensors; see load_checkpoint.
+    _plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def learnables(self) -> dict[str, np.ndarray]:
         """Live views of every trainable tensor, in a fixed order."""
@@ -71,6 +78,7 @@ class MlpParams:
         return out
 
     def copy(self) -> "MlpParams":
+        """Writable copies of every tensor, with no folded eval maps."""
         return MlpParams(
             w=[a.copy() for a in self.w],
             b=[a.copy() for a in self.b],
@@ -123,13 +131,21 @@ def init_params(seed: int) -> MlpParams:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    neg = ~pos
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[neg])
-    out[neg] = ex / (1.0 + ex)
-    return out
+    # exp(-log(1 + exp(-x))): no overflow at either tail, and exp underflows to
+    # the exact sigmoid's subnormal values down to x = -745.
+    return np.exp(-np.logaddexp(0.0, -x))
+
+
+def _fold(params: MlpParams) -> tuple[list, list]:
+    """The eval-mode affine maps with each BatchNorm folded into its layer."""
+    weights, biases = [], []
+    for i in range(N_HIDDEN):
+        s = params.bn_gain[i] / np.sqrt(params.bn_var[i] + BN_EPS)
+        weights.append(params.w[i] * s)
+        biases.append((params.b[i] - params.bn_mean[i]) * s + params.bn_bias[i])
+    weights.append(params.w[-1])
+    biases.append(params.b[-1])
+    return weights, biases
 
 
 @dataclass
@@ -182,25 +198,30 @@ def forward(
     if not 0.0 <= dropout_p < 1.0:
         raise ValueError(f"dropout probability must lie in [0, 1), got {dropout_p}")
 
-    cache = ForwardCache(params_ref=params) if training else None
-    rng = np.random.default_rng(dropout_seed) if training and dropout_p > 0 else None
+    if not training:
+        weights, biases = params._plan if params._plan is not None else _fold(params)
+        a = x
+        for i in range(N_HIDDEN):
+            a = a @ weights[i]
+            a += biases[i]
+            np.maximum(a, 0.0, out=a)
+        return _sigmoid(a @ weights[-1] + biases[-1]), None
+
+    cache = ForwardCache(params_ref=params)
+    rng = np.random.default_rng(dropout_seed) if dropout_p > 0 else None
 
     a = x
     for i in range(N_HIDDEN):
         z = a @ params.w[i] + params.b[i]
-        if training:
-            m = z.shape[0]
-            mu = z.mean(axis=0)
-            var = z.var(axis=0)  # biased, used in the normalization
-            inv_std = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = (z - mu) * inv_std
-            params.bn_mean[i] *= 1.0 - BN_MOMENTUM
-            params.bn_mean[i] += BN_MOMENTUM * mu
-            params.bn_var[i] *= 1.0 - BN_MOMENTUM
-            params.bn_var[i] += BN_MOMENTUM * var * m / (m - 1)  # unbiased in the running update
-        else:
-            inv_std = 1.0 / np.sqrt(params.bn_var[i] + BN_EPS)
-            xhat = (z - params.bn_mean[i]) * inv_std
+        m = z.shape[0]
+        mu = z.mean(axis=0)
+        var = z.var(axis=0)  # biased, used in the normalization
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = (z - mu) * inv_std
+        params.bn_mean[i] *= 1.0 - BN_MOMENTUM
+        params.bn_mean[i] += BN_MOMENTUM * mu
+        params.bn_var[i] *= 1.0 - BN_MOMENTUM
+        params.bn_var[i] += BN_MOMENTUM * var * m / (m - 1)  # unbiased in the running update
         y = params.bn_gain[i] * xhat + params.bn_bias[i]
         relu_mask = y > 0
         a_next = y * relu_mask
@@ -208,20 +229,16 @@ def forward(
         if rng is not None and i == N_HIDDEN - 1:  # the only layer no BatchNorm follows
             drop_mask = (rng.random(a_next.shape) >= dropout_p) / (1.0 - dropout_p)
             a_next = a_next * drop_mask
-        if training:
-            cache.layers.append(
-                _LayerCache(
-                    x_in=a, xhat=xhat, inv_std=inv_std, relu_mask=relu_mask, drop_mask=drop_mask
-                )
+        cache.layers.append(
+            _LayerCache(
+                x_in=a, xhat=xhat, inv_std=inv_std, relu_mask=relu_mask, drop_mask=drop_mask
             )
+        )
         a = a_next
 
-    z_out = a @ params.w[-1] + params.b[-1]
-    pred = _sigmoid(z_out)
-    if training:
-        cache.out_in = a
-        cache.pred = pred
-    return pred, cache
+    cache.out_in = a
+    cache.pred = _sigmoid(a @ params.w[-1] + params.b[-1])
+    return cache.pred, cache
 
 
 def smooth_l1(pred: np.ndarray, target: np.ndarray, beta: float = SMOOTH_L1_BETA) -> float:
@@ -318,6 +335,10 @@ def save_checkpoint(params: MlpParams, path) -> None:
 
 
 def load_checkpoint(path) -> MlpParams:
+    """Read a checkpoint into read-only tensors with their folded eval maps.
+
+    Use params.copy() for writable tensors, e.g. to train further.
+    """
     payload = load_json(path, "checkpoint", CheckpointError)
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {payload.get('format_version')}")
@@ -345,6 +366,9 @@ def load_checkpoint(path) -> MlpParams:
         train_seed=payload.get("train_seed"),
     )
     params.check_shapes()
+    for arr in _all_tensors(params).values():
+        arr.flags.writeable = False
+    params._plan = _fold(params)
     return params
 
 

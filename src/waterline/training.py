@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, TrainingAborted
+from .errors import ConfigError, NumericError, TrainingAborted, reject_non_finite
 from .network import DROPOUT_P, MlpParams, backward, forward, init_params, smooth_l1
 
 ADAM_BETA1 = 0.9
@@ -44,6 +44,7 @@ class TrainConfig:
     eta_min: float = 0.0
 
     def __post_init__(self):
+        reject_non_finite(self)
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 2:

@@ -8,6 +8,8 @@ it checks:
     instead of the forward point-transform-and-divide projection.
   - fd_gradients: central finite differences through the full train-mode
     forward pass, instead of analytic backprop.
+  - unfolded_eval_forward: BatchNorm as a separate normalization step after
+    each affine map, instead of folded into the affine maps.
   - exact_report / exact_sweep: detection scoring in exact rational
     arithmetic (fractions.Fraction) with plain loops.
   - constant_predictor_loss: the no-skill baseline for learnability checks.
@@ -21,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from waterline.network import forward, smooth_l1
+from waterline.network import BN_EPS, N_HIDDEN, forward, smooth_l1
 
 
 def raytrace_pixel(camera, imu, query, tol_scale=1e-10):
@@ -131,15 +133,31 @@ def fd_gradients(params, x, target, step=1e-5):
     return grads
 
 
+def math_sigmoid(z: float) -> float:
+    """1 / (1 + exp(-z)) with math.exp, written as exp(z) / (1 + exp(z)) for
+    z < 0 so that neither tail overflows."""
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+def unfolded_eval_forward(params, x):
+    """Eval-mode forward with BatchNorm applied as its own step after each
+    affine map (running statistics), a ReLU by np.where, and a scalar sigmoid."""
+    a = np.asarray(x, dtype=np.float64)
+    for i in range(N_HIDDEN):
+        z = a @ params.w[i] + params.b[i]
+        y = (z - params.bn_mean[i]) / np.sqrt(params.bn_var[i] + BN_EPS)
+        y = y * params.bn_gain[i] + params.bn_bias[i]
+        a = np.where(y > 0, y, 0.0)
+    z_out = a @ params.w[-1] + params.b[-1]
+    return np.vectorize(math_sigmoid)(z_out)
+
+
 def exact_sigmoid_above(logit: float, bias: float, threshold: float) -> bool:
     """Strict sigmoid(logit + bias) > threshold, float arithmetic."""
-    z = logit + bias
-    if z >= 0:
-        s = 1.0 / (1.0 + math.exp(-z))
-    else:
-        e = math.exp(z)
-        s = e / (1.0 + e)
-    return s > threshold
+    return math_sigmoid(logit + bias) > threshold
 
 
 def exact_iou(a, b) -> Fraction:

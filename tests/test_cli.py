@@ -116,6 +116,36 @@ class TestGen:
         assert "generator config is not valid JSON: non-finite number NaN" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, token", [("distance_noise_rel", "1e999"), ("distance_range_m", "[5.0, 1e999]")]
+    )
+    def test_overflowed_config_is_config_error(self, tmp_path, capsys, field, token):
+        config = tmp_path / "gen.json"
+        config.write_text(f'{{"n_samples": 5, "{field}": {token}}}')
+        out = tmp_path / "data.jsonl"
+        code = main(["gen", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [("focal_px", "focal_px must be finite"), ("image_w", "non-numeric field")],
+    )
+    def test_overflowed_camera_is_config_error(self, tmp_path, capsys, field, message):
+        camera = CameraModel.default().to_dict()
+        camera[field] = "VALUE"
+        camera_path = tmp_path / "camera.json"
+        camera_path.write_text(json.dumps(camera).replace('"VALUE"', "1e999"))
+        config = _write_gen_config(tmp_path / "gen.json")
+        out = tmp_path / "data.jsonl"
+        code = main(
+            ["gen", "--camera", str(camera_path), "--config", str(config), "--out", str(out)]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_camera_flag(self, tmp_path):
         camera_path = tmp_path / "camera.json"
         CameraModel(300.0, 320.0, 180.0, 640, 360, 5.0).save(camera_path)
@@ -198,6 +228,18 @@ class TestTrain:
         assert code == 3
         assert f"line {i + 1}: 'c_x' must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["lr", "batch_size", "eta_min"])
+    def test_overflowed_config_is_config_error(self, tmp_path, dataset, capsys, field):
+        config_path = tmp_path / "train.json"
+        config_path.write_text(f'{{"{field}": 1e999}}')
+        out_dir = tmp_path / "o"
+        code = main(
+            ["train", "--dataset", str(dataset), "--config", str(config_path), "--out", str(out_dir)]
+        )
+        assert code == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not (out_dir / "checkpoint.json").exists()
+
     def test_non_object_config_is_config_error(self, tmp_path, dataset, capsys):
         config_path = tmp_path / "train.json"
         config_path.write_text("[2]")
@@ -262,6 +304,16 @@ class TestEval:
             ["eval", "--dataset", str(dataset), "--checkpoint", str(bad), "--out", str(tmp_path / "e")]
         )
         assert code == 2
+
+    def test_invalid_utf8_dataset_is_data_error(self, tmp_path, dataset, checkpoint, capsys):
+        bad = tmp_path / "bad.jsonl"
+        lines = dataset.read_bytes().splitlines(keepends=True)
+        bad.write_bytes(lines[0] + b"\xff\xfe" + lines[1] + b"".join(lines[2:]))
+        code = main(
+            ["eval", "--dataset", str(bad), "--checkpoint", str(checkpoint), "--out", str(tmp_path / "e")]
+        )
+        assert code == 3
+        assert "line 2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
     def test_nan_checkpoint_is_config_error(self, tmp_path, dataset, checkpoint, capsys):
         payload = json.loads(checkpoint.read_text())
@@ -413,6 +465,30 @@ class TestCalibrate:
         assert code == 3
         assert "line 3: 'logit' must be a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, side, value",
+        [("box", "w", 0.0), ("box", "h", -0.1), ("gt_box", "w", -0.2), ("gt_box", "h", 0.0)],
+    )
+    def test_empty_box_is_data_error(self, tmp_path, capsys, key, side, value):
+        preds = _write_predictions(tmp_path / "preds.jsonl", n=5)
+        lines = preds.read_text().splitlines()
+        row = json.loads(lines[2])
+        row["gt_visible"] = True
+        row["gt_box"] = dict(row["box"])
+        row[key][side] = value
+        lines[2] = json.dumps(row)
+        preds.write_text("\n".join(lines) + "\n")
+        code = main(["calibrate", "--dataset", str(preds), "--out", str(tmp_path / "cal")])
+        assert code == 3
+        assert f"line 3: '{key}' must have positive width and height" in capsys.readouterr().err
+
+    def test_invalid_utf8_is_data_error(self, tmp_path, capsys):
+        preds = _write_predictions(tmp_path / "preds.jsonl", n=5)
+        preds.write_bytes(b"\xff\xfe" + preds.read_bytes())
+        code = main(["calibrate", "--dataset", str(preds), "--out", str(tmp_path / "cal")])
+        assert code == 3
+        assert "line 1: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
+
     def test_load_predictions_requires_gt_box_when_visible(self, tmp_path):
         path = tmp_path / "preds.jsonl"
         row = {
@@ -475,8 +551,10 @@ def test_load_predictions_yields_finite_typed_values_or_a_data_error(tmp_path, l
         return  # main maps both to exit code 3
     assert len(preds) == len(gts)
     for pred, gt in zip(preds, gts):
-        values = (pred.objectness_logit, *pred.box) + (gt.box if gt.visible else ())
+        boxes = (pred.box, gt.box) if gt.visible else (pred.box,)
+        values = (pred.objectness_logit, *(v for box in boxes for v in box))
         assert all(type(v) is float and math.isfinite(v) for v in values)
+        assert all(box[2] > 0 and box[3] > 0 for box in boxes)
         assert type(gt.visible) is bool
 
 

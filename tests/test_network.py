@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_gradients
+from oracles import fd_gradients, math_sigmoid, unfolded_eval_forward
+from waterline.data import GenConfig, generate, visible_examples
 from waterline.errors import CheckpointError, NumericError
+from waterline.geometry import CameraModel
 from waterline.network import (
     BN_EPS,
     BN_MOMENTUM,
     LAYER_SIZES,
+    _sigmoid,
     backward,
     forward,
     init_params,
@@ -121,6 +124,69 @@ class TestForwardEval:
         p = init_params(11)
         pred, _ = forward(p, np.array([row]), training=False)
         assert np.all(pred > 0.0) and np.all(pred < 1.0)
+
+
+def _loaded_checkpoint(tmp_path, seed=21):
+    """A saved and reloaded network whose BatchNorm layers are far from the identity."""
+    p = init_params(seed)
+    for k in range(4):
+        x, _ = _random_batch(300 + k, n=64, scale=3.0)
+        forward(p, x, training=True, dropout_p=0.0)
+    rng = np.random.default_rng(seed)
+    for i in range(3):
+        p.bn_gain[i] *= rng.uniform(0.5, 1.5, size=LAYER_SIZES[i + 1])
+        p.bn_bias[i] += rng.normal(0.0, 0.1, size=LAYER_SIZES[i + 1])
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(p, path)
+    return load_checkpoint(path)
+
+
+class TestFoldedEval:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_unfolded_reference(self, tmp_path, n):
+        loaded = _loaded_checkpoint(tmp_path)
+        x, _ = _random_batch(40 + n, n=n, scale=2.0)
+        pred, _ = forward(loaded, x, training=False)
+        assert np.abs(pred - unfolded_eval_forward(loaded, x)).max() <= 1e-12
+
+    def test_matches_unfolded_reference_on_generated_set(self, tmp_path):
+        loaded = _loaded_checkpoint(tmp_path)
+        records = generate(CameraModel.default(), GenConfig(n_samples=400, seed=8))
+        x, _ = visible_examples(records)
+        pred, _ = forward(loaded, x, training=False)
+        assert np.abs(pred - unfolded_eval_forward(loaded, x)).max() <= 1e-12
+
+    def test_loaded_tensors_are_read_only(self, tmp_path):
+        loaded = _loaded_checkpoint(tmp_path)
+        for group in (loaded.w, loaded.b, loaded.bn_gain, loaded.bn_bias,
+                      loaded.bn_mean, loaded.bn_var):
+            for arr in group:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr += 1.0
+        x, _ = _random_batch(50, n=8)
+        with pytest.raises(ValueError, match="read-only"):  # the running-stat update
+            forward(loaded, x, training=True, dropout_p=0.0)
+
+    def test_copy_is_writable_and_unfolded(self, tmp_path):
+        loaded = _loaded_checkpoint(tmp_path)
+        copy = loaded.copy()
+        assert copy._plan is None
+        assert all(arr.flags.writeable for arr in copy.learnables().values())
+        assert all(arr.flags.writeable for arr in copy.bn_mean + copy.bn_var)
+        x, _ = _random_batch(51, n=5, scale=2.0)
+        assert np.array_equal(forward(copy, x)[0], forward(loaded, x)[0])
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("x", [40.0, -40.0, 700.0, -745.0])
+    def test_matches_math(self, x):
+        want = math_sigmoid(x)
+        assert abs(_sigmoid(np.array([x]))[0] - want) <= 1e-14 * want
+
+    def test_positive_wherever_exact_is(self):
+        xs = np.linspace(-760.0, 40.0, 8001)
+        want = np.array([math_sigmoid(x) for x in xs])
+        assert np.all(_sigmoid(xs)[want > 0] > 0)
 
 
 class TestForwardTrain:
