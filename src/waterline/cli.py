@@ -39,6 +39,7 @@ from .errors import (
     DatasetParseError,
     DatasetSchemaError,
     NumericError,
+    check_value,
     load_json,
 )
 from .features import build_decoder_query, build_features, waterline_target
@@ -148,6 +149,7 @@ def cmd_train(args) -> int:
     started = _utcnow()
     raw = load_json(args.config, "training config", ConfigError) if args.config else {}
     val_ratio = raw.pop("val_ratio", DEFAULT_VAL_RATIO)
+    check_value("val_ratio", val_ratio, float)
     if not 0.0 < val_ratio < 1.0:
         raise ConfigError(f"val_ratio must lie in (0, 1), got {val_ratio}")
     if args.seed is not None:

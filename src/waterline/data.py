@@ -33,8 +33,8 @@ from .errors import (
     DatasetParseError,
     DatasetSchemaError,
     GenerationError,
+    check_fields,
     load_json,
-    reject_non_finite,
 )
 from .features import ChartQuery, ImuSample, build_features, waterline_target, wrap_angle_deg
 from .geometry import CameraModel, in_frame, project
@@ -85,12 +85,12 @@ class GenConfig:
     other noise fields are absolute standard deviations."""
 
     n_samples: int
-    queries_per_sample: tuple = (1, 3)
-    distance_range_m: tuple = (5.0, 1000.0)
-    bearing_range_deg: tuple | None = None  # None: +/- (half horizontal FOV + 5 deg)
-    pitch_range_deg: tuple = (-10.0, 10.0)
-    roll_range_deg: tuple = (-10.0, 10.0)
-    heading_range_deg: tuple = (-180.0, 180.0)
+    queries_per_sample: tuple[int, int] = (1, 3)
+    distance_range_m: tuple[float, float] = (5.0, 1000.0)
+    bearing_range_deg: tuple[float, float] | None = None  # None: +/- (half horizontal FOV + 5 deg)
+    pitch_range_deg: tuple[float, float] = (-10.0, 10.0)
+    roll_range_deg: tuple[float, float] = (-10.0, 10.0)
+    heading_range_deg: tuple[float, float] = (-180.0, 180.0)
     box_height_coeff: float = 900.0  # apparent height ~ coeff / distance, in px
     box_aspect: float = 0.6  # width = aspect * height, in px
     distance_noise_rel: float = 0.0
@@ -103,7 +103,7 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        reject_non_finite(self)
+        check_fields(self)
         if self.n_samples < 1:
             raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
         qlo, qhi = self.queries_per_sample
@@ -134,18 +134,7 @@ class GenConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown generator config keys: {sorted(unknown)}")
-        data = dict(data)
-        for key in (
-            "queries_per_sample",
-            "distance_range_m",
-            "bearing_range_deg",
-            "pitch_range_deg",
-            "roll_range_deg",
-            "heading_range_deg",
-        ):
-            if key in data and data[key] is not None:
-                data[key] = tuple(data[key])
-        return cls(**data)
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
     @classmethod
     def load(cls, path) -> "GenConfig":

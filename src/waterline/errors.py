@@ -7,6 +7,9 @@ exit code (config -> 2, data -> 3, numeric -> 4).
 import dataclasses
 import json
 import math
+import typing
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -51,14 +54,51 @@ class TrainingAborted(NumericError):
         self.history = history
 
 
-def reject_non_finite(config) -> None:
-    """Raise ConfigError if a float field of dataclass `config`, or a float in
-    one of its tuple fields, is NaN or infinite (JSON's 1e999 parses to inf)."""
+_NUMBER = (int, float, np.integer, np.floating)
+
+
+def check_fields(config) -> None:
+    """Raise ConfigError unless every field of dataclass `config` holds a value
+    of its declared type (see check_value)."""
+    hints = typing.get_type_hints(type(config))
     for f in dataclasses.fields(config):
-        value = getattr(config, f.name)
-        values = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-            raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        check_value(f.name, getattr(config, f.name), hints[f.name])
+
+
+def check_value(name: str, value, kind) -> None:
+    """Raise ConfigError, naming `name`, unless `value` is of type `kind`.
+
+    An int is an integer, not a bool or a float. A float is a finite int or
+    float, not a bool or a string; JSON's 1e999 parses to inf, which either
+    kind rejects as non-finite. Numpy scalars count as numbers. tuple[X, Y]
+    is a tuple of that length with items of those types, and `X | None` also
+    takes None.
+    """
+    args = typing.get_args(kind)
+    if type(None) in args:
+        if value is None:
+            return
+        (kind,) = (arg for arg in args if arg is not type(None))
+        args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        if not (isinstance(value, tuple) and len(value) == len(args)):
+            raise ConfigError(f"{name} must be {len(args)} numbers, got {value!r}")
+        for item, item_kind in zip(value, args):
+            check_value(name, item, item_kind)
+        return
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, _NUMBER):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if (kind is float or isinstance(value, (float, np.floating))) and not _is_finite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if kind is int and not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _reject_constant(name: str):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, load_json, reject_non_finite
+from .errors import ConfigError, check_fields, load_json
 from .features import ChartQuery, ImuSample
 
 # Camera-frame depth below which a point counts as behind the image plane.
@@ -60,7 +60,7 @@ class CameraModel:
     mount_height_m: float
 
     def __post_init__(self):
-        reject_non_finite(self)
+        check_fields(self)
         if not (self.focal_px > 0 and self.image_w > 0 and self.image_h > 0):
             raise ConfigError("focal length and image dimensions must be positive")
         if not self.mount_height_m > 0:
@@ -94,17 +94,7 @@ class CameraModel:
         missing = [k for k in CAMERA_JSON_KEYS if k not in data]
         if missing:
             raise ConfigError(f"camera config missing keys: {missing}")
-        try:
-            return cls(
-                focal_px=float(data["focal_px"]),
-                principal_u=float(data["principal_u"]),
-                principal_v=float(data["principal_v"]),
-                image_w=int(data["image_w"]),
-                image_h=int(data["image_h"]),
-                mount_height_m=float(data["mount_height_m"]),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:  # int() of inf overflows
-            raise ConfigError(f"camera config has a non-numeric field: {exc}") from exc
+        return cls(**{key: data[key] for key in CAMERA_JSON_KEYS})
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:

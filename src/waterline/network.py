@@ -1,10 +1,10 @@
 """The waterline predictor network: a fixed 6 -> 128 -> 128 -> 128 -> 2 MLP.
 
-Each hidden layer is affine -> BatchNorm -> ReLU; the last hidden layer is
-followed by Dropout(p), and the output layer is affine -> sigmoid, so both
-outputs live in (0, 1) and can be read directly as normalized image
-coordinates. Forward, backward, and the SmoothL1 training loss are
-implemented here in plain numpy, in float64.
+Each hidden layer is linear (no bias: BatchNorm's shift takes its place) ->
+BatchNorm -> ReLU; the last hidden layer is followed by Dropout(p), and the
+output layer is affine -> sigmoid, so both outputs live in (0, 1) and can be
+read directly as normalized image coordinates. Forward, backward, and the
+SmoothL1 training loss are implemented here in plain numpy, in float64.
 
 Dropout sits only where no BatchNorm layer follows it. Dropout in front of
 a BatchNorm layer inflates the batch variance that layer normalizes by and
@@ -27,14 +27,16 @@ Train-mode forwards update the running statistics in place; eval-mode
 forwards are pure functions of (params, input). Eval mode runs each hidden
 layer as one affine map with BatchNorm folded in (Jacob et al., arXiv
 1712.05877, section 3.2): with s = gain / sqrt(var + eps), W' = W * s and
-b' = (b - mean) * s + shift. load_checkpoint builds the folded maps once and
+b' = shift - mean * s. load_checkpoint builds the folded maps once and
 marks every loaded tensor read-only, so an in-place write raises instead of
 leaving the folded maps stale; other params fold on each eval call.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,86 +50,76 @@ BN_MOMENTUM = 0.1
 DROPOUT_P = 0.2
 SMOOTH_L1_BETA = 1.0
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
-@dataclass
+def _per_bn(*kinds: str) -> tuple:
+    return tuple(
+        (f"bn{i + 1}_{kind}", (LAYER_SIZES[i + 1],)) for i in range(N_HIDDEN) for kind in kinds
+    )
+
+
+# The layout of MlpParams.flat, in buffer order: the one place it is stated.
+# The hidden layers have no bias: each feeds a BatchNorm whose mean subtraction
+# would cancel it (Ioffe & Szegedy, arXiv 1502.03167, section 3.2). Weights come
+# first so that weight decay acts on a prefix, and the learnables fill the
+# prefix in front of the running statistics.
+WEIGHTS = tuple((f"w{i + 1}", shape) for i, shape in enumerate(zip(LAYER_SIZES, LAYER_SIZES[1:])))
+LEARNED = WEIGHTS + (("b4", (LAYER_SIZES[-1],)),) + _per_bn("gain", "bias")
+TENSORS = LEARNED + _per_bn("mean", "var")
+N_DECAYED = sum(math.prod(shape) for _, shape in WEIGHTS)
+N_LEARNED = sum(math.prod(shape) for _, shape in LEARNED)
+N_PARAMS = sum(math.prod(shape) for _, shape in TENSORS)
+
+
+@dataclass(eq=False)
 class MlpParams:
-    """All tensors of the network: learnables plus BatchNorm running stats."""
+    """Every tensor of the network, learnables plus BatchNorm running stats, as
+    named views of one float64 vector laid out by TENSORS."""
 
-    w: list  # 4 weight matrices
-    b: list  # 4 bias vectors
-    bn_gain: list  # 3 gains (gamma)
-    bn_bias: list  # 3 shifts
-    bn_mean: list  # 3 running means (not learned)
-    bn_var: list  # 3 running variances (not learned)
+    flat: np.ndarray
     init_seed: int
     train_seed: int | None = None
     # Folded eval maps (weights, biases) of read-only tensors; see load_checkpoint.
-    _plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _plan: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.flat.shape != (N_PARAMS,):
+            raise ValueError(f"parameter vector has shape {self.flat.shape}, want ({N_PARAMS},)")
+        views, start = {}, 0
+        for name, shape in TENSORS:
+            end = start + math.prod(shape)
+            views[name] = self.flat[start:end].reshape(shape)
+            start = end
+        self._views = views
+        self.w = [views[name] for name, _ in WEIGHTS]  # 4 weight matrices
+        self.b = [views["b4"]]  # the output bias
+        self.bn_gain = [views[f"bn{i + 1}_gain"] for i in range(N_HIDDEN)]  # gamma
+        self.bn_bias = [views[f"bn{i + 1}_bias"] for i in range(N_HIDDEN)]  # shift
+        self.bn_mean = [views[f"bn{i + 1}_mean"] for i in range(N_HIDDEN)]  # not learned
+        self.bn_var = [views[f"bn{i + 1}_var"] for i in range(N_HIDDEN)]  # not learned
 
     def learnables(self) -> dict[str, np.ndarray]:
-        """Live views of every trainable tensor, in a fixed order."""
-        out: dict[str, np.ndarray] = {}
-        for i in range(len(self.w)):
-            out[f"w{i + 1}"] = self.w[i]
-            out[f"b{i + 1}"] = self.b[i]
-        for i in range(N_HIDDEN):
-            out[f"bn{i + 1}_gain"] = self.bn_gain[i]
-            out[f"bn{i + 1}_bias"] = self.bn_bias[i]
-        return out
+        """Live views of every trainable tensor, in buffer order."""
+        return {name: self._views[name] for name, _ in LEARNED}
 
     def copy(self) -> "MlpParams":
-        """Writable copies of every tensor, with no folded eval maps."""
-        return MlpParams(
-            w=[a.copy() for a in self.w],
-            b=[a.copy() for a in self.b],
-            bn_gain=[a.copy() for a in self.bn_gain],
-            bn_bias=[a.copy() for a in self.bn_bias],
-            bn_mean=[a.copy() for a in self.bn_mean],
-            bn_var=[a.copy() for a in self.bn_var],
-            init_seed=self.init_seed,
-            train_seed=self.train_seed,
-        )
-
-    def check_shapes(self) -> None:
-        expected_w = [(LAYER_SIZES[i], LAYER_SIZES[i + 1]) for i in range(len(LAYER_SIZES) - 1)]
-        got_w = [a.shape for a in self.w]
-        if got_w != expected_w:
-            raise CheckpointError(f"weight shapes {got_w} do not match {expected_w}")
-        for i in range(N_HIDDEN):
-            width = LAYER_SIZES[i + 1]
-            for name, group in (
-                ("bias", self.b),
-                ("bn_gain", self.bn_gain),
-                ("bn_bias", self.bn_bias),
-                ("bn_mean", self.bn_mean),
-                ("bn_var", self.bn_var),
-            ):
-                if group[i].shape != (width,):
-                    raise CheckpointError(f"{name}[{i}] has shape {group[i].shape}, want ({width},)")
-        if self.b[-1].shape != (LAYER_SIZES[-1],):
-            raise CheckpointError(f"output bias has shape {self.b[-1].shape}")
+        """A writable copy of the vector, with no folded eval maps."""
+        return MlpParams(self.flat.copy(), self.init_seed, self.train_seed)
 
 
 def init_params(seed: int) -> MlpParams:
     """Fan-in scaled normal init (variance 2 / fan_in) for weights, zeros for
-    biases; BatchNorm starts as the identity (gain 1, shift 0, mean 0, var 1)."""
+    the output bias; BatchNorm starts as the identity (gain 1, shift 0, mean 0,
+    var 1)."""
+    params = MlpParams(np.zeros(N_PARAMS), init_seed=seed)
     rng = np.random.default_rng(seed)
-    w = []
-    b = []
-    for fan_in, fan_out in zip(LAYER_SIZES[:-1], LAYER_SIZES[1:]):
-        w.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
-        b.append(np.zeros(fan_out))
-    return MlpParams(
-        w=w,
-        b=b,
-        bn_gain=[np.ones(LAYER_SIZES[i + 1]) for i in range(N_HIDDEN)],
-        bn_bias=[np.zeros(LAYER_SIZES[i + 1]) for i in range(N_HIDDEN)],
-        bn_mean=[np.zeros(LAYER_SIZES[i + 1]) for i in range(N_HIDDEN)],
-        bn_var=[np.ones(LAYER_SIZES[i + 1]) for i in range(N_HIDDEN)],
-        init_seed=seed,
-    )
+    for w in params.w:
+        w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[0]), size=w.shape)
+    for gain, var in zip(params.bn_gain, params.bn_var):
+        gain[...] = 1.0
+        var[...] = 1.0
+    return params
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -142,7 +134,7 @@ def _fold(params: MlpParams) -> tuple[list, list]:
     for i in range(N_HIDDEN):
         s = params.bn_gain[i] / np.sqrt(params.bn_var[i] + BN_EPS)
         weights.append(params.w[i] * s)
-        biases.append((params.b[i] - params.bn_mean[i]) * s + params.bn_bias[i])
+        biases.append(params.bn_bias[i] - params.bn_mean[i] * s)
     weights.append(params.w[-1])
     biases.append(params.b[-1])
     return weights, biases
@@ -212,7 +204,7 @@ def forward(
 
     a = x
     for i in range(N_HIDDEN):
-        z = a @ params.w[i] + params.b[i]
+        z = a @ params.w[i]
         m = z.shape[0]
         mu = z.mean(axis=0)
         var = z.var(axis=0)  # biased, used in the normalization
@@ -309,7 +301,6 @@ def backward(params: MlpParams, cache: ForwardCache, target: np.ndarray) -> dict
             * (m * dxhat - dxhat.sum(axis=0) - layer.xhat * (dxhat * layer.xhat).sum(axis=0))
         )
         grads[f"w{i + 1}"] = layer.x_in.T @ dz
-        grads[f"b{i + 1}"] = dz.sum(axis=0)
         if i > 0:
             da = dz @ params.w[i].T
 
@@ -317,17 +308,14 @@ def backward(params: MlpParams, cache: ForwardCache, target: np.ndarray) -> dict
 
 
 def save_checkpoint(params: MlpParams, path) -> None:
-    """Write all tensors to a versioned JSON container, lossless at float64."""
-    params.check_shapes()
-    tensors = {}
-    for name, arr in _all_tensors(params).items():
-        tensors[name] = {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+    """Write the parameter vector as one base64 blob of little-endian float64
+    in a versioned JSON container; lossless."""
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "layer_sizes": list(LAYER_SIZES),
         "init_seed": params.init_seed,
         "train_seed": params.train_seed,
-        "tensors": tensors,
+        "params": base64.b64encode(params.flat.astype("<f8", copy=False).tobytes()).decode("ascii"),
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f)
@@ -344,37 +332,20 @@ def load_checkpoint(path) -> MlpParams:
         raise CheckpointError(f"unsupported checkpoint version {payload.get('format_version')}")
     if payload.get("layer_sizes") != list(LAYER_SIZES):
         raise CheckpointError(f"checkpoint architecture {payload.get('layer_sizes')} unsupported")
-    tensors = payload.get("tensors", {})
-
-    def take(name):
-        if name not in tensors:
-            raise CheckpointError(f"checkpoint missing tensor {name!r}")
-        entry = tensors[name]
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        if not np.all(np.isfinite(arr)):  # 1e999 parses to inf without a JSON constant
-            raise CheckpointError(f"checkpoint tensor {name!r} has non-finite values")
-        return arr
-
-    params = MlpParams(
-        w=[take(f"w{i + 1}") for i in range(4)],
-        b=[take(f"b{i + 1}") for i in range(4)],
-        bn_gain=[take(f"bn{i + 1}_gain") for i in range(N_HIDDEN)],
-        bn_bias=[take(f"bn{i + 1}_bias") for i in range(N_HIDDEN)],
-        bn_mean=[take(f"bn{i + 1}_mean") for i in range(N_HIDDEN)],
-        bn_var=[take(f"bn{i + 1}_var") for i in range(N_HIDDEN)],
-        init_seed=payload.get("init_seed", 0),
-        train_seed=payload.get("train_seed"),
-    )
-    params.check_shapes()
-    for arr in _all_tensors(params).values():
-        arr.flags.writeable = False
+    blob = payload.get("params")
+    if not isinstance(blob, str):
+        raise CheckpointError("checkpoint has no params blob")
+    try:
+        raw = base64.b64decode(blob, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise CheckpointError(f"checkpoint params are not valid base64: {exc}") from exc
+    if len(raw) != 8 * N_PARAMS:
+        raise CheckpointError(f"checkpoint params hold {len(raw)} bytes, want {8 * N_PARAMS}")
+    flat = np.frombuffer(raw, dtype="<f8")
+    if not np.all(np.isfinite(flat)):
+        raise CheckpointError("checkpoint params have non-finite values")
+    # Read-only before MlpParams takes its views, so that every view inherits it.
+    flat.flags.writeable = False
+    params = MlpParams(flat, payload.get("init_seed", 0), payload.get("train_seed"))
     params._plan = _fold(params)
     return params
-
-
-def _all_tensors(params: MlpParams) -> dict[str, np.ndarray]:
-    out = dict(params.learnables())
-    for i in range(N_HIDDEN):
-        out[f"bn{i + 1}_mean"] = params.bn_mean[i]
-        out[f"bn{i + 1}_var"] = params.bn_var[i]
-    return out

@@ -20,16 +20,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, TrainingAborted, reject_non_finite
-from .network import DROPOUT_P, MlpParams, backward, forward, init_params, smooth_l1
+from .errors import ConfigError, NumericError, TrainingAborted, check_fields
+from .network import DROPOUT_P, N_DECAYED, N_LEARNED, MlpParams, backward, forward
+from .network import init_params, smooth_l1
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-# Decoupled weight decay applies to weight matrices only, never to biases or
-# BatchNorm gain/shift.
-DECAYED_PREFIX = "w"
 
 
 @dataclass(frozen=True)
@@ -44,9 +41,13 @@ class TrainConfig:
     eta_min: float = 0.0
 
     def __post_init__(self):
-        reject_non_finite(self)
+        check_fields(self)
         if not self.lr > 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.eta_min <= self.lr:
+            raise ConfigError(f"eta_min must lie in [0, lr], got {self.eta_min}")
         if self.batch_size < 2:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.patience < 1:
@@ -67,19 +68,15 @@ class TrainConfig:
 
 @dataclass
 class OptState:
-    """AdamW moments, keyed like MlpParams.learnables()."""
+    """AdamW moments of the learnable prefix of MlpParams.flat."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def init(cls, params: MlpParams) -> "OptState":
-        learn = params.learnables()
-        return cls(
-            m={k: np.zeros_like(a) for k, a in learn.items()},
-            v={k: np.zeros_like(a) for k, a in learn.items()},
-        )
+        return cls(m=np.zeros(N_LEARNED), v=np.zeros(N_LEARNED))
 
 
 @dataclass(frozen=True)
@@ -134,8 +131,9 @@ def adamw_step(
     lr: float,
     weight_decay: float,
 ) -> tuple[MlpParams, OptState]:
-    """One AdamW update, in place. Weight decay is decoupled and applies only
-    to the weight matrices (names starting with 'w')."""
+    """One AdamW update of the learnable prefix of params.flat, in place.
+    Weight decay is decoupled and applies only to the weight matrices, which
+    lead the vector."""
     learn = params.learnables()
     if set(grads) != set(learn):
         raise ValueError("gradient keys do not match learnable parameters")
@@ -146,20 +144,24 @@ def adamw_step(
     t = state.t
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for name, theta in learn.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if name.startswith(DECAYED_PREFIX):
-            update = update + weight_decay * theta
-        theta -= lr * update
+    g = np.concatenate([grads[name].ravel() for name in learn])
+    # m_hat / (sqrt(v_hat) + eps) + decay * theta, operation for operation, in
+    # two scratch vectors: a temporary per operation would cost twice the time.
+    m, v = state.m, state.v
+    tmp = (1.0 - ADAM_BETA1) * g
+    m *= ADAM_BETA1
+    m += tmp
+    np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+    tmp *= g
+    v *= ADAM_BETA2
+    v += tmp
+    denom = np.sqrt(np.divide(v, bc2, out=g), out=g)
+    denom += ADAM_EPS
+    update = np.divide(m, bc1, out=tmp)
+    update /= denom
+    update[:N_DECAYED] += np.multiply(params.flat[:N_DECAYED], weight_decay, out=g[:N_DECAYED])
+    update *= lr
+    params.flat[:N_LEARNED] -= update
     return params, state
 
 

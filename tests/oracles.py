@@ -10,6 +10,8 @@ it checks:
     forward pass, instead of analytic backprop.
   - unfolded_eval_forward: BatchNorm as a separate normalization step after
     each affine map, instead of folded into the affine maps.
+  - adamw_reference: the AdamW update as a loop over named tensors, instead
+    of one pass over the flat parameter vector.
   - exact_report / exact_sweep: detection scoring in exact rational
     arithmetic (fractions.Fraction) with plain loops.
   - constant_predictor_loss: the no-skill baseline for learnability checks.
@@ -24,6 +26,7 @@ import numpy as np
 from scipy.spatial.transform import Rotation
 
 from waterline.network import BN_EPS, N_HIDDEN, forward, smooth_l1
+from waterline.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def raytrace_pixel(camera, imu, query, tol_scale=1e-10):
@@ -147,12 +150,30 @@ def unfolded_eval_forward(params, x):
     affine map (running statistics), a ReLU by np.where, and a scalar sigmoid."""
     a = np.asarray(x, dtype=np.float64)
     for i in range(N_HIDDEN):
-        z = a @ params.w[i] + params.b[i]
+        z = a @ params.w[i]
         y = (z - params.bn_mean[i]) / np.sqrt(params.bn_var[i] + BN_EPS)
         y = y * params.bn_gain[i] + params.bn_bias[i]
         a = np.where(y > 0, y, 0.0)
     z_out = a @ params.w[-1] + params.b[-1]
     return np.vectorize(math_sigmoid)(z_out)
+
+
+def adamw_reference(tensors, grads, m, v, t, lr, weight_decay):
+    """Step t (1-based) of AdamW over dicts of named tensors, in place.
+
+    m and v hold one moment array per name. Decay is decoupled and applies
+    to the weight matrices, the names starting with 'w'.
+    """
+    for name, theta in tensors.items():
+        g = grads[name]
+        m[name] = ADAM_BETA1 * m[name] + (1.0 - ADAM_BETA1) * g
+        v[name] = ADAM_BETA2 * v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m[name] / (1.0 - ADAM_BETA1**t)
+        v_hat = v[name] / (1.0 - ADAM_BETA2**t)
+        update = m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if name.startswith("w"):
+            update = update + weight_decay * theta
+        theta -= lr * update
 
 
 def exact_sigmoid_above(logit: float, bias: float, threshold: float) -> bool:

@@ -1,13 +1,19 @@
+import base64
 import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import waterline
 from waterline.cli import DEFAULT_VAL_RATIO, load_predictions, main
 from waterline.data import GenConfig, generate, load_dataset, save_dataset
 from waterline.errors import DatasetParseError, DatasetSchemaError
@@ -130,7 +136,7 @@ class TestGen:
 
     @pytest.mark.parametrize(
         "field, message",
-        [("focal_px", "focal_px must be finite"), ("image_w", "non-numeric field")],
+        [("focal_px", "focal_px must be finite"), ("image_w", "image_w must be finite")],
     )
     def test_overflowed_camera_is_config_error(self, tmp_path, capsys, field, message):
         camera = CameraModel.default().to_dict()
@@ -255,6 +261,44 @@ class TestTrain:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("gen", "n_samples", 5.5),
+        ("gen", "n_samples", True),
+        ("gen", "seed", 1.5),
+        ("gen", "queries_per_sample", [1, "3"]),
+        ("camera", "focal_px", "600"),
+        ("camera", "image_w", 960.7),
+        ("train", "lr", "0.1"),
+        ("train", "max_epochs", 2.5),
+        ("train", "batch_size", 32.0),
+        ("train", "val_ratio", "0.5"),
+        ("train", "weight_decay", -5.0),
+        ("train", "eta_min", -1e-4),
+        ("train", "eta_min", 0.1),  # above the default lr of 1e-3
+    ],
+)
+def test_bad_config_value_is_config_error(tmp_path, dataset, capsys, command, field, value):
+    out = tmp_path / "out"
+    if command == "train":
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({field: value}))
+        argv = ["train", "--dataset", str(dataset), "--config", str(config), "--out", str(out)]
+    else:
+        config = _write_gen_config(tmp_path / "gen.json")
+        argv = ["gen", "--config", str(config), "--out", str(out)]
+        if command == "gen":
+            _write_gen_config(config, **{field: value})
+        else:
+            camera = tmp_path / "camera.json"
+            camera.write_text(json.dumps({**CameraModel.default().to_dict(), field: value}))
+            argv += ["--camera", str(camera)]
+    assert main(argv) == 2
+    assert f"error: {field} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def load_dataset_without_visible(tmp_path):
     path = tmp_path / "novis.jsonl"
     lines = []
@@ -272,6 +316,35 @@ def load_dataset_without_visible(tmp_path):
         )
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+_NAN = np.float64(np.nan).astype("<f8").tobytes()
+_INF = np.float64(np.inf).astype("<f8").tobytes()
+
+
+def _edit_blob(edit):
+    """A checkpoint edit that applies edit(bytes) to the decoded params blob."""
+
+    def apply(payload):
+        raw = edit(base64.b64decode(payload["params"]))
+        payload["params"] = base64.b64encode(raw).decode("ascii")
+
+    return apply
+
+
+def _as_v1(payload):
+    """The container of the retired per-tensor JSON format."""
+    del payload["params"]
+    payload["format_version"] = 1
+    payload["tensors"] = {"w1": {"shape": [1], "data": [0.0]}}
+
+
+def _tampered_checkpoint(tmp_path, checkpoint, edit):
+    payload = json.loads(checkpoint.read_text())
+    edit(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    return bad
 
 
 class TestEval:
@@ -316,15 +389,33 @@ class TestEval:
         assert "line 2: 'utf-8' codec can't decode byte 0xff" in capsys.readouterr().err
 
     def test_nan_checkpoint_is_config_error(self, tmp_path, dataset, checkpoint, capsys):
-        payload = json.loads(checkpoint.read_text())
-        payload["tensors"]["w1"]["data"][0] = "WEIGHT"
-        bad = tmp_path / "nan.json"
-        bad.write_text(json.dumps(payload).replace('"WEIGHT"', "NaN"))
+        bad = _tampered_checkpoint(tmp_path, checkpoint, _edit_blob(lambda raw: _NAN + raw[8:]))
         code = main(
             ["eval", "--dataset", str(dataset), "--checkpoint", str(bad), "--out", str(tmp_path / "e")]
         )
         assert code == 2
-        assert "checkpoint is not valid JSON: non-finite number NaN" in capsys.readouterr().err
+        assert "checkpoint params have non-finite values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (_edit_blob(lambda raw: raw[:-1]), "bytes, want"),
+            (_edit_blob(lambda raw: _INF + raw[8:]), "non-finite values"),
+            (lambda payload: payload.update(params="not base64!"), "not valid base64"),
+            (lambda payload: payload.pop("params"), "no params blob"),
+            (_as_v1, "unsupported checkpoint version 1"),
+        ],
+        ids=["truncated", "inf", "non-base64", "missing-params", "v1"],
+    )
+    def test_tampered_checkpoint_is_config_error(
+        self, tmp_path, dataset, checkpoint, capsys, edit, message
+    ):
+        bad = _tampered_checkpoint(tmp_path, checkpoint, edit)
+        code = main(
+            ["eval", "--dataset", str(dataset), "--checkpoint", str(bad), "--out", str(tmp_path / "e")]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestPredict:
@@ -564,3 +655,14 @@ class TestMisc:
             main(["--version"])
         assert excinfo.value.code == 0
         assert "waterline" in capsys.readouterr().out
+
+
+def test_calibration_demo_recovers_injected_shift(tmp_path):
+    script = Path(__file__).parents[1] / "scripts" / "calibration_demo.py"
+    env = {**os.environ, "PYTHONPATH": str(Path(waterline.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "recovered bias: -0.5" in done.stdout

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from waterline.network import (
     BN_EPS,
     BN_MOMENTUM,
     LAYER_SIZES,
+    N_PARAMS,
     _sigmoid,
     backward,
     forward,
@@ -49,9 +51,21 @@ class TestInit:
         assert not np.array_equal(init_params(0).w[0], init_params(1).w[0])
 
     def test_shapes(self):
+        # the hidden layers have no bias; every tensor is a view of one vector
         p = init_params(0)
+        assert p.flat.shape == (35_330,)
         assert [w.shape for w in p.w] == [(6, 128), (128, 128), (128, 128), (128, 2)]
-        assert [b.shape for b in p.b] == [(128,), (128,), (128,), (2,)]
+        assert [b.shape for b in p.b] == [(2,)]
+        for group in (p.bn_gain, p.bn_bias, p.bn_mean, p.bn_var):
+            assert [a.shape for a in group] == [(128,)] * 3
+            assert all(a.base is p.flat for a in group)
+        assert all(a.base is p.flat for a in p.w + p.b)
+
+    def test_weights_match_per_layer_draw(self):
+        # the same rng.normal draws, in the same order, as one array per layer
+        rng = np.random.default_rng(42)
+        for w, (fan_in, fan_out) in zip(init_params(42).w, zip(LAYER_SIZES, LAYER_SIZES[1:])):
+            assert np.array_equal(w, rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
 
     def test_fan_in_variance(self):
         # weight variance targets 2 / fan_in; the sample variance of n draws
@@ -158,7 +172,7 @@ class TestFoldedEval:
 
     def test_loaded_tensors_are_read_only(self, tmp_path):
         loaded = _loaded_checkpoint(tmp_path)
-        for group in (loaded.w, loaded.b, loaded.bn_gain, loaded.bn_bias,
+        for group in ([loaded.flat], loaded.w, loaded.b, loaded.bn_gain, loaded.bn_bias,
                       loaded.bn_mean, loaded.bn_var):
             for arr in group:
                 with pytest.raises(ValueError, match="read-only"):
@@ -171,6 +185,7 @@ class TestFoldedEval:
         loaded = _loaded_checkpoint(tmp_path)
         copy = loaded.copy()
         assert copy._plan is None
+        assert copy.flat.flags.writeable
         assert all(arr.flags.writeable for arr in copy.learnables().values())
         assert all(arr.flags.writeable for arr in copy.bn_mean + copy.bn_var)
         x, _ = _random_batch(51, n=5, scale=2.0)
@@ -222,7 +237,7 @@ class TestForwardTrain:
     def test_running_stats_updated_with_momentum(self):
         p = init_params(0)
         x, _ = _random_batch(5, n=64)
-        z = x @ p.w[0] + p.b[0]
+        z = x @ p.w[0]
         expected_mean = BN_MOMENTUM * z.mean(axis=0)  # running mean starts at 0
         forward(p, x, training=True, dropout_p=0.0)
         assert np.allclose(p.bn_mean[0], expected_mean, rtol=1e-12, atol=1e-15)
@@ -233,7 +248,7 @@ class TestForwardTrain:
     def test_running_stats_converge_geometrically(self):
         p = init_params(0)
         x, _ = _random_batch(6, n=32)
-        z = x @ p.w[0] + p.b[0]
+        z = x @ p.w[0]
         batch_mean = z.mean(axis=0)
         gaps = []
         for _ in range(40):
@@ -389,11 +404,7 @@ class TestCheckpoint:
         save_checkpoint(p, path)
         loaded = load_checkpoint(path)
         assert loaded.init_seed == 99 and loaded.train_seed == 1234
-        for a, b in zip(p.w, loaded.w):
-            assert np.array_equal(a, b)
-        for i in range(3):
-            assert np.array_equal(p.bn_mean[i], loaded.bn_mean[i])
-            assert np.array_equal(p.bn_var[i], loaded.bn_var[i])
+        assert np.array_equal(p.flat, loaded.flat)
         pred_a, _ = forward(p, x, training=False)
         pred_b, _ = forward(loaded, x, training=False)
         assert np.array_equal(pred_a, pred_b)
@@ -408,25 +419,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    def test_rejects_wrong_shape(self, tmp_path):
+    def test_blob_is_little_endian_float64(self, tmp_path):
         p = init_params(0)
         path = tmp_path / "ckpt.json"
         save_checkpoint(p, path)
-        payload = json.loads(path.read_text())
-        payload["tensors"]["w1"]["data"] = payload["tensors"]["w1"]["data"][:-1]
-        payload["tensors"]["w1"]["shape"] = [LAYER_SIZES[0] * LAYER_SIZES[1] - 1]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError):
+        raw = base64.b64decode(json.loads(path.read_text())["params"])
+        assert np.array_equal(np.frombuffer(raw, dtype="<f8"), p.flat)
+
+    def test_rejects_wrong_shape(self, tmp_path):
+        # a blob one float64 short of the layout
+        path = tmp_path / "ckpt.json"
+        _save_tampered(path, lambda raw: raw[:-8])
+        with pytest.raises(CheckpointError, match=f"want {8 * N_PARAMS}"):
             load_checkpoint(path)
 
     def test_rejects_missing_tensor(self, tmp_path):
-        p = init_params(0)
         path = tmp_path / "ckpt.json"
-        save_checkpoint(p, path)
+        save_checkpoint(init_params(0), path)
         payload = json.loads(path.read_text())
-        del payload["tensors"]["bn2_gain"]
+        del payload["params"]
         path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="bn2_gain"):
+        with pytest.raises(CheckpointError, match="no params blob"):
             load_checkpoint(path)
 
     def test_rejects_garbage_file(self, tmp_path):
@@ -435,12 +448,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("token, cause", [("NaN", "NaN"), ("1e999", "non-finite")])
-    def test_rejects_non_finite_weight(self, tmp_path, token, cause):
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_weight(self, tmp_path, value):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(init_params(0), path)
-        payload = json.loads(path.read_text())
-        payload["tensors"]["w1"]["data"][0] = "WEIGHT"
-        path.write_text(json.dumps(payload).replace('"WEIGHT"', token))
-        with pytest.raises(CheckpointError, match=cause):
+        _save_tampered(path, lambda raw: np.float64(value).astype("<f8").tobytes() + raw[8:])
+        with pytest.raises(CheckpointError, match="non-finite"):
             load_checkpoint(path)
+
+
+def _save_tampered(path, edit):
+    """Save a fresh checkpoint with edit(bytes) applied to its decoded blob."""
+    save_checkpoint(init_params(0), path)
+    payload = json.loads(path.read_text())
+    raw = edit(base64.b64decode(payload["params"]))
+    payload["params"] = base64.b64encode(raw).decode("ascii")
+    path.write_text(json.dumps(payload))

@@ -4,11 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from oracles import constant_predictor_loss
+from oracles import adamw_reference, constant_predictor_loss
 from waterline.data import GenConfig, generate, split, visible_examples
 from waterline.errors import ConfigError, TrainingAborted
 from waterline.geometry import CameraModel
-from waterline.network import BN_EPS, forward, init_params, smooth_l1
+from waterline.network import BN_EPS, N_LEARNED, forward, init_params, smooth_l1
 from waterline.training import (
     OptState,
     TrainConfig,
@@ -67,9 +67,10 @@ class TestAdamW:
 
     def test_decay_excludes_biases_and_norm_params(self):
         p = init_params(0)
+        p.b[0][:] = 0.5  # a nonzero output bias, so that decay would move it
         state = OptState.init(p)
         weights_before = [w.copy() for w in p.w]
-        bias_before = [b.copy() for b in p.b]
+        bias_before = p.b[0].copy()
         gain_before = [g.copy() for g in p.bn_gain]
         shift_before = [s.copy() for s in p.bn_bias]
         lr, wd = 0.01, 0.1
@@ -79,10 +80,26 @@ class TestAdamW:
         for i in range(4):
             expected = weights_before[i] * (1 - lr * wd) ** steps
             assert np.allclose(p.w[i], expected, rtol=1e-12)
-            assert np.array_equal(p.b[i], bias_before[i])
+        assert np.array_equal(p.b[0], bias_before)
         for i in range(3):
             assert np.array_equal(p.bn_gain[i], gain_before[i])
             assert np.array_equal(p.bn_bias[i], shift_before[i])
+
+    def test_matches_per_tensor_reference_bitwise(self):
+        p = init_params(0)
+        ref = {k: v.copy() for k, v in p.learnables().items()}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v = {k: np.zeros_like(a) for k, a in ref.items()}
+        stats_before = p.flat[N_LEARNED:].copy()
+        state = OptState.init(p)
+        rng = np.random.default_rng(3)
+        for t in range(1, 7):
+            grads = {k: rng.normal(0.0, 1e-3, size=a.shape) for k, a in ref.items()}
+            adamw_step(p, grads, state, lr=1e-2, weight_decay=0.1)
+            adamw_reference(ref, grads, m, v, t, lr=1e-2, weight_decay=0.1)
+            for k, a in p.learnables().items():
+                assert np.array_equal(a, ref[k]), (t, k)
+        assert np.array_equal(p.flat[N_LEARNED:], stats_before)  # running stats untouched
 
     def test_rejects_nonfinite_gradient(self):
         p = init_params(0)
@@ -132,6 +149,10 @@ class TestTrainConfig:
     def test_rejects_unknown_keys(self):
         with pytest.raises(ConfigError, match="unknown"):
             TrainConfig.from_dict({"learning_rate": 1e-3})
+
+    def test_accepts_numpy_scalars(self):
+        config = TrainConfig(lr=np.float32(1e-3), batch_size=np.int64(32))
+        assert config.batch_size == 32
 
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigError):
@@ -270,7 +291,7 @@ class TestDropoutBatchNormHarmony:
         a = train_xy[0]
         ratios = []
         for i in range(len(params.bn_var)):
-            z = a @ params.w[i] + params.b[i]
+            z = a @ params.w[i]
             ratios.append(float(np.median(params.bn_var[i] / z.var(axis=0))))
             xhat = (z - params.bn_mean[i]) / np.sqrt(params.bn_var[i] + BN_EPS)
             a = np.maximum(params.bn_gain[i] * xhat + params.bn_bias[i], 0.0)
