@@ -39,19 +39,16 @@ from .errors import (
     DatasetParseError,
     DatasetSchemaError,
     NumericError,
-    check_value,
-    load_json,
+    write_json,
 )
 from .features import build_decoder_query, build_features, waterline_target
 from .geometry import CameraModel, project
-from .metrics import calibrate_bias, error_stats, pixel_error, write_curve_csv, write_report_json
+from .metrics import calibrate_bias, error_stats, pixel_error, write_curve_csv
 from .network import forward, load_checkpoint, save_checkpoint
-from .training import TrainConfig, train
+# perfbench/workloads.py reads DEFAULT_VAL_RATIO from this module.
+from .training import DEFAULT_VAL_RATIO, TrainConfig, train  # noqa: F401
 
 logger = logging.getLogger(__name__)
-
-# Train fraction mirroring a 4285/904 style split.
-DEFAULT_VAL_RATIO = 4285 / 5189
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -66,7 +63,7 @@ def _utcnow() -> str:
 
 def _write_manifest(path: Path, command: str, inputs: dict, seeds: dict, artifacts: dict,
                     started_at: str) -> None:
-    manifest = {
+    write_json(path, {
         "command": command,
         "tool_version": __version__,
         "inputs": inputs,
@@ -74,10 +71,7 @@ def _write_manifest(path: Path, command: str, inputs: dict, seeds: dict, artifac
         "artifacts": artifacts,
         "started_at": started_at,
         "finished_at": _utcnow(),
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
+    })
 
 
 def _load_camera(path: str | None) -> CameraModel:
@@ -147,19 +141,14 @@ def _verify_fidelity(camera: CameraModel, records) -> float:
 
 def cmd_train(args) -> int:
     started = _utcnow()
-    raw = load_json(args.config, "training config", ConfigError) if args.config else {}
-    val_ratio = raw.pop("val_ratio", DEFAULT_VAL_RATIO)
-    check_value("val_ratio", val_ratio, float)
-    if not 0.0 < val_ratio < 1.0:
-        raise ConfigError(f"val_ratio must lie in (0, 1), got {val_ratio}")
+    config = TrainConfig.load(args.config) if args.config else TrainConfig()
     if args.seed is not None:
-        raw["seed"] = args.seed
-    config = TrainConfig.from_dict(raw)
+        config = dataclasses.replace(config, seed=args.seed)
 
     records = load_dataset(args.dataset)
     if len(records) < 2:
         raise ConfigError("dataset has fewer than 2 samples; cannot split")
-    parts = split(records, val_ratio, seed=config.seed)
+    parts = split(records, config.val_ratio, seed=config.seed)
     train_xy = visible_examples(parts.train)
     val_xy = visible_examples(parts.val)
     if train_xy[0].shape[0] == 0 or val_xy[0].shape[0] == 0:
@@ -172,7 +161,7 @@ def cmd_train(args) -> int:
     checkpoint = out_dir / "checkpoint.json"
     save_checkpoint(params, checkpoint)
     history.to_csv(out_dir / "history.csv")
-    history.write_summary_json(out_dir / "history.json")
+    write_json(out_dir / "history.json", history.summary())
     print(f"epochs run: {len(history.epochs)}")
     print(f"best epoch: {history.best_epoch}")
     print(f"best val loss: {history.best_val_loss:.6g}")
@@ -214,9 +203,7 @@ def cmd_eval(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "error_stats.json", "w", encoding="utf-8") as f:
-        json.dump(stats.to_dict(), f, indent=2)
-        f.write("\n")
+    write_json(out_dir / "error_stats.json", dataclasses.asdict(stats))
     with open(out_dir / "errors.csv", "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["sample_id", "query_index", "error_px"])
@@ -253,15 +240,12 @@ def cmd_calibrate(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_report_json(
-        best_report,
-        out_dir / "best_bias.json",
-        extra={
-            "best_bias": best_bias,
-            "threshold": args.threshold,
-            "grid": {"lo": lo, "hi": hi, "step": args.step},
-        },
-    )
+    write_json(out_dir / "best_bias.json", {
+        "best_bias": best_bias,
+        "threshold": args.threshold,
+        "grid": {"lo": lo, "hi": hi, "step": args.step},
+        **dataclasses.asdict(best_report),
+    })
     write_curve_csv(curve, out_dir / "curve.csv")
 
     print(f"grid points: {len(curve)}")

@@ -25,17 +25,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DatasetParseError,
-    DatasetSchemaError,
-    GenerationError,
-    check_fields,
-    load_json,
-)
+from .errors import Bounds, Config, DatasetParseError, DatasetSchemaError, GenerationError
 from .features import ChartQuery, ImuSample, build_features, waterline_target, wrap_angle_deg
 from .geometry import CameraModel, in_frame, project
 from .metrics import GtBox, QueryPrediction
@@ -79,66 +73,35 @@ class SampleRecord:
 
 
 @dataclass(frozen=True)
-class GenConfig:
+class GenConfig(Config):
     """Knobs of the synthetic scene generator. Angles in degrees, ranges
     inclusive. distance_noise_rel is a fraction of the true distance; the
     other noise fields are absolute standard deviations."""
 
-    n_samples: int
-    queries_per_sample: tuple[int, int] = (1, 3)
-    distance_range_m: tuple[float, float] = (5.0, 1000.0)
-    bearing_range_deg: tuple[float, float] | None = None  # None: +/- (half horizontal FOV + 5 deg)
-    pitch_range_deg: tuple[float, float] = (-10.0, 10.0)
-    roll_range_deg: tuple[float, float] = (-10.0, 10.0)
-    heading_range_deg: tuple[float, float] = (-180.0, 180.0)
-    box_height_coeff: float = 900.0  # apparent height ~ coeff / distance, in px
-    box_aspect: float = 0.6  # width = aspect * height, in px
-    distance_noise_rel: float = 0.0
-    bearing_noise_deg: float = 0.0
-    pitch_noise_deg: float = 0.0
-    roll_noise_deg: float = 0.0
-    heading_noise_deg: float = 0.0
-    label_noise_px: float = 0.0
-    visibility_dropout: float = 0.0
-    seed: int = 0
+    label = "generator config"
 
-    def __post_init__(self):
-        check_fields(self)
-        if self.n_samples < 1:
-            raise ConfigError(f"n_samples must be >= 1, got {self.n_samples}")
-        qlo, qhi = self.queries_per_sample
-        if qlo < 0 or qhi < qlo:
-            raise ConfigError(f"bad queries_per_sample range {self.queries_per_sample}")
-        dlo, dhi = self.distance_range_m
-        if not (0 < dlo <= dhi):
-            raise ConfigError(f"bad distance range {self.distance_range_m}")
-        for name in ("bearing_range_deg", "pitch_range_deg", "roll_range_deg", "heading_range_deg"):
-            rng = getattr(self, name)
-            if rng is not None and rng[0] > rng[1]:
-                raise ConfigError(f"bad {name} {rng}")
-        if self.box_height_coeff <= 0 or self.box_aspect <= 0:
-            raise ConfigError("box-size law constants must be positive")
-        for name in NOISE_FIELDS:
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
-        if not 0.0 <= self.visibility_dropout <= 1.0:
-            raise ConfigError(f"visibility_dropout must lie in [0, 1], got {self.visibility_dropout}")
+    n_samples: Annotated[int, Bounds(1)]
+    queries_per_sample: Annotated[tuple[int, int], Bounds(0)] = (1, 3)
+    distance_range_m: Annotated[tuple[float, float], Bounds(0, lo_open=True)] = (5.0, 1000.0)
+    bearing_range_deg: tuple[float, float] | None = None  # None: +/- (half horizontal FOV + 5 deg)
+    pitch_range_deg: Annotated[tuple[float, float], Bounds(-90, 90)] = (-10.0, 10.0)
+    roll_range_deg: Annotated[tuple[float, float], Bounds(-90, 90)] = (-10.0, 10.0)
+    heading_range_deg: tuple[float, float] = (-180.0, 180.0)
+    # apparent height ~ coeff / distance, in px; width = aspect * height
+    box_height_coeff: Annotated[float, Bounds(0, lo_open=True)] = 900.0
+    box_aspect: Annotated[float, Bounds(0, lo_open=True)] = 0.6
+    distance_noise_rel: Annotated[float, Bounds(0)] = 0.0
+    bearing_noise_deg: Annotated[float, Bounds(0)] = 0.0
+    pitch_noise_deg: Annotated[float, Bounds(0)] = 0.0
+    roll_noise_deg: Annotated[float, Bounds(0)] = 0.0
+    heading_noise_deg: Annotated[float, Bounds(0)] = 0.0
+    label_noise_px: Annotated[float, Bounds(0)] = 0.0
+    visibility_dropout: Annotated[float, Bounds(0, 1)] = 0.0
+    seed: Annotated[int, Bounds(0)] = 0
 
     @property
     def noise_free(self) -> bool:
         return all(getattr(self, name) == 0 for name in NOISE_FIELDS)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GenConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown generator config keys: {sorted(unknown)}")
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
-
-    @classmethod
-    def load(cls, path) -> "GenConfig":
-        return cls.from_dict(load_json(path, "generator config", ConfigError))
 
 
 @dataclass(frozen=True)

@@ -33,38 +33,34 @@ Angles are degrees at every public interface and radians internally.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError, check_fields, load_json
+from .errors import Bounds, Config, ConfigError, write_json
 from .features import ChartQuery, ImuSample
 
 # Camera-frame depth below which a point counts as behind the image plane.
 DEPTH_EPS_M = 1e-6
 
-CAMERA_JSON_KEYS = ("focal_px", "principal_u", "principal_v", "image_w", "image_h", "mount_height_m")
-
 
 @dataclass(frozen=True)
-class CameraModel:
+class CameraModel(Config):
     """Distortion-free pinhole camera plus its mounting height."""
 
-    focal_px: float
+    label = "camera config"
+
+    focal_px: Annotated[float, Bounds(0, lo_open=True)]
     principal_u: float
     principal_v: float
-    image_w: int
-    image_h: int
-    mount_height_m: float
+    image_w: Annotated[int, Bounds(1)]
+    image_h: Annotated[int, Bounds(1)]
+    mount_height_m: Annotated[float, Bounds(0, lo_open=True)]
 
     def __post_init__(self):
-        check_fields(self)
-        if not (self.focal_px > 0 and self.image_w > 0 and self.image_h > 0):
-            raise ConfigError("focal length and image dimensions must be positive")
-        if not self.mount_height_m > 0:
-            raise ConfigError("camera mount height must be positive")
+        super().__post_init__()
         if not (0 <= self.principal_u <= self.image_w and 0 <= self.principal_v <= self.image_h):
             raise ConfigError("principal point must lie within the image")
 
@@ -79,31 +75,8 @@ class CameraModel:
             mount_height_m=3.0,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "focal_px": self.focal_px,
-            "principal_u": self.principal_u,
-            "principal_v": self.principal_v,
-            "image_w": self.image_w,
-            "image_h": self.image_h,
-            "mount_height_m": self.mount_height_m,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CameraModel":
-        missing = [k for k in CAMERA_JSON_KEYS if k not in data]
-        if missing:
-            raise ConfigError(f"camera config missing keys: {missing}")
-        return cls(**{key: data[key] for key in CAMERA_JSON_KEYS})
-
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "CameraModel":
-        return cls.from_dict(load_json(path, "camera config", ConfigError))
+        write_json(path, asdict(self))
 
 
 @dataclass(frozen=True)

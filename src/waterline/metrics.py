@@ -9,7 +9,6 @@ averages over true-positive pairs only.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,14 +69,6 @@ class ErrorStats:
     p90_px: float
     n: int
 
-    def to_dict(self) -> dict:
-        return {
-            "median_px": self.median_px,
-            "mean_px": self.mean_px,
-            "p90_px": self.p90_px,
-            "n": self.n,
-        }
-
 
 @dataclass(frozen=True)
 class DetectionReport:
@@ -89,18 +80,6 @@ class DetectionReport:
     tp: int
     fp: int
     fn: int
-
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "miou": self.miou,
-            "overall": self.overall,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-        }
 
 
 def pixel_error(
@@ -227,13 +206,17 @@ def detection_report(
 
 
 def bias_grid(lo: float, hi: float, step: float) -> list[float]:
-    """Inclusive-endpoint grid of candidate logit biases."""
+    """Candidate logit biases lo, lo + step, ... up to hi, all within [lo, hi].
+    hi is included when (hi - lo) / step is a whole number, within 1e-9."""
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ValueError(f"grid bounds and step must be finite, got {lo}, {hi}, {step}")
     if step <= 0:
         raise ValueError("step must be positive")
     if lo > hi:
         raise ValueError("grid lower bound exceeds upper bound")
-    count = int(round((hi - lo) / step)) + 1
-    return [lo + i * step for i in range(count)]
+    count = math.floor((hi - lo) / step + 1e-9) + 1
+    # lo + i * step can round one ulp past hi
+    return [min(lo + i * step, hi) for i in range(count)]
 
 
 def calibrate_bias(
@@ -249,20 +232,14 @@ def calibrate_bias(
     Ties are broken toward the smallest |bias|, then toward the smaller bias.
     Returns (best_bias, curve) where curve lists (bias, report) in grid order.
     """
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     curve = [
         (bias, detection_report(predictions, gts, bias, threshold))
         for bias in bias_grid(lo, hi, step)
     ]
     best_bias, _ = min(curve, key=lambda item: (-item[1].overall, abs(item[0]), item[0]))
     return best_bias, curve
-
-
-def write_report_json(report: DetectionReport, path, extra: dict | None = None) -> None:
-    payload = dict(extra or {})
-    payload.update(report.to_dict())
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
 
 
 def write_curve_csv(curve: Sequence[tuple[float, DetectionReport]], path) -> None:

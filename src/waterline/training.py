@@ -14,13 +14,13 @@ base rate and the schedule would reach eta_min after max_epochs epochs.
 from __future__ import annotations
 
 import csv
-import json
 import time
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, TrainingAborted, check_fields
+from .errors import Bounds, Config, ConfigError, NumericError, TrainingAborted
 from .network import DROPOUT_P, N_DECAYED, N_LEARNED, MlpParams, backward, forward
 from .network import init_params, smooth_l1
 
@@ -28,42 +28,29 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Train fraction mirroring a 4285/904 style split.
+DEFAULT_VAL_RATIO = 4285 / 5189
+
 
 @dataclass(frozen=True)
-class TrainConfig:
-    lr: float = 1e-3
-    weight_decay: float = 1e-4
-    batch_size: int = 256
-    max_epochs: int = 1000
-    patience: int = 60
-    dropout_p: float = DROPOUT_P
-    seed: int = 0
-    eta_min: float = 0.0
+class TrainConfig(Config):
+    label = "training config"
+
+    lr: Annotated[float, Bounds(0, lo_open=True)] = 1e-3
+    weight_decay: Annotated[float, Bounds(0)] = 1e-4
+    batch_size: Annotated[int, Bounds(2)] = 256
+    max_epochs: Annotated[int, Bounds(1)] = 1000
+    patience: Annotated[int, Bounds(1)] = 60
+    dropout_p: Annotated[float, Bounds(0, 1, hi_open=True)] = DROPOUT_P
+    seed: Annotated[int, Bounds(0)] = 0
+    eta_min: Annotated[float, Bounds(0)] = 0.0
+    # train fraction of the train/val split of `waterline train`
+    val_ratio: Annotated[float, Bounds(0, 1, lo_open=True, hi_open=True)] = DEFAULT_VAL_RATIO
 
     def __post_init__(self):
-        check_fields(self)
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not 0 <= self.eta_min <= self.lr:
-            raise ConfigError(f"eta_min must lie in [0, lr], got {self.eta_min}")
-        if self.batch_size < 2:
-            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError(f"dropout_p must lie in [0, 1), got {self.dropout_p}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown training config keys: {sorted(unknown)}")
-        return cls(**data)
+        super().__post_init__()
+        if self.eta_min > self.lr:
+            raise ConfigError(f"eta_min must be <= lr, got {self.eta_min!r} > {self.lr!r}")
 
 
 @dataclass
@@ -110,11 +97,6 @@ class TrainHistory:
             "best_val_loss": self.best_val_loss,
             "stop_reason": self.stop_reason,
         }
-
-    def write_summary_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.summary(), f, indent=2)
-            f.write("\n")
 
 
 def cosine_lr(epoch: int, max_epochs: int, base_lr: float, eta_min: float = 0.0) -> float:

@@ -1,6 +1,9 @@
 """The benchmark's tracer (perfbench/tracing.py) wraps package functions by
-name; this fails when a rename or deletion would break `run.py --trace 1`."""
+name, and its workloads (perfbench/workloads.py) read package names; these
+fail when a rename or deletion would break `run.py`."""
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import waterline.cli  # noqa: F401  imports every module the tracer wraps
 import waterline.data
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
 
 
 def _load_tracing():
@@ -26,3 +30,28 @@ def test_instrument_finds_every_traced_function():
         waterline.data.visible_examples([])
     assert waterline.data.visible_examples is original
     assert tracer.counts["data.visible_examples_calls"] == 1
+
+
+def test_workloads_read_only_existing_package_names():
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    modules = {  # `import waterline.cli as wl_cli` -> {"wl_cli": "waterline.cli"}
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.asname and alias.asname.startswith("wl_")
+    }
+    reads = {
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert ("waterline.cli", "DEFAULT_VAL_RATIO") in reads
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(reads)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert not missing

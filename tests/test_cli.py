@@ -1,5 +1,6 @@
 import base64
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -139,7 +140,7 @@ class TestGen:
         [("focal_px", "focal_px must be finite"), ("image_w", "image_w must be finite")],
     )
     def test_overflowed_camera_is_config_error(self, tmp_path, capsys, field, message):
-        camera = CameraModel.default().to_dict()
+        camera = dataclasses.asdict(CameraModel.default())
         camera[field] = "VALUE"
         camera_path = tmp_path / "camera.json"
         camera_path.write_text(json.dumps(camera).replace('"VALUE"', "1e999"))
@@ -206,6 +207,7 @@ class TestTrain:
         assert (config.lr, config.weight_decay, config.batch_size) == (1e-3, 1e-4, 256)
         assert (config.max_epochs, config.patience) == (1000, 60)
         assert 0.8 < DEFAULT_VAL_RATIO < 0.84
+        assert config.val_ratio == DEFAULT_VAL_RATIO
 
     def test_unknown_config_key_is_config_error(self, tmp_path, dataset, capsys):
         config_path = tmp_path / "train.json"
@@ -261,6 +263,9 @@ class TestTrain:
         assert code == 2
 
 
+ABSENT = object()  # the whole config is `{}`
+
+
 @pytest.mark.parametrize(
     "command, field, value",
     [
@@ -277,25 +282,40 @@ class TestTrain:
         ("train", "weight_decay", -5.0),
         ("train", "eta_min", -1e-4),
         ("train", "eta_min", 0.1),  # above the default lr of 1e-3
+        pytest.param("gen", "n_samples", ABSENT, id="gen-n_samples-absent"),
+        ("camera", "banana", 1),
+        ("gen", "seed", -1),
+        ("train", "seed", -1),
+        ("train --seed", "seed", -3),
+        ("gen", "pitch_range_deg", [-100, -95]),
     ],
 )
 def test_bad_config_value_is_config_error(tmp_path, dataset, capsys, command, field, value):
     out = tmp_path / "out"
+    message = f"error: {field} must"
     if command == "train":
         config = tmp_path / "train.json"
         config.write_text(json.dumps({field: value}))
         argv = ["train", "--dataset", str(dataset), "--config", str(config), "--out", str(out)]
+    elif command == "train --seed":
+        argv = ["train", "--dataset", str(dataset), "--out", str(out), "--seed", str(value)]
     else:
         config = _write_gen_config(tmp_path / "gen.json")
         argv = ["gen", "--config", str(config), "--out", str(out)]
-        if command == "gen":
+        if value is ABSENT:
+            config.write_text("{}")
+            message = f"error: generator config missing keys: ['{field}']"
+        elif command == "gen":
             _write_gen_config(config, **{field: value})
         else:
             camera = tmp_path / "camera.json"
-            camera.write_text(json.dumps({**CameraModel.default().to_dict(), field: value}))
+            fields = dataclasses.asdict(CameraModel.default())
+            if field not in fields:
+                message = f"error: unknown camera config keys: ['{field}']"
+            camera.write_text(json.dumps({**fields, field: value}))
             argv += ["--camera", str(camera)]
     assert main(argv) == 2
-    assert f"error: {field} must" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -537,6 +557,26 @@ class TestCalibrate:
         best = json.loads((out_dir / "best_bias.json").read_text())
         assert best["grid"] == {"lo": -1.0, "hi": 1.0, "step": 0.5}
         assert best["threshold"] == 0.8
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--threshold", "1.5"], "threshold must lie in (0, 1)"),
+            (["--threshold", "0"], "threshold must lie in (0, 1)"),
+            (["--threshold", "nan"], "threshold must lie in (0, 1)"),
+            (["--range", "-3", "1e400"], "grid bounds and step must be finite"),
+            (["--range", "nan", "3"], "grid bounds and step must be finite"),
+            (["--step", "inf"], "grid bounds and step must be finite"),
+        ],
+        ids=["threshold-1.5", "threshold-0", "threshold-nan", "range-1e400", "range-nan", "step-inf"],
+    )
+    def test_meaningless_sweep_is_config_error(self, tmp_path, capsys, flags, message):
+        preds = _write_predictions(tmp_path / "preds.jsonl", n=5)
+        out_dir = tmp_path / "cal"
+        code = main(["calibrate", "--dataset", str(preds), "--out", str(out_dir), *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_malformed_predictions_is_data_error(self, tmp_path):
         bad = tmp_path / "preds.jsonl"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -178,7 +179,7 @@ class TestCameraModel:
 
     def test_load_rejects_missing_key(self, camera, tmp_path):
         path = tmp_path / "camera.json"
-        data = camera.to_dict()
+        data = dataclasses.asdict(camera)
         del data["focal_px"]
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match="focal_px"):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -299,6 +300,16 @@ class TestCalibrateBias:
         ]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
+    @pytest.mark.parametrize(
+        "lo, hi, step",
+        [(-3, 3, 4), (-3, 3, 0.1), (-3, 3, 0.25), (-3, 3, 0.7), (0, 0.7, 0.1), (0, 1, 0.3)],
+    )
+    def test_grid_stays_within_range(self, lo, hi, step):
+        grid = bias_grid(lo, hi, step)
+        assert grid[0] == lo
+        assert all(lo <= b <= hi for b in grid)
+        assert hi - grid[-1] < step
+
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             bias_grid(3.0, -3.0, 0.25)
@@ -322,7 +333,7 @@ class TestExports:
 
     def test_report_dict_keys(self):
         report = detection_report([_pred(False)], [GtBox(False)])
-        assert set(report.to_dict()) == {
+        assert set(dataclasses.asdict(report)) == {
             "precision",
             "recall",
             "f1",

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import adamw_reference, constant_predictor_loss
 from waterline.data import GenConfig, generate, split, visible_examples
-from waterline.errors import ConfigError, TrainingAborted
+from waterline.errors import ConfigError, TrainingAborted, write_json
 from waterline.geometry import CameraModel
 from waterline.network import BN_EPS, N_LEARNED, forward, init_params, smooth_l1
 from waterline.training import (
@@ -238,7 +238,7 @@ class TestTrainLoop:
         csv_path = tmp_path / "history.csv"
         json_path = tmp_path / "history.json"
         history.to_csv(csv_path)
-        history.write_summary_json(json_path)
+        write_json(json_path, history.summary())
         with open(csv_path) as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["epoch", "train_loss", "val_loss", "lr", "seconds"]
