@@ -17,6 +17,10 @@ import numpy as np
 
 Box = Sequence[float]  # (c_x, c_y, w, h), normalized image coordinates
 
+# calibrate scores one detection report per grid point: 400x the default
+# 25-point grid, e.g. the default range at step 6e-4.
+MAX_GRID_POINTS = 10_001
+
 
 @dataclass(frozen=True)
 class GtBox:
@@ -207,14 +211,20 @@ def detection_report(
 
 def bias_grid(lo: float, hi: float, step: float) -> list[float]:
     """Candidate logit biases lo, lo + step, ... up to hi, all within [lo, hi].
-    hi is included when (hi - lo) / step is a whole number, within 1e-9."""
+    hi is included when (hi - lo) / step is a whole number, within 1e-9.
+    A grid of more than MAX_GRID_POINTS points is refused before it is built."""
     if not all(math.isfinite(x) for x in (lo, hi, step)):
         raise ValueError(f"grid bounds and step must be finite, got {lo}, {hi}, {step}")
     if step <= 0:
         raise ValueError("step must be positive")
     if lo > hi:
         raise ValueError("grid lower bound exceeds upper bound")
-    count = math.floor((hi - lo) / step + 1e-9) + 1
+    steps = (hi - lo) / step + 1e-9  # inf when hi - lo or the quotient overflows
+    if steps >= MAX_GRID_POINTS:
+        raise ValueError(
+            f"grid would have {steps + 1:.0f} points, more than the limit of {MAX_GRID_POINTS}"
+        )
+    count = math.floor(steps) + 1
     # lo + i * step can round one ulp past hi
     return [min(lo + i * step, hi) for i in range(count)]
 

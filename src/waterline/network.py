@@ -23,13 +23,25 @@ Pinned numerical conventions:
     train time (kept units scaled by 1/(1-p)), identity at eval time.
   - SmoothL1 transition point beta = 1.0, mean reduction over all elements.
 
-Train-mode forwards update the running statistics in place; eval-mode
-forwards are pure functions of (params, input). Eval mode runs each hidden
-layer as one affine map with BatchNorm folded in (Jacob et al., arXiv
-1712.05877, section 3.2): with s = gain / sqrt(var + eps), W' = W * s and
-b' = shift - mean * s. load_checkpoint builds the folded maps once and
-marks every loaded tensor read-only, so an in-place write raises instead of
-leaving the folded maps stale; other params fold on each eval call.
+Train-mode forwards update the running statistics in place and work in
+place on each layer's buffers: z = a @ W becomes z - mean, then xhat, which
+the cache keeps; the layer output is gain * xhat + shift with ReLU (and, on
+the last layer, the dropout mask) applied in place. Backward reads the ReLU
+mask as output > 0 (a dropped unit reads 0 too, and its gradient is already
+zero) and uses BatchNorm's closed-form backward, with dy the gradient at the
+BatchNorm output and m the batch size:
+  d shift = sum(dy),  d gain = sum(dy * xhat),
+  dz = gain * inv_std * (dy - d shift / m - xhat * d gain / m),
+all in place on the incoming gradient buffer; backward writes nothing in the
+cache.
+
+Eval-mode forwards are pure functions of (params, input). Eval mode runs
+each hidden layer as one affine map with BatchNorm folded in (Jacob et al.,
+arXiv 1712.05877, section 3.2): with s = gain / sqrt(var + eps),
+W' = W * s and b' = shift - mean * s. load_checkpoint builds the folded
+maps once and marks every loaded tensor read-only, so an in-place write
+raises instead of leaving the folded maps stale; other params fold on each
+eval call.
 """
 
 from __future__ import annotations
@@ -145,7 +157,7 @@ class _LayerCache:
     x_in: np.ndarray  # input to the affine map
     xhat: np.ndarray  # normalized pre-activation
     inv_std: np.ndarray  # 1 / sqrt(batch_var + eps)
-    relu_mask: np.ndarray
+    out: np.ndarray  # the layer's output; out > 0 is the ReLU mask (dropped units too)
     drop_mask: np.ndarray | None  # includes the 1/(1-p) scaling; None if p == 0 or a BN follows
 
 
@@ -203,30 +215,29 @@ def forward(
     rng = np.random.default_rng(dropout_seed) if dropout_p > 0 else None
 
     a = x
+    m = x.shape[0]
     for i in range(N_HIDDEN):
         z = a @ params.w[i]
-        m = z.shape[0]
         mu = z.mean(axis=0)
-        var = z.var(axis=0)  # biased, used in the normalization
+        z -= mu
+        var = np.einsum("ij,ij->j", z, z) / m  # biased, used in the normalization
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (z - mu) * inv_std
+        z *= inv_std  # z is now xhat
         params.bn_mean[i] *= 1.0 - BN_MOMENTUM
         params.bn_mean[i] += BN_MOMENTUM * mu
         params.bn_var[i] *= 1.0 - BN_MOMENTUM
         params.bn_var[i] += BN_MOMENTUM * var * m / (m - 1)  # unbiased in the running update
-        y = params.bn_gain[i] * xhat + params.bn_bias[i]
-        relu_mask = y > 0
-        a_next = y * relu_mask
+        y = z * params.bn_gain[i]
+        y += params.bn_bias[i]
+        np.maximum(y, 0.0, out=y)
         drop_mask = None
         if rng is not None and i == N_HIDDEN - 1:  # the only layer no BatchNorm follows
-            drop_mask = (rng.random(a_next.shape) >= dropout_p) / (1.0 - dropout_p)
-            a_next = a_next * drop_mask
+            drop_mask = (rng.random(y.shape) >= dropout_p) / (1.0 - dropout_p)
+            y *= drop_mask
         cache.layers.append(
-            _LayerCache(
-                x_in=a, xhat=xhat, inv_std=inv_std, relu_mask=relu_mask, drop_mask=drop_mask
-            )
+            _LayerCache(x_in=a, xhat=z, inv_std=inv_std, out=y, drop_mask=drop_mask)
         )
-        a = a_next
+        a = y
 
     cache.out_in = a
     cache.pred = _sigmoid(a @ params.w[-1] + params.b[-1])
@@ -284,25 +295,25 @@ def backward(params: MlpParams, cache: ForwardCache, target: np.ndarray) -> dict
     grads["b4"] = dz.sum(axis=0)
     da = dz @ params.w[-1].T
 
+    m = dz.shape[0]
     for i in reversed(range(N_HIDDEN)):
         layer = cache.layers[i]
+        # da is backward's own buffer, so every update below is in place on it
         if layer.drop_mask is not None:
-            da = da * layer.drop_mask
-        dy = da * layer.relu_mask
-        grads[f"bn{i + 1}_gain"] = (dy * layer.xhat).sum(axis=0)
-        grads[f"bn{i + 1}_bias"] = dy.sum(axis=0)
-        # BatchNorm backward through the batch statistics:
-        #   dz_j = inv_std / m * (m * dxhat_j - sum(dxhat) - xhat_j * sum(dxhat * xhat))
-        dxhat = dy * params.bn_gain[i]
-        m = dxhat.shape[0]
-        dz = (
-            layer.inv_std
-            / m
-            * (m * dxhat - dxhat.sum(axis=0) - layer.xhat * (dxhat * layer.xhat).sum(axis=0))
-        )
-        grads[f"w{i + 1}"] = layer.x_in.T @ dz
+            da *= layer.drop_mask
+        da *= layer.out > 0  # now dy; on the last layer, dropped units read 0 as well
+        dbias = da.sum(axis=0)
+        dgain = np.einsum("ij,ij->j", da, layer.xhat)
+        grads[f"bn{i + 1}_gain"] = dgain
+        grads[f"bn{i + 1}_bias"] = dbias
+        # BatchNorm backward through the batch statistics, closed form:
+        #   dz = gain * inv_std * (dy - dbias / m - xhat * dgain / m)
+        da -= dbias / m
+        da -= layer.xhat * (dgain / m)
+        da *= params.bn_gain[i] * layer.inv_std
+        grads[f"w{i + 1}"] = layer.x_in.T @ da
         if i > 0:
-            da = dz @ params.w[i].T
+            da = da @ params.w[i].T
 
     return grads
 

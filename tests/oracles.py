@@ -10,6 +10,10 @@ it checks:
     forward pass, instead of analytic backprop.
   - unfolded_eval_forward: BatchNorm as a separate normalization step after
     each affine map, instead of folded into the affine maps.
+  - unfused_train_forward / unfused_backward: the train step with every
+    BatchNorm stage as its own fresh array, a cached boolean ReLU mask and
+    BatchNorm's backward through dxhat, instead of in-place buffers and the
+    closed form.
   - adamw_reference: the AdamW update as a loop over named tensors, instead
     of one pass over the flat parameter vector.
   - exact_report / exact_sweep: detection scoring in exact rational
@@ -21,11 +25,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from waterline.network import BN_EPS, N_HIDDEN, forward, smooth_l1
+from waterline.network import (
+    BN_EPS,
+    BN_MOMENTUM,
+    N_HIDDEN,
+    _sigmoid,
+    forward,
+    smooth_l1,
+    smooth_l1_grad,
+)
 from waterline.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
@@ -156,6 +169,70 @@ def unfolded_eval_forward(params, x):
         a = np.where(y > 0, y, 0.0)
     z_out = a @ params.w[-1] + params.b[-1]
     return np.vectorize(math_sigmoid)(z_out)
+
+
+def unfused_train_forward(params, x, dropout_p, dropout_seed):
+    """Train-mode forward, one fresh array per BatchNorm stage; updates the
+    running statistics in place like forward. Returns (pred, cache)."""
+    rng = np.random.default_rng(dropout_seed) if dropout_p > 0 else None
+    a = np.asarray(x, dtype=np.float64)
+    layers = []
+    for i in range(N_HIDDEN):
+        z = a @ params.w[i]
+        m = z.shape[0]
+        mu = z.mean(axis=0)
+        var = z.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = (z - mu) * inv_std
+        params.bn_mean[i] *= 1.0 - BN_MOMENTUM
+        params.bn_mean[i] += BN_MOMENTUM * mu
+        params.bn_var[i] *= 1.0 - BN_MOMENTUM
+        params.bn_var[i] += BN_MOMENTUM * var * m / (m - 1)
+        y = params.bn_gain[i] * xhat + params.bn_bias[i]
+        relu_mask = y > 0
+        a_next = y * relu_mask
+        drop_mask = None
+        if rng is not None and i == N_HIDDEN - 1:
+            drop_mask = (rng.random(a_next.shape) >= dropout_p) / (1.0 - dropout_p)
+            a_next = a_next * drop_mask
+        layers.append(
+            SimpleNamespace(
+                x_in=a, xhat=xhat, inv_std=inv_std, relu_mask=relu_mask, drop_mask=drop_mask
+            )
+        )
+        a = a_next
+    pred = _sigmoid(a @ params.w[-1] + params.b[-1])
+    return pred, SimpleNamespace(layers=layers, out_in=a, pred=pred)
+
+
+def unfused_backward(params, cache, target):
+    """Gradients for an unfused_train_forward cache, with BatchNorm's
+    backward written through dxhat = dy * gain:
+    dz = inv_std / m * (m * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat))."""
+    grads = {}
+    dpred = smooth_l1_grad(cache.pred, target)
+    dz = dpred * cache.pred * (1.0 - cache.pred)
+    grads["w4"] = cache.out_in.T @ dz
+    grads["b4"] = dz.sum(axis=0)
+    da = dz @ params.w[-1].T
+    for i in reversed(range(N_HIDDEN)):
+        layer = cache.layers[i]
+        if layer.drop_mask is not None:
+            da = da * layer.drop_mask
+        dy = da * layer.relu_mask
+        grads[f"bn{i + 1}_gain"] = (dy * layer.xhat).sum(axis=0)
+        grads[f"bn{i + 1}_bias"] = dy.sum(axis=0)
+        dxhat = dy * params.bn_gain[i]
+        m = dxhat.shape[0]
+        dz = (
+            layer.inv_std
+            / m
+            * (m * dxhat - dxhat.sum(axis=0) - layer.xhat * (dxhat * layer.xhat).sum(axis=0))
+        )
+        grads[f"w{i + 1}"] = layer.x_in.T @ dz
+        if i > 0:
+            da = dz @ params.w[i].T
+    return grads
 
 
 def adamw_reference(tensors, grads, m, v, t, lr, weight_decay):

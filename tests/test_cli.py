@@ -567,8 +567,12 @@ class TestCalibrate:
             (["--range", "-3", "1e400"], "grid bounds and step must be finite"),
             (["--range", "nan", "3"], "grid bounds and step must be finite"),
             (["--step", "inf"], "grid bounds and step must be finite"),
+            (["--step", "1e-9"], "grid would have 6000000001 points, more than the limit"),
         ],
-        ids=["threshold-1.5", "threshold-0", "threshold-nan", "range-1e400", "range-nan", "step-inf"],
+        ids=[
+            "threshold-1.5", "threshold-0", "threshold-nan", "range-1e400", "range-nan", "step-inf",
+            "step-1e-9",
+        ],
     )
     def test_meaningless_sweep_is_config_error(self, tmp_path, capsys, flags, message):
         preds = _write_predictions(tmp_path / "preds.jsonl", n=5)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import exact_report_from_queries, exact_sweep
 from waterline.metrics import (
+    MAX_GRID_POINTS,
     DetectionReport,
     GtBox,
     QueryPrediction,
@@ -309,6 +310,17 @@ class TestCalibrateBias:
         assert grid[0] == lo
         assert all(lo <= b <= hi for b in grid)
         assert hi - grid[-1] < step
+
+    def test_grid_at_size_limit(self):
+        assert len(bias_grid(-3.0, 3.0, 6e-4)) == MAX_GRID_POINTS
+
+    # just past the limit, the CLI's 1e-9 case, a quotient and a span that overflow
+    @pytest.mark.parametrize(
+        "lo, hi, step", [(-3, 3, 5.9e-4), (-3, 3, 1e-9), (-3, 3, 5e-324), (-1e308, 1e308, 1)]
+    )
+    def test_rejects_grid_over_size_limit(self, lo, hi, step):
+        with pytest.raises(ValueError, match=f"more than the limit of {MAX_GRID_POINTS}"):
+            bias_grid(lo, hi, step)
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):

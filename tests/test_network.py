@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fd_gradients, math_sigmoid, unfolded_eval_forward
+from oracles import (
+    fd_gradients,
+    math_sigmoid,
+    unfolded_eval_forward,
+    unfused_backward,
+    unfused_train_forward,
+)
 from waterline.data import GenConfig, generate, visible_examples
 from waterline.errors import CheckpointError, NumericError
 from waterline.geometry import CameraModel
@@ -24,6 +30,7 @@ from waterline.network import (
     smooth_l1,
     smooth_l1_grad,
 )
+from waterline.training import OptState, adamw_step
 
 
 def _random_batch(seed, n=16, scale=1.0):
@@ -391,6 +398,68 @@ class TestBackward:
         _, cache = forward(p, x, training=True, dropout_p=0.0)
         with pytest.raises(ValueError):
             backward(p, cache, np.zeros((5, 2)))
+
+
+class TestFusedTrainStep:
+    """The in-place train forward and closed-form BatchNorm backward against
+    the unfused reference. The finite-difference oracles run the very forward
+    under test, so they alone would not catch one that is wrong in a
+    self-consistent way."""
+
+    @pytest.mark.parametrize("dropout_p, n", [(0.0, 256), (0.2, 256), (0.2, 37)])
+    def test_matches_unfused_reference_over_three_steps(self, dropout_p, n):
+        fused = init_params(21)
+        ref = fused.copy()
+        fused_state, ref_state = OptState.init(fused), OptState.init(ref)
+        rng = np.random.default_rng(31)
+        for step in range(3):
+            x = rng.uniform(-1.0, 1.0, size=(n, 6))
+            y = rng.uniform(0.05, 0.95, size=(n, 2))
+            seed = (7, 1, step)
+            pred, cache = forward(fused, x, training=True, dropout_p=dropout_p, dropout_seed=seed)
+            ref_pred, ref_cache = unfused_train_forward(ref, x, dropout_p, seed)
+            grads = backward(fused, cache, y)
+            ref_grads = unfused_backward(ref, ref_cache, y)
+            assert grads.keys() == ref_grads.keys()
+            # The first forward is the same arithmetic in the same order. The
+            # first gradients are too when the batch size is a power of two:
+            # dividing by m is then exact, and with the initial gains of 1
+            # both forms of BatchNorm's backward round alike.
+            first = step == 0
+            pairs = [("pred", pred, ref_pred, first), ("params", fused.flat, ref.flat, first)]
+            pairs += [
+                (f"xhat{i + 1}", got.xhat, want.xhat, first)
+                for i, (got, want) in enumerate(zip(cache.layers, ref_cache.layers))
+            ]
+            pairs += [(name, grads[name], ref_grads[name], first and n == 256) for name in grads]
+            for name, got, want, exact in pairs:
+                where = f"step {step + 1}, {name}"
+                if exact:
+                    assert np.array_equal(got, want), where
+                else:
+                    err = np.abs(got - want).max()
+                    assert err <= 1e-12 * np.abs(want).max(), f"{where}: {err:.3e}"
+            adamw_step(fused, grads, fused_state, 1e-3, 1e-4)
+            adamw_step(ref, ref_grads, ref_state, 1e-3, 1e-4)
+
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.2])
+    def test_backward_leaves_cache_unchanged(self, dropout_p):
+        p = init_params(0)
+        x, y = _random_batch(15, n=64)
+        x_before = x.copy()
+        _, cache = forward(p, x, training=True, dropout_p=dropout_p, dropout_seed=3)
+        cached = [cache.pred, cache.out_in] + [
+            arr for layer in cache.layers for arr in vars(layer).values() if arr is not None
+        ]
+        before = [arr.copy() for arr in cached]
+        first = backward(p, cache, y)
+        second = backward(p, cache, y)
+        assert first.keys() == second.keys()
+        for name in first:
+            assert np.array_equal(first[name], second[name]), name
+        for arr, want in zip(cached, before):
+            assert np.array_equal(arr, want)
+        assert np.array_equal(x, x_before)
 
 
 class TestCheckpoint:
