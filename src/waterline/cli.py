@@ -232,6 +232,8 @@ def cmd_eval(args) -> int:
 def cmd_calibrate(args) -> int:
     started = _utcnow()
     preds, gts = load_predictions(args.dataset)
+    if not preds:
+        raise ConfigError("no predictions to calibrate on")
     lo, hi = args.range
     best_bias, curve = calibrate_bias(
         preds, gts, lo=lo, hi=hi, step=args.step, threshold=args.threshold

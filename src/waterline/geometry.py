@@ -28,6 +28,10 @@ Chart bearing is relative to the vessel heading, so the buoy's absolute
 azimuth is heading + bearing; for noise-free inputs the heading cancels out
 of the projection, as it must for a body-fixed camera.
 
+``project`` builds no matrix: it turns the offset (d sin(bearing),
+d cos(bearing), -mount height) by the transposed pitch, then the transposed
+roll rotation in scalar arithmetic, the product orientation_matrix gives.
+
 Angles are degrees at every public interface and radians internally.
 """
 
@@ -129,27 +133,22 @@ def project(camera: CameraModel, imu: ImuSample, query: ChartQuery) -> PixelPoin
     # Buoy position relative to the camera center, in the heading-aligned
     # water-plane frame (x starboard, y forward, z up).
     beta = math.radians(query.bearing_deg)
-    p_rel = np.array(
-        [
-            query.distance_m * math.sin(beta),
-            query.distance_m * math.cos(beta),
-            -camera.mount_height_m,
-        ]
-    )
+    x = query.distance_m * math.sin(beta)
+    y = query.distance_m * math.cos(beta)
+    z = -camera.mount_height_m
 
-    r = orientation_matrix(
-        ImuSample(pitch_deg=imu.pitch_deg, roll_deg=imu.roll_deg, heading_deg=0.0)
-    )
-    p_body = r.T @ p_rel
+    # Into the body frame: the transposed pitch rotation, then the transposed roll.
+    theta, phi = math.radians(imu.pitch_deg), math.radians(imu.roll_deg)
+    cp, sp = math.cos(theta), math.sin(theta)
+    cr, sr = math.cos(phi), math.sin(phi)
+    y, z = cp * y + sp * z, cp * z - sp * y
+    x, z = cr * x - sr * z, sr * x + cr * z
 
-    x_cam = p_body[0]
-    y_cam = -p_body[2]
-    z_cam = p_body[1]
-    if z_cam <= DEPTH_EPS_M:
+    # Camera frame: X = body x, Y = -body z, depth Z = body y.
+    if y <= DEPTH_EPS_M:
         return None
-
-    u = camera.principal_u + camera.focal_px * x_cam / z_cam
-    v = camera.principal_v + camera.focal_px * y_cam / z_cam
+    u = camera.principal_u + camera.focal_px * x / y
+    v = camera.principal_v - camera.focal_px * z / y
     return PixelPoint(u=float(u), v=float(v))
 
 

@@ -4,6 +4,10 @@ per-query detection scoring (F1, mIoU, Overall) with logit-bias calibration.
 Matching rule: the pipeline emits exactly one prediction per chart query, so
 detections are matched to ground truth by query index, with no IoU gate; mIoU
 averages over true-positive pairs only.
+
+The bias sweep is one pass over the rows: each bias is one array comparison
+sigmoid(logits + bias) > threshold, tp/fp/fn are sums, and a pair's IoU is
+computed once and reused at every bias where the pair is a true positive.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .network import sigmoid
 
 Box = Sequence[float]  # (c_x, c_y, w, h), normalized image coordinates
 
@@ -150,13 +156,6 @@ def overall_score(f1: float, miou: float) -> float:
     return (f1 + miou) / 2.0
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
 def detection_report(
     predictions: Sequence[QueryPrediction],
     gts: Sequence[GtBox],
@@ -172,41 +171,39 @@ def detection_report(
     (or recall) with no positive decisions is 1.0 when there was nothing to
     find, else 0.0 - this keeps the bias sweep total at extreme biases.
     """
+    return _reports(predictions, gts, [logit_bias], threshold)[0]
+
+
+def _reports(predictions, gts, biases: Sequence[float], threshold: float) -> list[DetectionReport]:
+    """detection_report at each bias. One (n,) decision vector per bias keeps
+    memory O(rows) at any grid size; the kept IoUs are summed in query order."""
     if len(predictions) != len(gts):
         raise ValueError(
             f"predictions and ground truth must align: {len(predictions)} vs {len(gts)}"
         )
-    tp = fp = fn = 0
-    ious: list[float] = []
-    for pred, gt in zip(predictions, gts):
-        visible = _sigmoid(pred.objectness_logit + logit_bias) > threshold
-        if visible and gt.visible:
-            tp += 1
-            ious.append(iou(pred.box, gt.box))
-        elif visible:
-            fp += 1
-        elif gt.visible:
-            fn += 1
-    if tp + fp == 0:
-        precision = 1.0 if fn == 0 else 0.0
-    else:
-        precision = tp / (tp + fp)
-    if tp + fn == 0:
-        recall = 1.0 if fp == 0 else 0.0
-    else:
-        recall = tp / (tp + fn)
-    f1 = f1_from_pr(precision, recall)
-    miou = sum(ious) / len(ious) if ious else 0.0
-    return DetectionReport(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        miou=miou,
-        overall=overall_score(f1, miou),
-        tp=tp,
-        fp=fp,
-        fn=fn,
-    )
+    logits = np.array([p.objectness_logit for p in predictions], dtype=np.float64)
+    gt_visible = np.array([g.visible for g in gts], dtype=bool)
+    n_visible = int(np.count_nonzero(gt_visible))
+    ious = np.zeros(len(gts))
+    scored = np.zeros(len(gts), dtype=bool)
+    reports = []
+    for bias in biases:
+        visible = sigmoid(logits + bias) > threshold
+        hits = visible & gt_visible
+        for i in np.flatnonzero(hits & ~scored):
+            ious[i] = iou(predictions[i].box, gts[i].box)
+            scored[i] = True
+        tp = int(np.count_nonzero(hits))
+        fp = int(np.count_nonzero(visible)) - tp
+        fn = n_visible - tp
+        precision = tp / (tp + fp) if tp + fp else float(fn == 0)
+        recall = tp / (tp + fn) if tp + fn else float(fp == 0)
+        f1 = f1_from_pr(precision, recall)
+        miou = sum(ious[hits].tolist()) / tp if tp else 0.0
+        reports.append(
+            DetectionReport(precision, recall, f1, miou, overall_score(f1, miou), tp, fp, fn)
+        )
+    return reports
 
 
 def bias_grid(lo: float, hi: float, step: float) -> list[float]:
@@ -244,10 +241,8 @@ def calibrate_bias(
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    curve = [
-        (bias, detection_report(predictions, gts, bias, threshold))
-        for bias in bias_grid(lo, hi, step)
-    ]
+    grid = bias_grid(lo, hi, step)
+    curve = list(zip(grid, _reports(predictions, gts, grid, threshold)))
     best_bias, _ = min(curve, key=lambda item: (-item[1].overall, abs(item[0]), item[0]))
     return best_bias, curve
 

@@ -134,9 +134,9 @@ def init_params(seed: int) -> MlpParams:
     return params
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-log(1 + exp(-x))): no overflow at either tail, and exp underflows to
-    # the exact sigmoid's subnormal values down to x = -745.
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """exp(-log(1 + exp(-x))): no overflow at either tail, and exp underflows
+    to the exact sigmoid's subnormal values down to x = -745."""
     return np.exp(-np.logaddexp(0.0, -x))
 
 
@@ -209,7 +209,7 @@ def forward(
             a = a @ weights[i]
             a += biases[i]
             np.maximum(a, 0.0, out=a)
-        return _sigmoid(a @ weights[-1] + biases[-1]), None
+        return sigmoid(a @ weights[-1] + biases[-1]), None
 
     cache = ForwardCache(params_ref=params)
     rng = np.random.default_rng(dropout_seed) if dropout_p > 0 else None
@@ -240,7 +240,7 @@ def forward(
         a = y
 
     cache.out_in = a
-    cache.pred = _sigmoid(a @ params.w[-1] + params.b[-1])
+    cache.pred = sigmoid(a @ params.w[-1] + params.b[-1])
     return cache.pred, cache
 
 

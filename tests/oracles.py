@@ -18,6 +18,12 @@ it checks:
     of one pass over the flat parameter vector.
   - exact_report / exact_sweep: detection scoring in exact rational
     arithmetic (fractions.Fraction) with plain loops.
+  - scalar_detection_report: detection scoring as one float loop over the
+    rows with a scalar math sigmoid, instead of one decision vector per bias
+    and IoUs reused across the sweep.
+  - matrix_project: the projection through orientation_matrix's 3x3
+    rotation and a numpy matrix-vector product, instead of two closed-form
+    plane rotations.
   - constant_predictor_loss: the no-skill baseline for learnability checks.
 """
 
@@ -30,12 +36,15 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.spatial.transform import Rotation
 
+from waterline.features import ImuSample
+from waterline.geometry import DEPTH_EPS_M, PixelPoint, orientation_matrix
+from waterline.metrics import DetectionReport, f1_from_pr, iou, overall_score
 from waterline.network import (
     BN_EPS,
     BN_MOMENTUM,
     N_HIDDEN,
-    _sigmoid,
     forward,
+    sigmoid,
     smooth_l1,
     smooth_l1_grad,
 )
@@ -201,7 +210,7 @@ def unfused_train_forward(params, x, dropout_p, dropout_seed):
             )
         )
         a = a_next
-    pred = _sigmoid(a @ params.w[-1] + params.b[-1])
+    pred = sigmoid(a @ params.w[-1] + params.b[-1])
     return pred, SimpleNamespace(layers=layers, out_in=a, pred=pred)
 
 
@@ -256,6 +265,75 @@ def adamw_reference(tensors, grads, m, v, t, lr, weight_decay):
 def exact_sigmoid_above(logit: float, bias: float, threshold: float) -> bool:
     """Strict sigmoid(logit + bias) > threshold, float arithmetic."""
     return math_sigmoid(logit + bias) > threshold
+
+
+def scalar_detection_report(predictions, gts, logit_bias=0.0, threshold=0.90):
+    """detection_report as one float loop over the rows with math_sigmoid.
+
+    math_sigmoid and the package's sigmoid can disagree by a few ulps, so a
+    decision can differ from this reference only where sigmoid(logit + bias)
+    lies within test_network's 1e-14 relative bound of the threshold.
+    """
+    if len(predictions) != len(gts):
+        raise ValueError(
+            f"predictions and ground truth must align: {len(predictions)} vs {len(gts)}"
+        )
+    tp = fp = fn = 0
+    ious = []
+    for pred, gt in zip(predictions, gts):
+        visible = math_sigmoid(pred.objectness_logit + logit_bias) > threshold
+        if visible and gt.visible:
+            tp += 1
+            ious.append(iou(pred.box, gt.box))
+        elif visible:
+            fp += 1
+        elif gt.visible:
+            fn += 1
+    if tp + fp == 0:
+        precision = 1.0 if fn == 0 else 0.0
+    else:
+        precision = tp / (tp + fp)
+    if tp + fn == 0:
+        recall = 1.0 if fp == 0 else 0.0
+    else:
+        recall = tp / (tp + fn)
+    f1 = f1_from_pr(precision, recall)
+    miou = sum(ious) / len(ious) if ious else 0.0
+    return DetectionReport(
+        precision=precision,
+        recall=recall,
+        f1=f1,
+        miou=miou,
+        overall=overall_score(f1, miou),
+        tp=tp,
+        fp=fp,
+        fn=fn,
+    )
+
+
+def matrix_project(camera, imu, query):
+    """project through the body-to-reference matrix at heading 0, transposed
+    and applied to the buoy offset by numpy; None at or behind the image plane."""
+    query.validate()
+    imu.validate()
+    beta = math.radians(query.bearing_deg)
+    p_rel = np.array(
+        [
+            query.distance_m * math.sin(beta),
+            query.distance_m * math.cos(beta),
+            -camera.mount_height_m,
+        ]
+    )
+    r = orientation_matrix(
+        ImuSample(pitch_deg=imu.pitch_deg, roll_deg=imu.roll_deg, heading_deg=0.0)
+    )
+    p_body = r.T @ p_rel
+    x_cam, y_cam, z_cam = p_body[0], -p_body[2], p_body[1]
+    if z_cam <= DEPTH_EPS_M:
+        return None
+    u = camera.principal_u + camera.focal_px * x_cam / z_cam
+    v = camera.principal_v + camera.focal_px * y_cam / z_cam
+    return PixelPoint(u=float(u), v=float(v))
 
 
 def exact_iou(a, b) -> Fraction:

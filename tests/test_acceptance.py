@@ -8,10 +8,10 @@ noisy) and dominates the runtime; everything else finishes in seconds.
 import hashlib
 import itertools
 import json
-import math
 
 import numpy as np
 
+from conftest import miscalibrated_instance
 from oracles import exact_report_from_queries, exact_sweep, fd_gradients
 from test_network import GRADCHECK_SEEDS
 from waterline.cli import main
@@ -140,29 +140,10 @@ def test_criterion_4_synthetic_learnability():
     )
 
 
-def _shifted_predictions(seed=515, n=400, shift=0.5):
-    """A calibrated scorer around logit(0.9), then inflated by +shift."""
-    rng = np.random.default_rng(seed)
-    center = math.log(0.9 / 0.1)
-    preds, gts = [], []
-    for _ in range(n):
-        if rng.random() < 0.55:
-            box = (rng.uniform(0.25, 0.75), rng.uniform(0.25, 0.75), 0.2, 0.2)
-            gts.append(GtBox(True, *box))
-            logit = center + 2.5 + rng.normal(0, 1.2)
-            pred_box = (box[0] + rng.normal(0, 0.02), box[1] + rng.normal(0, 0.02), 0.2, 0.2)
-        else:
-            gts.append(GtBox(False))
-            logit = center - 2.5 + rng.normal(0, 1.2)
-            pred_box = (rng.uniform(0.25, 0.75), rng.uniform(0.25, 0.75), 0.2, 0.2)
-        preds.append(QueryPrediction(float(logit + shift), pred_box))
-    return preds, gts
-
-
 def test_criterion_5_calibration_sweep():
     """With logits shifted +0.5 from a calibrated reference the sweep finds a
     negative bias within one coarse step of the 10x-finer brute-force optimum."""
-    preds, gts = _shifted_predictions()
+    preds, gts = miscalibrated_instance(np.random.default_rng(515))
     best, curve = calibrate_bias(preds, gts)
     coarse_overall = dict(curve)[best].overall
     fine_best, fine_overall, _ = exact_sweep(preds, gts, bias_grid(-3.0, 3.0, 0.025), 0.90)

@@ -582,6 +582,15 @@ class TestCalibrate:
         assert message in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_empty_predictions_is_config_error(self, tmp_path, capsys):
+        empty = tmp_path / "preds.jsonl"
+        empty.write_text("")
+        out_dir = tmp_path / "cal"
+        code = main(["calibrate", "--dataset", str(empty), "--out", str(out_dir)])
+        assert code == 2
+        assert "no predictions to calibrate on" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_malformed_predictions_is_data_error(self, tmp_path):
         bad = tmp_path / "preds.jsonl"
         bad.write_text('{"schema": 1, "logit": 1.0}\n')

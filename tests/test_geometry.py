@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import raytrace_pixel
+from oracles import matrix_project, raytrace_pixel
 from waterline.errors import ConfigError
 from waterline.features import ChartQuery, ImuSample
 from waterline.geometry import (
@@ -135,6 +135,27 @@ class TestProject:
             assert abs(p.v - uv[1]) / scale < 1e-9
             checked += 1
         assert checked > 900
+
+    def test_matches_matrix_route(self, camera):
+        rng = np.random.default_rng(314)
+        n = 20_000
+        pitch = np.concatenate([[-90.0, 90.0, 0.0, -90.0], rng.uniform(-90.0, 90.0, n)])
+        roll = np.concatenate([[-90.0, 90.0, -90.0, 0.0], rng.uniform(-90.0, 90.0, n)])
+        heading = rng.uniform(-180.0, 180.0, n + 4)
+        distance = np.exp(rng.uniform(0.0, math.log(5000.0), n + 4))  # 1 to 5000 m
+        bearing = rng.uniform(-180.0, 180.0, n + 4)
+        projected = 0
+        for p, r, h, d, b in zip(pitch, roll, heading, distance, bearing):
+            imu = ImuSample(float(p), float(r), float(h))
+            query = ChartQuery(float(d), float(b))
+            got, want = project(camera, imu, query), matrix_project(camera, imu, query)
+            assert (got is None) == (want is None), (imu, query)
+            if got is None:
+                continue
+            scale = 1e-12 * max(1.0, abs(want.u), abs(want.v))
+            assert abs(got.u - want.u) <= scale and abs(got.v - want.v) <= scale, (imu, query)
+            projected += 1
+        assert 0.2 * n < projected < 0.8 * n
 
 
 class TestInFrame:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_report_from_queries, exact_sweep
+from conftest import miscalibrated_instance
+from oracles import exact_report_from_queries, exact_sweep, scalar_detection_report
 from waterline.metrics import (
     MAX_GRID_POINTS,
     DetectionReport,
@@ -252,7 +253,7 @@ class TestCalibrateBias:
         assert all(report.overall == 1.0 for _, report in curve)
 
     def test_curve_in_grid_order_and_best_beats_zero_bias(self, rng):
-        preds, gts = _miscalibrated_instance(rng, shift=0.5)
+        preds, gts = miscalibrated_instance(rng, shift=0.5)
         best, curve = calibrate_bias(preds, gts)
         biases = [b for b, _ in curve]
         assert biases == bias_grid(-3.0, 3.0, 0.25)
@@ -260,7 +261,7 @@ class TestCalibrateBias:
         assert by_bias[best].overall >= by_bias[0.0].overall
 
     def test_recovers_negative_bias_for_inflated_logits(self, rng):
-        preds, gts = _miscalibrated_instance(rng, shift=0.5)
+        preds, gts = miscalibrated_instance(rng, shift=0.5)
         best, curve = calibrate_bias(preds, gts)
         assert best < 0.0
         # brute-force optimum on the 10x finer grid, exact arithmetic
@@ -271,7 +272,7 @@ class TestCalibrateBias:
         assert float(fine_overall) >= coarse_overall - 1e-12
 
     def test_every_grid_report_matches_exact_oracle(self, rng):
-        preds, gts = _miscalibrated_instance(rng, shift=0.5, n=120)
+        preds, gts = miscalibrated_instance(rng, shift=0.5, n=120)
         _, curve = calibrate_bias(preds, gts)
         for bias, report in curve:
             oracle = exact_report_from_queries(preds, gts, bias, 0.90)
@@ -281,6 +282,22 @@ class TestCalibrateBias:
                 oracle["fn"],
             )
             assert abs(report.overall - float(oracle["overall"])) < 1e-12
+
+    @pytest.mark.parametrize("step", [0.25, 0.01])  # 25 and 601 grid points
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_curve_bit_equal_to_scalar_reference(self, seed, step):
+        preds, gts = miscalibrated_instance(np.random.default_rng(seed), n=300)
+        _, curve = calibrate_bias(preds, gts, step=step)
+        assert len(curve) == len(bias_grid(-3.0, 3.0, step))
+        for bias, report in curve:
+            assert report == scalar_detection_report(preds, gts, bias, 0.90)
+
+    def test_degenerate_box_raises_only_once_a_true_positive(self):
+        gts = [GtBox(True, 0.5, 0.5, 0.1, 0.1), GtBox(True, 0.5, 0.5, 0.1, 0.1)]
+        flat = (0.5, 0.5, 0.1, 0.0)
+        calibrate_bias([_pred(True, gts[0].box), _pred(False, flat)], gts)
+        with pytest.raises(ValueError, match="positive width and height"):
+            calibrate_bias([_pred(True, gts[0].box), QueryPrediction(0.0, flat)], gts)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31))
@@ -331,7 +348,7 @@ class TestCalibrateBias:
 
 class TestExports:
     def test_curve_csv_round_trips(self, tmp_path, rng):
-        preds, gts = _miscalibrated_instance(rng, shift=0.5, n=60)
+        preds, gts = miscalibrated_instance(rng, shift=0.5, n=60)
         _, curve = calibrate_bias(preds, gts)
         path = tmp_path / "curve.csv"
         write_curve_csv(curve, path)
@@ -355,33 +372,3 @@ class TestExports:
             "fp",
             "fn",
         }
-
-
-def _miscalibrated_instance(rng, shift=0.5, n=400):
-    """Queries scored by a well-calibrated detector, then inflated by +shift.
-
-    The reference scorer concentrates visible logits above and invisible
-    logits below the working point logit(0.9) ~ 2.197 symmetrically, so zero
-    bias is optimal before the shift and ~ -shift after it.
-    """
-    center = math.log(0.9 / 0.1)
-    preds = []
-    gts = []
-    for _ in range(n):
-        visible = rng.random() < 0.55
-        if visible:
-            box = (rng.uniform(0.25, 0.75), rng.uniform(0.25, 0.75), 0.2, 0.2)
-            gts.append(GtBox(True, *box))
-            logit = center + 2.5 + rng.normal(0, 1.2)
-            pred_box = (
-                box[0] + rng.normal(0, 0.02),
-                box[1] + rng.normal(0, 0.02),
-                0.2,
-                0.2,
-            )
-        else:
-            gts.append(GtBox(False))
-            logit = center - 2.5 + rng.normal(0, 1.2)
-            pred_box = (rng.uniform(0.25, 0.75), rng.uniform(0.25, 0.75), 0.2, 0.2)
-        preds.append(QueryPrediction(float(logit + shift), pred_box))
-    return preds, gts
