@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -232,8 +233,6 @@ def cmd_eval(args) -> int:
 def cmd_calibrate(args) -> int:
     started = _utcnow()
     preds, gts = load_predictions(args.dataset)
-    if not preds:
-        raise ConfigError("no predictions to calibrate on")
     lo, hi = args.range
     best_bias, curve = calibrate_bias(
         preds, gts, lo=lo, hi=hi, step=args.step, threshold=args.threshold
@@ -274,29 +273,27 @@ def cmd_predict(args) -> int:
     params = load_checkpoint(args.checkpoint)
     out = Path(args.out)
 
-    n_rows = 0
+    # One eval forward over every chart query of the file, in record order.
+    rows = [(record, qi, query) for record in records for qi, query in enumerate(record.queries)]
+    points = features = []
+    if rows:  # forward rejects an empty batch; a buoy-free file gets no rows
+        feats = np.stack([build_features(query, record.imu) for record, _, query in rows])
+        pred, _ = forward(params, feats, training=False)
+        points, features = pred.tolist(), feats.tolist()
     with open(out, "w", encoding="utf-8") as f:
-        for record in records:
-            if not record.queries:
-                continue
-            feats = np.stack([build_features(q, record.imu) for q in record.queries])
-            pred, _ = forward(params, feats, training=False)
-            for qi, query in enumerate(record.queries):
-                point = (float(pred[qi, 0]), float(pred[qi, 1]))
-                decoder_query = build_decoder_query(query, point)
-                row = {
-                    "schema": PREDICTIONS_SCHEMA,
-                    "sample_id": record.sample_id,
-                    "query_index": qi,
-                    "prediction": {"c_x": point[0], "c_y_plus_half_h": point[1]},
-                    "decoder_query": [float(v) for v in decoder_query],
-                }
-                if args.emit_features:
-                    row["features"] = [float(v) for v in feats[qi]]
-                f.write(json.dumps(row, separators=(",", ":")))
-                f.write("\n")
-                n_rows += 1
-    print(f"queries predicted: {n_rows}")
+        for (record, qi, query), point, feature_row in zip(rows, points, features):
+            row = {
+                "schema": PREDICTIONS_SCHEMA,
+                "sample_id": record.sample_id,
+                "query_index": qi,
+                "prediction": {"c_x": point[0], "c_y_plus_half_h": point[1]},
+                "decoder_query": build_decoder_query(query, point).tolist(),
+            }
+            if args.emit_features:
+                row["features"] = feature_row
+            f.write(json.dumps(row, separators=(",", ":")))
+            f.write("\n")
+    print(f"queries predicted: {len(rows)}")
 
     _write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"),
@@ -309,7 +306,9 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="waterline",
         description="Learned world-to-image projection of buoy waterline points.",

@@ -29,7 +29,9 @@ from typing import Annotated
 
 import numpy as np
 
-from .errors import Bounds, Config, DatasetParseError, DatasetSchemaError, GenerationError
+from .errors import (
+    Bounds, Config, ConfigError, DatasetParseError, DatasetSchemaError, GenerationError,
+)
 from .features import ChartQuery, ImuSample, build_features, waterline_target, wrap_angle_deg
 from .geometry import CameraModel, in_frame, project
 from .metrics import GtBox, QueryPrediction
@@ -127,13 +129,17 @@ def generate(camera: CameraModel, config: GenConfig) -> list[SampleRecord]:
     so output is deterministic and independent of iteration parallelism.
     """
     bearing_range = config.bearing_range_deg or default_bearing_range(camera)
+    # The two unbounded ranges: a width that overflows would give non-finite draws.
+    if not all(math.isfinite(float(hi) - float(lo))
+               for lo, hi in (config.heading_range_deg, bearing_range)):
+        raise ConfigError("heading and bearing ranges must have a finite width")
     records = []
     visible_total = 0
     for i in range(config.n_samples):
         rng = np.random.default_rng((config.seed, i))
-        pitch = rng.uniform(*config.pitch_range_deg)
-        roll = rng.uniform(*config.roll_range_deg)
-        heading = rng.uniform(*config.heading_range_deg)
+        pitch = _uniform(rng, *config.pitch_range_deg)
+        roll = _uniform(rng, *config.roll_range_deg)
+        heading = _uniform(rng, *config.heading_range_deg)
         true_imu = ImuSample(
             pitch_deg=pitch, roll_deg=roll, heading_deg=wrap_angle_deg(heading)
         )
@@ -143,8 +149,8 @@ def generate(camera: CameraModel, config: GenConfig) -> list[SampleRecord]:
         queries = []
         labels = []
         for _ in range(n_queries):
-            d = rng.uniform(*config.distance_range_m)
-            bearing = rng.uniform(*bearing_range)
+            d = _uniform(rng, *config.distance_range_m)
+            bearing = _uniform(rng, *bearing_range)
             true_query = ChartQuery(distance_m=d, bearing_deg=wrap_angle_deg(bearing))
 
             pixel = project(camera, true_imu, true_query)
@@ -194,8 +200,8 @@ def generate(camera: CameraModel, config: GenConfig) -> list[SampleRecord]:
             queries.append(ChartQuery(distance_m=rec_d, bearing_deg=rec_bearing))
 
         rec_imu = ImuSample(
-            pitch_deg=float(np.clip(pitch + rng.normal(0.0, config.pitch_noise_deg), -90, 90)),
-            roll_deg=float(np.clip(roll + rng.normal(0.0, config.roll_noise_deg), -90, 90)),
+            pitch_deg=_clamp_90(pitch + rng.normal(0.0, config.pitch_noise_deg)),
+            roll_deg=_clamp_90(roll + rng.normal(0.0, config.roll_noise_deg)),
             heading_deg=wrap_angle_deg(
                 true_imu.heading_deg + rng.normal(0.0, config.heading_noise_deg)
             ),
@@ -214,6 +220,17 @@ def generate(camera: CameraModel, config: GenConfig) -> list[SampleRecord]:
             "check the camera configuration"
         )
     return records
+
+
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """rng.uniform(lo, hi) without its argument checks: Generator.uniform's
+    own formula on the same double, so the same float bit for bit."""
+    return lo + (hi - lo) * rng.random()
+
+
+def _clamp_90(angle: float) -> float:
+    """A recorded pitch or roll clamped into [-90, 90], as np.clip would."""
+    return min(max(angle, -90.0), 90.0)
 
 
 def visible_examples(records) -> tuple[np.ndarray, np.ndarray]:
@@ -360,6 +377,9 @@ def _require(data: dict, key: str, line_no: int):
 
 def _number(data: dict, key: str, line_no: int) -> float:
     """data[key] as a finite float; JSON booleans are not numbers."""
+    value = data.get(key)
+    if type(value) is float and math.isfinite(value):  # what the writers emit
+        return value
     value = _require(data, key, line_no)
     if not isinstance(value, bool) and isinstance(value, (int, float)):
         try:
@@ -373,7 +393,10 @@ def _number(data: dict, key: str, line_no: int) -> float:
 def _box(data, key: str, line_no: int) -> tuple[float, float, float, float]:
     if not isinstance(data, dict):
         raise DatasetSchemaError(f"{key!r} must be an object", line=line_no)
-    c_x, c_y, w, h = (_number(data, name, line_no) for name in ("c_x", "c_y", "w", "h"))
+    c_x = _number(data, "c_x", line_no)
+    c_y = _number(data, "c_y", line_no)
+    w = _number(data, "w", line_no)
+    h = _number(data, "h", line_no)
     if w <= 0 or h <= 0:
         raise DatasetSchemaError(
             f"{key!r} must have positive width and height, got w={w!r}, h={h!r}", line=line_no

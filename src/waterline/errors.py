@@ -6,6 +6,7 @@ exit code (config -> 2, data -> 3, numeric -> 4).
 """
 
 import dataclasses
+import functools
 import json
 import math
 import typing
@@ -115,9 +116,15 @@ class Config:
 def check_fields(config) -> None:
     """Raise ConfigError unless every field of dataclass `config` holds a value
     of its declared type and within its declared Bounds (see _check_value)."""
-    hints = typing.get_type_hints(type(config), include_extras=True)
-    for f in dataclasses.fields(config):
-        _check_value(f.name, getattr(config, f.name), hints[f.name])
+    for name, kind in _field_kinds(type(config)):
+        _check_value(name, getattr(config, name), kind)
+
+
+@functools.cache
+def _field_kinds(cls) -> tuple:
+    """(name, annotated type) of each field of dataclass `cls`, resolved once."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
 def _check_value(name: str, value, kind) -> None:

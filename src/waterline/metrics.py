@@ -238,7 +238,10 @@ def calibrate_bias(
 
     Ties are broken toward the smallest |bias|, then toward the smaller bias.
     Returns (best_bias, curve) where curve lists (bias, report) in grid order.
+    No predictions is a ValueError: every bias would score the same.
     """
+    if len(predictions) == 0:
+        raise ValueError("no predictions to calibrate on")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     grid = bias_grid(lo, hi, step)

@@ -24,6 +24,8 @@ it checks:
   - matrix_project: the projection through orientation_matrix's 3x3
     rotation and a numpy matrix-vector product, instead of two closed-form
     plane rotations.
+  - per_frame_predict_rows: the `predict` rows from one eval forward per
+    frame, instead of one forward over every query of the file.
   - constant_predictor_loss: the no-skill baseline for learnability checks.
 """
 
@@ -36,7 +38,7 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from waterline.features import ImuSample
+from waterline.features import ImuSample, build_decoder_query, build_features
 from waterline.geometry import DEPTH_EPS_M, PixelPoint, orientation_matrix
 from waterline.metrics import DetectionReport, f1_from_pr, iou, overall_score
 from waterline.network import (
@@ -334,6 +336,23 @@ def matrix_project(camera, imu, query):
     u = camera.principal_u + camera.focal_px * x_cam / z_cam
     v = camera.principal_v + camera.focal_px * y_cam / z_cam
     return PixelPoint(u=float(u), v=float(v))
+
+
+def per_frame_predict_rows(records, params):
+    """(sample_id, query_index, prediction, decoder_query, features) of every
+    chart query, each frame's queries through their own eval forward."""
+    rows = []
+    for record in records:
+        if not record.queries:
+            continue
+        feats = np.stack([build_features(q, record.imu) for q in record.queries])
+        pred, _ = forward(params, feats, training=False)
+        for qi, query in enumerate(record.queries):
+            point = (float(pred[qi, 0]), float(pred[qi, 1]))
+            decoder_query = [float(v) for v in build_decoder_query(query, point)]
+            rows.append((record.sample_id, qi, point, decoder_query,
+                         [float(v) for v in feats[qi]]))
+    return rows
 
 
 def exact_iou(a, b) -> Fraction:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,11 +16,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import waterline
+from oracles import per_frame_predict_rows
 from waterline.cli import DEFAULT_VAL_RATIO, load_predictions, main
-from waterline.data import GenConfig, generate, load_dataset, save_dataset
+from waterline.data import GenConfig, SampleRecord, generate, load_dataset, save_dataset
 from waterline.errors import DatasetParseError, DatasetSchemaError
+from waterline.features import ImuSample
 from waterline.geometry import CameraModel
 from waterline.metrics import GtBox
+from waterline.network import init_params, load_checkpoint, save_checkpoint
 from waterline.training import TrainConfig
 
 
@@ -483,6 +487,38 @@ class TestPredict:
         main(["predict", "--dataset", str(dataset), "--checkpoint", str(checkpoint), "--out", str(out2)])
         assert _sha256(out1) == _sha256(out2)
 
+    def test_rows_match_per_frame_forward(self, tmp_path, checkpoint):
+        # Buoy-free frames and 1-3 query frames; the whole-set forward may
+        # differ from 1-3 row forwards only by BLAS blocking.
+        dataset = tmp_path / "mixed.jsonl"
+        config = GenConfig(n_samples=200, queries_per_sample=(0, 3), seed=11)
+        save_dataset(generate(CameraModel.default(), config), dataset)
+        out = tmp_path / "pred.jsonl"
+        code = main(["predict", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                     "--out", str(out), "--emit-features"])
+        assert code == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        expected = per_frame_predict_rows(load_dataset(dataset), load_checkpoint(checkpoint))
+        assert len(rows) == len(expected) > 200
+        for row, (sample_id, qi, point, decoder_query, features) in zip(rows, expected):
+            assert (row["sample_id"], row["query_index"]) == (sample_id, qi)
+            prediction = [row["prediction"]["c_x"], row["prediction"]["c_y_plus_half_h"]]
+            assert np.all(np.abs(np.subtract(prediction, point)) <= 1e-12)
+            assert row["decoder_query"][:2] == decoder_query[:2]
+            assert row["decoder_query"][2:] == prediction
+            assert row["features"] == features
+
+    def test_buoy_free_dataset_writes_no_rows(self, tmp_path, checkpoint, capsys):
+        dataset = tmp_path / "free.jsonl"
+        imu = ImuSample(pitch_deg=1.0, roll_deg=-2.0, heading_deg=30.0)
+        save_dataset([SampleRecord(f"{i:06d}", imu, (), ()) for i in range(3)], dataset)
+        out = tmp_path / "pred.jsonl"
+        code = main(["predict", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                     "--out", str(out)])
+        assert code == 0
+        assert out.read_text() == ""
+        assert "queries predicted: 0" in capsys.readouterr().out
+
 
 def _write_predictions(path, n=80, seed=0, shift=0.0):
     rng = np.random.default_rng(seed)
@@ -719,3 +755,35 @@ def test_calibration_demo_recovers_injected_shift(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert "recovered bias: -0.5" in done.stdout
+
+
+_VERIFY_OK = re.compile(r"^verify: max \|label - projection\| = \S+ \(normalized\), OK$", re.M)
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_offline_job_passes_on_benchmark_config(tmp_path, capsys, seed):
+    """The benchmark's offline job through main: gen --verify, predict
+    --emit-features, eval and calibrate on 500 frames of 1-3 queries at
+    5-1000 m. Each command exits 0, gen's check passes, and predict writes and
+    reports one row per chart query."""
+    config = _write_gen_config(tmp_path / "gen.json", n_samples=500, queries_per_sample=[1, 3],
+                               distance_range_m=[5.0, 1000.0], seed=seed)
+    checkpoint = tmp_path / "checkpoint.json"
+    save_checkpoint(init_params(seed), checkpoint)
+    dataset, preds = tmp_path / "dataset.jsonl", tmp_path / "pred.jsonl"
+    detector = _write_predictions(tmp_path / "detector.jsonl", n=1250, seed=seed, shift=0.5)
+
+    assert main(["gen", "--config", str(config), "--out", str(dataset), "--verify"]) == 0
+    out = capsys.readouterr().out
+    assert _VERIFY_OK.search(out)
+    n_queries = sum(
+        int(re.search(rf"^{kind} queries: (\d+)$", out, re.M).group(1))
+        for kind in ("visible", "invisible")
+    )
+    assert main(["predict", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                 "--out", str(preds), "--emit-features"]) == 0
+    assert f"queries predicted: {n_queries}" in capsys.readouterr().out
+    assert len(preds.read_text().splitlines()) == n_queries
+    assert main(["eval", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert main(["calibrate", "--dataset", str(detector), "--out", str(tmp_path / "cal")]) == 0

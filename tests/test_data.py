@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from waterline.data import (
     GenConfig,
     SampleRecord,
+    _clamp_90,
+    _uniform,
     default_bearing_range,
     generate,
     load_dataset,
@@ -167,6 +169,31 @@ class TestGenerate:
     def test_all_dropped_raises(self, camera):
         with pytest.raises(GenerationError):
             generate(camera, GenConfig(**{**BASE_CONFIG, "visibility_dropout": 1.0}))
+
+    def test_overflowing_range_width_is_config_error(self, camera):
+        config = GenConfig(**{**BASE_CONFIG, "heading_range_deg": (-1e308, 1e308)})
+        with pytest.raises(ConfigError, match="finite width"):
+            generate(camera, config)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-10.0, 10.0), (5.0, 1000.0), (-7.5, -2.25), (0.125, 3.0), (3.0, 3.0), (-4.0, -4.0),
+         (-180, 180)],
+    )
+    def test_uniform_bit_equal_to_generator_uniform(self, lo, hi):
+        for seed in range(20):
+            ours, numpy_ = np.random.default_rng((seed, 1)), np.random.default_rng((seed, 1))
+            for _ in range(200):
+                x, y = _uniform(ours, lo, hi), numpy_.uniform(lo, hi)
+                assert x == y and type(x) is type(y) is float
+
+    def test_clamp_equals_np_clip(self):
+        values = [-math.inf, -1e300, -90.5, -90.0 - 1e-12, -90.0, -89.999, -0.0, 0.0, 45.0,
+                  89.999, 90.0, 90.0 + 1e-12, 91.0, 1e300, math.inf]
+        for x in values:
+            clipped = float(np.clip(x, -90, 90))
+            assert _clamp_90(x) == clipped and type(_clamp_90(x)) is float
+            assert math.copysign(1.0, _clamp_90(x)) == math.copysign(1.0, clipped)
 
     def test_measurement_noise_breaks_fidelity_but_not_schema(self, camera):
         config = GenConfig(

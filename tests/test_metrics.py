@@ -245,6 +245,10 @@ class TestCalibrateBias:
     def test_fine_grid_has_241_points(self):
         assert len(bias_grid(-3.0, 3.0, 0.025)) == 241
 
+    def test_no_predictions_is_an_error(self):
+        with pytest.raises(ValueError, match="no predictions to calibrate on"):
+            calibrate_bias([], [])
+
     def test_tie_break_prefers_zero(self):
         gts = [GtBox(True, 0.5, 0.5, 0.1, 0.1), GtBox(False)]
         preds = [_pred(True, gts[0].box), _pred(False)]
