@@ -21,8 +21,8 @@ from typing import Annotated
 import numpy as np
 
 from .errors import Bounds, Config, ConfigError, NumericError, TrainingAborted
-from .network import DROPOUT_P, N_DECAYED, N_LEARNED, MlpParams, backward, forward
-from .network import init_params, smooth_l1
+from .network import DROPOUT_P, N_DECAYED, N_LEARNED, Gradients, MlpParams, TrainWorkspace
+from .network import backward, forward, init_params, smooth_l1
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -55,11 +55,13 @@ class TrainConfig(Config):
 
 @dataclass
 class OptState:
-    """AdamW moments of the learnable prefix of MlpParams.flat."""
+    """AdamW moments of the learnable prefix of MlpParams.flat, and two
+    scratch vectors of the same length for the update."""
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, N_LEARNED)), repr=False)
 
     @classmethod
     def init(cls, params: MlpParams) -> "OptState":
@@ -108,40 +110,43 @@ def cosine_lr(epoch: int, max_epochs: int, base_lr: float, eta_min: float = 0.0)
 
 def adamw_step(
     params: MlpParams,
-    grads: dict,
+    grads: Gradients,
     state: OptState,
     lr: float,
     weight_decay: float,
 ) -> tuple[MlpParams, OptState]:
     """One AdamW update of the learnable prefix of params.flat, in place.
     Weight decay is decoupled and applies only to the weight matrices, which
-    lead the vector."""
-    learn = params.learnables()
-    if set(grads) != set(learn):
-        raise ValueError("gradient keys do not match learnable parameters")
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in {name}")
+    lead the vector. grads is read, not written."""
+    if not isinstance(grads, Gradients):
+        raise TypeError(f"adamw_step takes network.Gradients, got {type(grads).__name__}")
+    g = grads.flat
+    if not np.isfinite(g).all():  # one pass; the scan below only names the tensor
+        for name, arr in grads.items():
+            if not np.all(np.isfinite(arr)):
+                raise NumericError(f"non-finite gradient in {name}")
     state.t += 1
     t = state.t
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    g = np.concatenate([grads[name].ravel() for name in learn])
     # m_hat / (sqrt(v_hat) + eps) + decay * theta, operation for operation, in
-    # two scratch vectors: a temporary per operation would cost twice the time.
+    # the two scratch vectors: a temporary per operation would cost twice the time.
     m, v = state.m, state.v
-    tmp = (1.0 - ADAM_BETA1) * g
+    tmp, denom = state.scratch
+    np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
     m *= ADAM_BETA1
     m += tmp
     np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
     tmp *= g
     v *= ADAM_BETA2
     v += tmp
-    denom = np.sqrt(np.divide(v, bc2, out=g), out=g)
+    np.sqrt(np.divide(v, bc2, out=denom), out=denom)
     denom += ADAM_EPS
     update = np.divide(m, bc1, out=tmp)
     update /= denom
-    update[:N_DECAYED] += np.multiply(params.flat[:N_DECAYED], weight_decay, out=g[:N_DECAYED])
+    update[:N_DECAYED] += np.multiply(
+        params.flat[:N_DECAYED], weight_decay, out=denom[:N_DECAYED]
+    )
     update *= lr
     params.flat[:N_LEARNED] -= update
     return params, state
@@ -182,6 +187,11 @@ def train(train_set, val_set, config: TrainConfig) -> tuple[MlpParams, TrainHist
     best_params = params.copy()
     epochs_since_best = 0
     n = train_x.shape[0]
+    # One set of buffers for the whole run; a short batch uses their leading rows.
+    rows = min(config.batch_size, n)
+    workspace = TrainWorkspace(rows)
+    batch_x = np.empty((rows, train_x.shape[1]))
+    batch_y = np.empty((rows, train_y.shape[1]))
 
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
@@ -194,14 +204,15 @@ def train(train_set, val_set, config: TrainConfig) -> tuple[MlpParams, TrainHist
             idx = perm[start : start + config.batch_size]
             if idx.size < 2:
                 break  # a trailing singleton has no batch statistics
-            bx = train_x[idx]
-            by = train_y[idx]
+            bx = np.take(train_x, idx, axis=0, out=batch_x[: idx.size])
+            by = np.take(train_y, idx, axis=0, out=batch_y[: idx.size])
             pred, cache = forward(
                 params,
                 bx,
                 training=True,
                 dropout_p=config.dropout_p,
                 dropout_seed=(config.seed, epoch, batch_index),
+                workspace=workspace,
             )
             batch_loss = smooth_l1(pred, by)
             loss_sum += batch_loss * idx.size
@@ -236,7 +247,7 @@ def train(train_set, val_set, config: TrainConfig) -> tuple[MlpParams, TrainHist
         if val_loss < history.best_val_loss:
             history.best_val_loss = val_loss
             history.best_epoch = epoch
-            best_params = params.copy()
+            np.copyto(best_params.flat, params.flat)
             epochs_since_best = 0
         else:
             epochs_since_best += 1

@@ -45,6 +45,8 @@ from waterline.network import (
     BN_EPS,
     BN_MOMENTUM,
     N_HIDDEN,
+    Gradients,
+    TrainWorkspace,
     forward,
     sigmoid,
     smooth_l1,
@@ -138,9 +140,12 @@ def fd_gradients(params, x, target, step=1e-5):
     are untouched.
     """
     work = params.copy()
+    workspace = TrainWorkspace(len(x))
 
     def loss():
-        pred, _ = forward(work, x, training=True, dropout_p=0.0, dropout_seed=0)
+        pred, _ = forward(
+            work, x, training=True, dropout_p=0.0, dropout_seed=0, workspace=workspace
+        )
         return smooth_l1(pred, target)
 
     grads = {}
@@ -262,6 +267,16 @@ def adamw_reference(tensors, grads, m, v, t, lr, weight_decay):
         if name.startswith("w"):
             update = update + weight_decay * theta
         theta -= lr * update
+
+
+def pack_grads(grads: dict) -> Gradients:
+    """Per-tensor gradients, as unfused_backward returns them or a test
+    builds them, copied into the one vector that adamw_step takes."""
+    packed = Gradients()
+    assert grads.keys() == packed.keys()
+    for name, g in grads.items():
+        packed[name][...] = g
+    return packed
 
 
 def exact_sigmoid_above(logit: float, bias: float, threshold: float) -> bool:

@@ -1,5 +1,6 @@
 import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     fd_gradients,
     math_sigmoid,
+    pack_grads,
     unfolded_eval_forward,
     unfused_backward,
     unfused_train_forward,
@@ -21,6 +23,7 @@ from waterline.network import (
     BN_MOMENTUM,
     LAYER_SIZES,
     N_PARAMS,
+    TrainWorkspace,
     backward,
     forward,
     init_params,
@@ -229,6 +232,12 @@ class TestForwardTrain:
         with pytest.raises(ValueError):
             forward(p, np.zeros((4, 5)), training=False)
 
+    def test_rejects_batch_larger_than_workspace(self):
+        p = init_params(0)
+        x, _ = _random_batch(17, n=9)
+        with pytest.raises(ValueError, match="workspace"):
+            forward(p, x, training=True, workspace=TrainWorkspace(8))
+
     def test_batch_statistics_normalized(self):
         # inflate the gains so every layer's pre-activation variance dwarfs
         # BN_EPS; the normalized values then carry mean 0 / variance 1 to 1e-6
@@ -386,6 +395,17 @@ class TestBackward:
         with pytest.raises(ValueError, match="stale"):
             backward(p2, cache, y)
 
+    def test_rejects_superseded_cache(self):
+        # a later forward on the same workspace overwrites the buffers the
+        # earlier cache views
+        p = init_params(0)
+        workspace = TrainWorkspace(8)
+        x, y = _random_batch(16, n=8)
+        _, cache = forward(p, x, training=True, dropout_p=0.0, workspace=workspace)
+        forward(p, x, training=True, dropout_p=0.0, workspace=workspace)
+        with pytest.raises(ValueError, match="superseded"):
+            backward(p, cache, y)
+
     def test_rejects_eval_cache(self):
         p = init_params(0)
         _, cache = forward(p, np.zeros((4, 6)), training=False)
@@ -408,39 +428,11 @@ class TestFusedTrainStep:
 
     @pytest.mark.parametrize("dropout_p, n", [(0.0, 256), (0.2, 256), (0.2, 37)])
     def test_matches_unfused_reference_over_three_steps(self, dropout_p, n):
-        fused = init_params(21)
-        ref = fused.copy()
-        fused_state, ref_state = OptState.init(fused), OptState.init(ref)
-        rng = np.random.default_rng(31)
-        for step in range(3):
-            x = rng.uniform(-1.0, 1.0, size=(n, 6))
-            y = rng.uniform(0.05, 0.95, size=(n, 2))
-            seed = (7, 1, step)
-            pred, cache = forward(fused, x, training=True, dropout_p=dropout_p, dropout_seed=seed)
-            ref_pred, ref_cache = unfused_train_forward(ref, x, dropout_p, seed)
-            grads = backward(fused, cache, y)
-            ref_grads = unfused_backward(ref, ref_cache, y)
-            assert grads.keys() == ref_grads.keys()
-            # The first forward is the same arithmetic in the same order. The
-            # first gradients are too when the batch size is a power of two:
-            # dividing by m is then exact, and with the initial gains of 1
-            # both forms of BatchNorm's backward round alike.
-            first = step == 0
-            pairs = [("pred", pred, ref_pred, first), ("params", fused.flat, ref.flat, first)]
-            pairs += [
-                (f"xhat{i + 1}", got.xhat, want.xhat, first)
-                for i, (got, want) in enumerate(zip(cache.layers, ref_cache.layers))
-            ]
-            pairs += [(name, grads[name], ref_grads[name], first and n == 256) for name in grads]
-            for name, got, want, exact in pairs:
-                where = f"step {step + 1}, {name}"
-                if exact:
-                    assert np.array_equal(got, want), where
-                else:
-                    err = np.abs(got - want).max()
-                    assert err <= 1e-12 * np.abs(want).max(), f"{where}: {err:.3e}"
-            adamw_step(fused, grads, fused_state, 1e-3, 1e-4)
-            adamw_step(ref, ref_grads, ref_state, 1e-3, 1e-4)
+        _three_steps_against_unfused(dropout_p, n, workspace=None)
+
+    def test_short_batch_in_larger_workspace(self):
+        # the leading 37 rows of each 256-row buffer, as in a trailing short batch
+        _three_steps_against_unfused(0.2, 37, workspace=TrainWorkspace(256))
 
     @pytest.mark.parametrize("dropout_p", [0.0, 0.2])
     def test_backward_leaves_cache_unchanged(self, dropout_p):
@@ -452,7 +444,8 @@ class TestFusedTrainStep:
             arr for layer in cache.layers for arr in vars(layer).values() if arr is not None
         ]
         before = [arr.copy() for arr in cached]
-        first = backward(p, cache, y)
+        # the gradients are views of the workspace, which the second call rewrites
+        first = {name: g.copy() for name, g in backward(p, cache, y).items()}
         second = backward(p, cache, y)
         assert first.keys() == second.keys()
         for name in first:
@@ -460,6 +453,72 @@ class TestFusedTrainStep:
         for arr, want in zip(cached, before):
             assert np.array_equal(arr, want)
         assert np.array_equal(x, x_before)
+
+    def test_steps_on_a_workspace_allocate_no_batch_buffer(self):
+        # After warm-up, a train step at batch 256 allocates only small
+        # temporaries: the traced peak stays under one (256, 128) buffer.
+        p = init_params(0)
+        state = OptState.init(p)
+        workspace = TrainWorkspace(256)
+        x, y = _random_batch(18, n=256)
+
+        def step(k):
+            _, cache = forward(
+                p, x, training=True, dropout_p=0.2, dropout_seed=k, workspace=workspace
+            )
+            adamw_step(p, backward(p, cache, y), state, 1e-3, 1e-4)
+
+        step(0)
+        step(1)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            for k in range(2, 5):
+                step(k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 256 * 128 * 8, f"{peak - start} bytes"
+
+
+def _three_steps_against_unfused(dropout_p, n, workspace):
+    """Three train steps of n rows, on `workspace` or on a fresh one per
+    forward, against the unfused reference."""
+    fused = init_params(21)
+    ref = fused.copy()
+    fused_state, ref_state = OptState.init(fused), OptState.init(ref)
+    rng = np.random.default_rng(31)
+    for step in range(3):
+        x = rng.uniform(-1.0, 1.0, size=(n, 6))
+        y = rng.uniform(0.05, 0.95, size=(n, 2))
+        seed = (7, 1, step)
+        pred, cache = forward(
+            fused, x, training=True, dropout_p=dropout_p, dropout_seed=seed, workspace=workspace
+        )
+        ref_pred, ref_cache = unfused_train_forward(ref, x, dropout_p, seed)
+        grads = backward(fused, cache, y)
+        ref_grads = unfused_backward(ref, ref_cache, y)
+        assert grads.keys() == ref_grads.keys()
+        # The first forward is the same arithmetic in the same order. The
+        # first gradients are too when the batch size is a power of two:
+        # dividing by m is then exact, and with the initial gains of 1
+        # both forms of BatchNorm's backward round alike.
+        first = step == 0
+        pairs = [("pred", pred, ref_pred, first), ("params", fused.flat, ref.flat, first)]
+        pairs += [
+            (f"xhat{i + 1}", got.xhat, want.xhat, first)
+            for i, (got, want) in enumerate(zip(cache.layers, ref_cache.layers))
+        ]
+        pairs += [(name, grads[name], ref_grads[name], first and n == 256) for name in grads]
+        for name, got, want, exact in pairs:
+            where = f"step {step + 1}, {name}"
+            if exact:
+                assert np.array_equal(got, want), where
+            else:
+                err = np.abs(got - want).max()
+                assert err <= 1e-12 * np.abs(want).max(), f"{where}: {err:.3e}"
+        adamw_step(fused, grads, fused_state, 1e-3, 1e-4)
+        adamw_step(ref, pack_grads(ref_grads), ref_state, 1e-3, 1e-4)
 
 
 class TestCheckpoint:

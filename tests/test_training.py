@@ -4,11 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from oracles import adamw_reference, constant_predictor_loss
+from oracles import adamw_reference, constant_predictor_loss, pack_grads
 from waterline.data import GenConfig, generate, split, visible_examples
 from waterline.errors import ConfigError, TrainingAborted, write_json
 from waterline.geometry import CameraModel
-from waterline.network import BN_EPS, N_LEARNED, forward, init_params, smooth_l1
+from waterline.network import BN_EPS, N_LEARNED, Gradients, forward, init_params, smooth_l1
 from waterline.training import (
     OptState,
     TrainConfig,
@@ -16,10 +16,6 @@ from waterline.training import (
     cosine_lr,
     train,
 )
-
-
-def _zero_grads(params):
-    return {k: np.zeros_like(v) for k, v in params.learnables().items()}
 
 
 def _toy_sets(seed=0, n_train=64, n_val=32):
@@ -39,7 +35,7 @@ class TestAdamW:
         p = init_params(0)
         snapshot = {k: v.copy() for k, v in p.learnables().items()}
         state = OptState.init(p)
-        adamw_step(p, _zero_grads(p), state, lr=1e-3, weight_decay=0.0)
+        adamw_step(p, Gradients(), state, lr=1e-3, weight_decay=0.0)
         for k, v in p.learnables().items():
             assert np.array_equal(v, snapshot[k])
 
@@ -49,7 +45,7 @@ class TestAdamW:
         state = OptState.init(p)
         p.w[3][0, 0] = 1.0
         for _ in range(500):
-            grads = _zero_grads(p)
+            grads = Gradients()
             grads["w4"][0, 0] = p.w[3][0, 0]
             adamw_step(p, grads, state, lr=0.1, weight_decay=0.0)
         assert abs(p.w[3][0, 0]) < 1e-3
@@ -59,7 +55,7 @@ class TestAdamW:
         p = init_params(0)
         state = OptState.init(p)
         before = p.w[0][0, 0]
-        grads = _zero_grads(p)
+        grads = Gradients()
         grads["w1"][0, 0] = c
         adamw_step(p, grads, state, lr=1e-3, weight_decay=0.0)
         delta = p.w[0][0, 0] - before
@@ -76,7 +72,7 @@ class TestAdamW:
         lr, wd = 0.01, 0.1
         steps = 10
         for _ in range(steps):
-            adamw_step(p, _zero_grads(p), state, lr=lr, weight_decay=wd)
+            adamw_step(p, Gradients(), state, lr=lr, weight_decay=wd)
         for i in range(4):
             expected = weights_before[i] * (1 - lr * wd) ** steps
             assert np.allclose(p.w[i], expected, rtol=1e-12)
@@ -95,25 +91,43 @@ class TestAdamW:
         rng = np.random.default_rng(3)
         for t in range(1, 7):
             grads = {k: rng.normal(0.0, 1e-3, size=a.shape) for k, a in ref.items()}
-            adamw_step(p, grads, state, lr=1e-2, weight_decay=0.1)
+            packed = pack_grads(grads)
+            adamw_step(p, packed, state, lr=1e-2, weight_decay=0.1)
             adamw_reference(ref, grads, m, v, t, lr=1e-2, weight_decay=0.1)
+            for k, g in packed.items():  # the step reads the gradients only
+                assert np.array_equal(g, grads[k]), (t, k)
             for k, a in p.learnables().items():
                 assert np.array_equal(a, ref[k]), (t, k)
         assert np.array_equal(p.flat[N_LEARNED:], stats_before)  # running stats untouched
 
     def test_rejects_nonfinite_gradient(self):
+        # the first non-finite tensor in buffer order is named, and nothing moves
         p = init_params(0)
+        before = p.flat.copy()
         state = OptState.init(p)
-        grads = _zero_grads(p)
-        grads["w2"][0, 0] = np.nan
-        with pytest.raises(ArithmeticError, match="w2"):
-            adamw_step(p, grads, state, lr=1e-3, weight_decay=0.0)
+        for name, index, value in [
+            ("w2", (0, 0), np.nan),
+            ("bn3_bias", (127,), np.inf),
+            ("w4", (5, 1), -np.inf),
+        ]:
+            grads = Gradients()
+            grads["bn3_bias"][127] = np.inf  # the last value of the vector
+            grads[name][index] = value
+            with pytest.raises(ArithmeticError, match=f"in {name}$"):
+                adamw_step(p, grads, state, lr=1e-3, weight_decay=0.0)
+        assert np.array_equal(p.flat, before) and state.t == 0
+
+    def test_rejects_per_tensor_dict(self):
+        p = init_params(0)
+        grads = {k: np.zeros_like(v) for k, v in p.learnables().items()}
+        with pytest.raises(TypeError, match="Gradients"):
+            adamw_step(p, grads, OptState.init(p), lr=1e-3, weight_decay=0.0)
 
     def test_step_counter_advances(self):
         p = init_params(0)
         state = OptState.init(p)
-        adamw_step(p, _zero_grads(p), state, lr=1e-3, weight_decay=0.0)
-        adamw_step(p, _zero_grads(p), state, lr=1e-3, weight_decay=0.0)
+        adamw_step(p, Gradients(), state, lr=1e-3, weight_decay=0.0)
+        adamw_step(p, Gradients(), state, lr=1e-3, weight_decay=0.0)
         assert state.t == 2
 
 
