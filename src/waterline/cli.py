@@ -146,10 +146,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
 
-    records = load_dataset(args.dataset)
-    if len(records) < 2:
-        raise ConfigError("dataset has fewer than 2 samples; cannot split")
-    parts = split(records, config.val_ratio, seed=config.seed)
+    parts = split(load_dataset(args.dataset), config.val_ratio, seed=config.seed)
     train_xy = visible_examples(parts.train)
     val_xy = visible_examples(parts.val)
     if train_xy[0].shape[0] == 0 or val_xy[0].shape[0] == 0:

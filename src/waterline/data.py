@@ -68,6 +68,8 @@ class SampleRecord:
                 f"sample {self.sample_id}: {len(self.queries)} queries vs "
                 f"{len(self.labels)} labels"
             )
+        for label in self.labels:  # frame containment binds dataset labels, not every box
+            label.validate()
 
     @property
     def buoy_free(self) -> bool:
@@ -293,8 +295,11 @@ def save_dataset(records, path) -> None:
             f.write("\n")
 
 
-def _jsonl(path):
-    """Yield (line number, parsed value) for every non-blank line of a JSONL file."""
+def _jsonl(path, parse) -> list:
+    """parse(value) for each non-blank line of a JSONL file; the one place that
+    names a bad line. A line that is not UTF-8 JSON raises DatasetParseError, and
+    a ValueError from `parse` (schema or range) becomes DatasetSchemaError."""
+    values = []
     with open(path, "rb") as f:  # decoded per line, so a bad byte is reported with its line
         for line_no, raw in enumerate(f, 1):
             try:
@@ -304,11 +309,15 @@ def _jsonl(path):
                 data = json.loads(line)
             except ValueError as exc:  # bad UTF-8, JSONDecodeError, or an over-long integer
                 raise DatasetParseError(str(exc), line=line_no) from exc
-            yield line_no, data
+            try:
+                values.append(parse(data))
+            except ValueError as exc:
+                raise DatasetSchemaError(str(exc), line=line_no) from exc
+    return values
 
 
 def load_dataset(path) -> list[SampleRecord]:
-    return [_record_from_dict(data, line_no) for line_no, data in _jsonl(path)]
+    return _jsonl(path, _record_from_dict)
 
 
 def load_predictions(path) -> tuple[list[QueryPrediction], list[GtBox]]:
@@ -318,31 +327,8 @@ def load_predictions(path) -> tuple[list[QueryPrediction], list[GtBox]]:
     "logit": number, "box": {c_x, c_y, w, h}, "gt_visible": bool,
     "gt_box": {c_x, c_y, w, h} | null}.
     """
-    preds: list[QueryPrediction] = []
-    gts: list[GtBox] = []
-    for line_no, data in _jsonl(path):
-        if not isinstance(data, dict):
-            raise DatasetSchemaError("prediction line must be an object", line=line_no)
-        if data.get("schema") != PREDICTIONS_SCHEMA:
-            raise DatasetSchemaError(
-                f"unsupported schema version {data.get('schema')!r}", line=line_no
-            )
-        logit = _number(data, "logit", line_no)
-        box = _box(_require(data, "box", line_no), "box", line_no)
-        gt_visible = _require(data, "gt_visible", line_no)
-        if not isinstance(gt_visible, bool):
-            raise DatasetSchemaError("'gt_visible' must be a boolean", line=line_no)
-        preds.append(QueryPrediction(objectness_logit=logit, box=box))
-        if gt_visible:
-            gt_box = data.get("gt_box")
-            if not isinstance(gt_box, dict):
-                raise DatasetSchemaError(
-                    "visible ground truth requires a 'gt_box' object", line=line_no
-                )
-            gts.append(GtBox(True, *_box(gt_box, "gt_box", line_no)))
-        else:
-            gts.append(GtBox(visible=False))
-    return preds, gts
+    rows = _jsonl(path, _prediction_from_dict)
+    return [pred for pred, _ in rows], [gt for _, gt in rows]
 
 
 def _record_to_dict(record: SampleRecord) -> dict:
@@ -369,104 +355,93 @@ def _record_to_dict(record: SampleRecord) -> dict:
     }
 
 
-def _require(data: dict, key: str, line_no: int):
+def _require(data: dict, key: str):
     if key not in data:
-        raise DatasetSchemaError(f"missing key {key!r}", line=line_no)
+        raise DatasetSchemaError(f"missing key {key!r}")
     return data[key]
 
 
-def _number(data: dict, key: str, line_no: int) -> float:
+def _number(data: dict, key: str) -> float:
     """data[key] as a finite float; JSON booleans are not numbers."""
     value = data.get(key)
     if type(value) is float and math.isfinite(value):  # what the writers emit
         return value
-    value = _require(data, key, line_no)
+    value = _require(data, key)
     if not isinstance(value, bool) and isinstance(value, (int, float)):
         try:
             if math.isfinite(value):
                 return float(value)
         except OverflowError:  # an integer beyond the float range
             pass
-    raise DatasetSchemaError(f"{key!r} must be a finite number, got {value!r}", line=line_no)
+    raise DatasetSchemaError(f"{key!r} must be a finite number, got {value!r}")
 
 
-def _box(data, key: str, line_no: int) -> tuple[float, float, float, float]:
+def _box(data, key: str) -> tuple[float, float, float, float]:
     if not isinstance(data, dict):
-        raise DatasetSchemaError(f"{key!r} must be an object", line=line_no)
-    c_x = _number(data, "c_x", line_no)
-    c_y = _number(data, "c_y", line_no)
-    w = _number(data, "w", line_no)
-    h = _number(data, "h", line_no)
+        raise DatasetSchemaError(f"{key!r} must be an object")
+    c_x, c_y, w, h = (_number(data, k) for k in ("c_x", "c_y", "w", "h"))
     if w <= 0 or h <= 0:
         raise DatasetSchemaError(
-            f"{key!r} must have positive width and height, got w={w!r}, h={h!r}", line=line_no
+            f"{key!r} must have positive width and height, got w={w!r}, h={h!r}"
         )
     return c_x, c_y, w, h
 
 
-def _record_from_dict(data: dict, line_no: int) -> SampleRecord:
+def _prediction_from_dict(data) -> tuple[QueryPrediction, GtBox]:
     if not isinstance(data, dict):
-        raise DatasetSchemaError("record must be a JSON object", line=line_no)
-    schema = _require(data, "schema", line_no)
-    if schema != SCHEMA_VERSION:
-        raise DatasetSchemaError(f"unsupported schema version {schema!r}", line=line_no)
-    sample_id = _require(data, "sample_id", line_no)
-    if not isinstance(sample_id, str):
-        raise DatasetSchemaError("'sample_id' must be a string", line=line_no)
+        raise DatasetSchemaError("prediction line must be an object")
+    schema = data.get("schema")
+    if type(schema) is not int or schema != PREDICTIONS_SCHEMA:  # JSON true == 1 in Python
+        raise DatasetSchemaError(f"unsupported schema version {schema!r}")
+    pred = QueryPrediction(_number(data, "logit"), _box(_require(data, "box"), "box"))
+    gt_visible = _require(data, "gt_visible")
+    if not isinstance(gt_visible, bool):
+        raise DatasetSchemaError("'gt_visible' must be a boolean")
+    if not gt_visible:
+        return pred, GtBox(visible=False)
+    gt_box = data.get("gt_box")
+    if not isinstance(gt_box, dict):
+        raise DatasetSchemaError("visible ground truth requires a 'gt_box' object")
+    return pred, GtBox(True, *_box(gt_box, "gt_box"))
 
-    imu_data = _require(data, "imu", line_no)
+
+def _record_from_dict(data) -> SampleRecord:
+    if not isinstance(data, dict):
+        raise DatasetSchemaError("record must be a JSON object")
+    schema = _require(data, "schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise DatasetSchemaError(f"unsupported schema version {schema!r}")
+    sample_id = _require(data, "sample_id")
+    if not isinstance(sample_id, str):
+        raise DatasetSchemaError("'sample_id' must be a string")
+
+    imu_data = _require(data, "imu")
     if not isinstance(imu_data, dict):
-        raise DatasetSchemaError("'imu' must be an object", line=line_no)
+        raise DatasetSchemaError("'imu' must be an object")
     imu = ImuSample(
-        pitch_deg=_number(imu_data, "pitch_deg", line_no),
-        roll_deg=_number(imu_data, "roll_deg", line_no),
-        heading_deg=wrap_angle_deg(
-            _number(imu_data, "heading_deg", line_no)
-        ),
+        pitch_deg=_number(imu_data, "pitch_deg"),
+        roll_deg=_number(imu_data, "roll_deg"),
+        heading_deg=wrap_angle_deg(_number(imu_data, "heading_deg")),
     )
 
-    queries_data = _require(data, "queries", line_no)
-    labels_data = _require(data, "labels", line_no)
+    queries_data = _require(data, "queries")
+    labels_data = _require(data, "labels")
     if not isinstance(queries_data, list) or not isinstance(labels_data, list):
-        raise DatasetSchemaError("'queries' and 'labels' must be arrays", line=line_no)
-    if len(queries_data) != len(labels_data):
-        raise DatasetSchemaError(
-            f"{len(queries_data)} queries vs {len(labels_data)} labels", line=line_no
-        )
+        raise DatasetSchemaError("'queries' and 'labels' must be arrays")
 
     queries = []
     for q in queries_data:
         if not isinstance(q, dict):
-            raise DatasetSchemaError("query entries must be objects", line=line_no)
-        queries.append(
-            ChartQuery(
-                distance_m=_number(q, "distance_m", line_no),
-                bearing_deg=_number(q, "bearing_deg", line_no),
-            )
-        )
+            raise DatasetSchemaError("query entries must be objects")
+        queries.append(ChartQuery(_number(q, "distance_m"), _number(q, "bearing_deg")))
 
     labels = []
     for entry in labels_data:
         if not isinstance(entry, dict):
-            raise DatasetSchemaError("label entries must be objects", line=line_no)
-        visible = _require(entry, "visible", line_no)
+            raise DatasetSchemaError("label entries must be objects")
+        visible = _require(entry, "visible")
         if not isinstance(visible, bool):
-            raise DatasetSchemaError("'visible' must be a boolean", line=line_no)
-        if visible:
-            labels.append(GtBox(True, *_box(entry, "label", line_no)))
-        else:
-            labels.append(GtBox(visible=False))
+            raise DatasetSchemaError("'visible' must be a boolean")
+        labels.append(GtBox(True, *_box(entry, "label")) if visible else GtBox(visible=False))
 
-    try:
-        imu.validate()
-        for query in queries:
-            query.validate()
-        for label in labels:
-            label.validate()
-        return SampleRecord(
-            sample_id=sample_id, imu=imu, queries=tuple(queries), labels=tuple(labels)
-        )
-    except DatasetSchemaError:
-        raise
-    except ValueError as exc:
-        raise DatasetSchemaError(str(exc), line=line_no) from exc
+    return SampleRecord(sample_id, imu, tuple(queries), tuple(labels))

@@ -9,11 +9,13 @@ Six network inputs, in fixed order:
     4  roll_norm     roll / 10
     5  heading_norm  heading / 180
 
-All math is 64-bit. Angles are degrees at this interface.
+All math is 64-bit. Angles are degrees at this interface. ChartQuery and
+ImuSample check their ranges when built, so a function that takes one trusts it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +42,12 @@ class ChartQuery:
     distance_m: float
     bearing_deg: float
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
-        if not self.distance_m > 0:
-            raise ValueError(f"chart distance must be positive, got {self.distance_m}")
+        if not 0.0 < self.distance_m < math.inf:
+            raise ValueError(f"chart distance must be positive and finite, got {self.distance_m}")
         if not -180.0 <= self.bearing_deg <= 180.0:
             raise ValueError(f"bearing must lie in [-180, 180], got {self.bearing_deg}")
 
@@ -54,6 +59,9 @@ class ImuSample:
     pitch_deg: float
     roll_deg: float
     heading_deg: float
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if not -90.0 <= self.pitch_deg <= 90.0:
@@ -75,8 +83,6 @@ def wrap_angle_deg(angle: float) -> float:
 
 def build_features(query: ChartQuery, imu: ImuSample) -> np.ndarray:
     """Return the six normalized inputs as a float64 vector."""
-    query.validate()
-    imu.validate()
     d = float(query.distance_m)
     inv_dist = min(max(DIST_SCALE_M / d, 0.0), INV_DIST_MAX)
     return np.array(
@@ -113,7 +119,6 @@ def build_decoder_query(query: ChartQuery, predicted: tuple[float, float]) -> np
     The result is the 4-vector consumed by the downstream detection decoder:
     [dist_norm, bearing_norm, c_x, c_y + h/2]. Pure concatenation, no rescaling.
     """
-    query.validate()
     c_x, c_y_plus_half_h = predicted
     if not (0.0 <= c_x <= 1.0 and 0.0 <= c_y_plus_half_h <= 1.0):
         raise ValueError(f"predicted waterline point must lie in [0, 1]^2, got {predicted}")

@@ -95,7 +95,6 @@ def orientation_matrix(imu: ImuSample) -> np.ndarray:
     Columns are the body axes (starboard, forward, up) expressed in the
     reference frame. Orthonormal with determinant +1.
     """
-    imu.validate()
     psi = math.radians(imu.heading_deg)
     theta = math.radians(imu.pitch_deg)
     phi = math.radians(imu.roll_deg)
@@ -127,9 +126,6 @@ def project(camera: CameraModel, imu: ImuSample, query: ChartQuery) -> PixelPoin
     here in closed form rather than numerically, which keeps on-axis targets
     exactly on the principal column.
     """
-    query.validate()
-    imu.validate()
-
     # Buoy position relative to the camera center, in the heading-aligned
     # water-plane frame (x starboard, y forward, z up).
     beta = math.radians(query.bearing_deg)

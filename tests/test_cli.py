@@ -222,6 +222,15 @@ class TestTrain:
         assert code == 2
         assert "unknown" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_records", [0, 1])
+    def test_too_few_samples_is_config_error(self, tmp_path, capsys, n_records):
+        dataset = tmp_path / "few.jsonl"
+        imu = ImuSample(pitch_deg=1.0, roll_deg=-2.0, heading_deg=30.0)
+        save_dataset([SampleRecord(f"{i:06d}", imu, (), ()) for i in range(n_records)], dataset)
+        code = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "need at least 2 records to split" in capsys.readouterr().err
+
     def test_malformed_dataset_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{broken\n")

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from waterline.data import (
@@ -14,10 +14,12 @@ from waterline.data import (
     default_bearing_range,
     generate,
     load_dataset,
+    load_predictions,
     save_dataset,
     split,
     visible_examples,
 )
+from waterline.cli import main
 from waterline.errors import (
     ConfigError,
     DatasetParseError,
@@ -446,3 +448,228 @@ class TestSerialization:
         }
         path.write_text("\n" + json.dumps(line) + "\n\n")
         assert len(load_dataset(path)) == 1
+
+
+def _dataset_line(i=2):
+    return {
+        "schema": 1,
+        "sample_id": f"{i:06d}",
+        "imu": {"pitch_deg": 1.0, "roll_deg": -2.0, "heading_deg": 30.0},
+        "queries": [{"distance_m": 100.0, "bearing_deg": 5.0},
+                    {"distance_m": 400.0, "bearing_deg": -20.0}],
+        "labels": [{"visible": True, "c_x": 0.5, "c_y": 0.6, "w": 0.05, "h": 0.08},
+                   {"visible": False}],
+    }
+
+
+def _prediction_line(i=2):
+    box = {"c_x": 0.5, "c_y": 0.5, "w": 0.1, "h": 0.1}
+    return {"schema": 1, "sample_id": f"{i:04d}", "query_index": 0, "logit": 1.5,
+            "box": box, "gt_visible": True, "gt_box": dict(box)}
+
+
+_DELETE = object()
+
+
+def _edit(path, value=_DELETE):
+    """A mutation that sets the dotted `path` of a line ("queries.0.bearing_deg")
+    to `value`, or deletes that key or list item."""
+    *keys, last = (int(k) if k.isdigit() else k for k in path.split("."))
+
+    def mutate(line):
+        target = line
+        for key in keys:
+            target = target[key]
+        if value is _DELETE:
+            del target[last]
+        else:
+            target[last] = value
+        return json.dumps(line)
+    return mutate
+
+
+D, P = "dataset", "predictions"
+# One line-3 fault per check of the two loaders: loader, mutation, error, message.
+_SINGLE_FAULTS = {
+    "not-json": (D, lambda line: "{broken", DatasetParseError,
+                 "line 3: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "bad-utf8": (D, lambda line: b"\xff" + json.dumps(line).encode(), DatasetParseError,
+                 "line 3: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "not-object": (D, lambda line: "[1]", DatasetSchemaError, "line 3: record must be a JSON object"),
+    "schema": (D, _edit("schema", 2), DatasetSchemaError, "line 3: unsupported schema version 2"),
+    "schema-bool": (D, _edit("schema", True), DatasetSchemaError,
+                    "line 3: unsupported schema version True"),
+    "missing-key": (D, _edit("imu"), DatasetSchemaError, "line 3: missing key 'imu'"),
+    "sample-id": (D, _edit("sample_id", 7), DatasetSchemaError, "line 3: 'sample_id' must be a string"),
+    "imu-object": (D, _edit("imu", []), DatasetSchemaError, "line 3: 'imu' must be an object"),
+    "string-number": (D, _edit("imu.pitch_deg", "zero"), DatasetSchemaError,
+                      "line 3: 'pitch_deg' must be a finite number, got 'zero'"),
+    "bool-number": (D, _edit("queries.1.distance_m", True), DatasetSchemaError,
+                    "line 3: 'distance_m' must be a finite number, got True"),
+    "nan": (D, lambda line: _edit("labels.0.c_x", "NAN")(line).replace('"NAN"', "NaN"),
+            DatasetSchemaError, "line 3: 'c_x' must be a finite number, got nan"),
+    "overflow": (D, lambda line: _edit("imu.roll_deg", "BIG")(line).replace('"BIG"', "1e999"),
+                 DatasetSchemaError, "line 3: 'roll_deg' must be a finite number, got inf"),
+    "arrays": (D, _edit("labels", {}), DatasetSchemaError,
+               "line 3: 'queries' and 'labels' must be arrays"),
+    "query-entry": (D, _edit("queries.0", 5), DatasetSchemaError,
+                    "line 3: query entries must be objects"),
+    "label-entry": (D, _edit("labels.1", "no"), DatasetSchemaError,
+                    "line 3: label entries must be objects"),
+    "visible": (D, _edit("labels.1.visible", 0), DatasetSchemaError,
+                "line 3: 'visible' must be a boolean"),
+    "empty-label": (D, _edit("labels.0.w", 0), DatasetSchemaError,
+                    "line 3: 'label' must have positive width and height, got w=0.0, h=0.08"),
+    # The count and range checks moved into the constructors.
+    "counts": (D, _edit("labels.1"), DatasetSchemaError,
+               "line 3: sample 000002: 2 queries vs 1 labels"),
+    "pitch-range": (D, _edit("imu.pitch_deg", 95), DatasetSchemaError,
+                    "line 3: pitch must lie in [-90, 90], got 95.0"),
+    "roll-range": (D, _edit("imu.roll_deg", -91.5), DatasetSchemaError,
+                   "line 3: roll must lie in [-90, 90], got -91.5"),
+    "bearing-range": (D, _edit("queries.1.bearing_deg", 200), DatasetSchemaError,
+                      "line 3: bearing must lie in [-180, 180], got 200.0"),
+    "distance-range": (D, _edit("queries.0.distance_m", 0), DatasetSchemaError,
+                       "line 3: chart distance must be positive and finite, got 0.0"),
+    "label-outside-frame": (D, _edit("labels.0.c_x", 0.99), DatasetSchemaError,
+                            "line 3: visible box extends outside the unit frame: "
+                            "(0.99, 0.6, 0.05, 0.08)"),
+    "prediction-object": (P, lambda line: "3", DatasetSchemaError,
+                          "line 3: prediction line must be an object"),
+    "prediction-schema": (P, _edit("schema"), DatasetSchemaError,
+                          "line 3: unsupported schema version None"),
+    "prediction-schema-bool": (P, _edit("schema", True), DatasetSchemaError,
+                               "line 3: unsupported schema version True"),
+    "prediction-logit": (P, _edit("logit", "high"), DatasetSchemaError,
+                         "line 3: 'logit' must be a finite number, got 'high'"),
+    "prediction-box": (P, _edit("box"), DatasetSchemaError, "line 3: missing key 'box'"),
+    "prediction-gt-visible": (P, _edit("gt_visible", 1), DatasetSchemaError,
+                              "line 3: 'gt_visible' must be a boolean"),
+    "prediction-gt-box": (P, _edit("gt_box", []), DatasetSchemaError,
+                          "line 3: visible ground truth requires a 'gt_box' object"),
+    "prediction-empty-box": (P, _edit("gt_box.h", -0.1), DatasetSchemaError,
+                             "line 3: 'gt_box' must have positive width and height, got w=0.1, h=-0.1"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SINGLE_FAULTS))
+def test_single_fault_message_names_line(tmp_path, capsys, case):
+    """Each loader check keeps its message and its line; through main the
+    error exits 3 with the same message."""
+    loader, mutate, error, message = _SINGLE_FAULTS[case]
+    make = _dataset_line if loader == D else _prediction_line
+    lines = [json.dumps(make(i)).encode() for i in range(2)]
+    bad = mutate(make())
+    lines.append(bad if isinstance(bad, bytes) else bad.encode())
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+
+    with pytest.raises(error) as excinfo:
+        (load_dataset if loader == D else load_predictions)(path)
+    assert str(excinfo.value) == message and excinfo.value.line == 3
+
+    out = str(tmp_path / "out")
+    argv = (["predict", "--dataset", str(path), "--checkpoint", out, "--out", out]
+            if loader == D else ["calibrate", "--dataset", str(path), "--out", out])
+    assert main(argv) == 3  # predict reads the dataset before the checkpoint
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# A finite, valid value of each dataset number; angles wider than their range
+# come from the "angle" mutation.
+_VISIBLE_LABEL = st.fixed_dictionaries({
+    "visible": st.just(True),
+    "c_x": st.floats(0.2, 0.8), "c_y": st.floats(0.2, 0.8),
+    "w": st.floats(0.01, 0.3), "h": st.floats(0.01, 0.3),
+})
+_QUERY_AND_LABEL = st.tuples(
+    st.fixed_dictionaries({"distance_m": st.floats(1e-3, 1e5), "bearing_deg": st.floats(-180, 180)}),
+    st.one_of(st.fixed_dictionaries({"visible": st.just(False)}), _VISIBLE_LABEL),
+)
+_IMU = st.fixed_dictionaries(
+    {"pitch_deg": st.floats(-90, 90), "roll_deg": st.floats(-90, 90),
+     "heading_deg": st.floats(-720, 720)}  # wrapped on ingestion
+)
+_MUTATIONS = ("drop", "swap", "non-finite", "angle", "non-object", "counts", "utf8")
+
+
+def _valid_line(draw, i):
+    pairs = draw(st.lists(_QUERY_AND_LABEL, max_size=3))
+    return {"schema": 1, "sample_id": f"{i:06d}", "imu": draw(_IMU),
+            "queries": [q for q, _ in pairs], "labels": [label for _, label in pairs]}
+
+
+def _mutated(draw, line, kind) -> bytes:
+    """The bytes of `line` with one fault of the given kind."""
+    queries, labels = line["queries"], line["labels"]
+    objects = [line, line["imu"], *queries, *labels]
+    if kind == "drop":
+        obj = draw(st.sampled_from(objects))
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif kind == "swap":  # a value of another JSON type; True stands in for a number
+        obj = draw(st.sampled_from(objects))
+        key = draw(st.sampled_from(sorted(obj)))
+        others = [v for v in ("x", None, [], {}, True, 2.5) if type(v) is not type(obj[key])]
+        obj[key] = draw(st.sampled_from(others))
+    elif kind == "non-finite":
+        obj, key = draw(st.sampled_from(
+            [(obj, key) for obj in objects for key, v in obj.items() if type(v) is float]
+        ))
+        obj[key] = "NONFINITE"
+        token = draw(st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999", "-1e999"]))
+        return json.dumps(line).replace('"NONFINITE"', token).encode()
+    elif kind == "angle":
+        obj, key, limit = draw(st.sampled_from(
+            [(line["imu"], "pitch_deg", 90.0), (line["imu"], "roll_deg", 90.0)]
+            + [(q, "bearing_deg", 180.0) for q in queries]
+        ))
+        obj[key] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(limit, 1e6, exclude_min=True))
+    elif kind == "non-object":
+        junk = draw(st.sampled_from([None, 3, "x", [], True]))
+        if draw(st.booleans()):  # the whole line
+            return json.dumps(junk).encode()
+        container, key = draw(st.sampled_from(
+            [(line, "imu")] + [(entries, i) for entries in (queries, labels) for i in range(len(entries))]
+        ))
+        container[key] = junk
+    elif kind == "counts":
+        if draw(st.booleans()):
+            queries.append({"distance_m": 10.0, "bearing_deg": 0.0})
+        else:
+            labels.append({"visible": False})
+    else:  # utf8
+        text = json.dumps(line).encode()
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + b"\xff" + text[at:]
+    return json.dumps(line).encode()
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_line_loads_or_names_its_line(tmp_path, data):
+    """One mutated line of a multi-line dataset file: the file loads to finite,
+    typed, in-range records, or the error names the mutated line (exit 3)."""
+    n = data.draw(st.integers(1, 4), label="lines")
+    k = data.draw(st.integers(1, n), label="mutated line")
+    kind = data.draw(st.sampled_from(_MUTATIONS), label="mutation")
+    lines = [_valid_line(data.draw, i) for i in range(n)]
+    raw = [json.dumps(line).encode() for line in lines]
+    raw[k - 1] = _mutated(data.draw, lines[k - 1], kind)
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b"\n".join(raw) + b"\n")
+    try:
+        records = load_dataset(path)
+    except (DatasetParseError, DatasetSchemaError) as exc:  # main maps both to exit code 3
+        assert exc.line == k and str(exc).startswith(f"line {k}: ")
+        return
+    assert len(records) == n
+    for record in records:
+        assert type(record.sample_id) is str
+        record.imu.validate()
+        values = [record.imu.pitch_deg, record.imu.roll_deg, record.imu.heading_deg]
+        for query, label in zip(record.queries, record.labels, strict=True):
+            query.validate()
+            label.validate()
+            values += [query.distance_m, query.bearing_deg, *(label.box if label.visible else ())]
+            assert type(label.visible) is bool
+        assert all(type(v) is float and math.isfinite(v) for v in values)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,30 @@ from waterline.features import (
 from waterline.metrics import GtBox
 
 LEVEL = ImuSample(0.0, 0.0, 0.0)
+
+
+class TestValidOnConstruction:
+    """A ChartQuery or ImuSample out of range cannot be built, so the
+    functions that take one do not check it again."""
+
+    @pytest.mark.parametrize("distance", [math.inf, math.nan, 0.0, -1.0])
+    def test_chart_query_rejects_bad_distance(self, distance):
+        with pytest.raises(ValueError, match="chart distance must be positive and finite"):
+            ChartQuery(distance, 0.0)
+
+    @pytest.mark.parametrize("bearing", [180.5, -181.0, math.nan, math.inf])
+    def test_chart_query_rejects_bad_bearing(self, bearing):
+        with pytest.raises(ValueError, match="bearing must lie in"):
+            ChartQuery(10.0, bearing)
+
+    @pytest.mark.parametrize(
+        "angles,name",
+        [((90.5, 0.0, 0.0), "pitch"), ((0.0, -91.0, 0.0), "roll"),
+         ((0.0, 0.0, 180.5), "heading"), ((math.nan, 0.0, 0.0), "pitch")],
+    )
+    def test_imu_sample_rejects_out_of_range(self, angles, name):
+        with pytest.raises(ValueError, match=f"{name} must lie in"):
+            ImuSample(*angles)
 
 
 class TestBuildFeatures:
