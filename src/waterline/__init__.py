@@ -9,7 +9,7 @@ calibration, and a synthetic dataset generator tying them together.
 __version__ = "0.1.0"
 
 from .features import ChartQuery, ImuSample, build_decoder_query, build_features, waterline_target
-from .geometry import CameraModel, PixelPoint, in_frame, orientation_matrix, project
+from .geometry import CameraModel, in_frame, project
 from .metrics import (
     DetectionReport,
     ErrorStats,
@@ -41,7 +41,6 @@ __all__ = [
     "GtBox",
     "ImuSample",
     "MlpParams",
-    "PixelPoint",
     "QueryPrediction",
     "TrainConfig",
     "TrainHistory",
@@ -58,7 +57,6 @@ __all__ = [
     "init_params",
     "iou",
     "load_checkpoint",
-    "orientation_matrix",
     "pixel_error",
     "project",
     "save_checkpoint",

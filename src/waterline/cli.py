@@ -14,7 +14,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import json
 import logging
 import os
 import sys
@@ -25,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    COMPACT_JSON,
     PREDICTIONS_SCHEMA,
     GenConfig,
     generate,
@@ -118,26 +118,30 @@ def cmd_gen(args) -> int:
 
 
 def _verify_fidelity(camera: CameraModel, records) -> float:
-    """Largest normalized gap between stored labels and fresh projections."""
-    worst = 0.0
+    """Largest normalized gap between stored labels and fresh projections,
+    every visible label projected in one call."""
+    sample_ids = []
+    rows = []
     for record in records:
+        imu = record.imu
         for query, label in zip(record.queries, record.labels):
-            if not label.visible:
-                continue
-            pixel = project(camera, record.imu, query)
-            if pixel is None:
-                raise NumericError(f"sample {record.sample_id}: visible label but no projection")
-            target = waterline_target(label)
-            gap = max(
-                abs(target[0] - pixel.u / camera.image_w),
-                abs(target[1] - pixel.v / camera.image_h),
-            )
-            worst = max(worst, gap)
-            if gap > 1e-9:
-                raise NumericError(
-                    f"sample {record.sample_id}: label/projection gap {gap:.3e} exceeds 1e-9"
-                )
-    return worst
+            if label.visible:
+                sample_ids.append(record.sample_id)
+                rows.append((imu.pitch_deg, imu.roll_deg, query.distance_m, query.bearing_deg,
+                             *waterline_target(label)))
+    pitch, roll, distance, bearing, target_x, target_y = np.array(rows).reshape(-1, 6).T
+    u, v = project(camera, pitch, roll, distance, bearing)
+    gap = np.maximum(np.abs(target_x - u / camera.image_w), np.abs(target_y - v / camera.image_h))
+    bad = np.flatnonzero(np.isnan(gap) | (gap > 1e-9))
+    if bad.size:
+        first = bad[0]
+        sample_id = sample_ids[first]
+        if np.isnan(u[first]):
+            raise NumericError(f"sample {sample_id}: visible label but no projection")
+        raise NumericError(
+            f"sample {sample_id}: label/projection gap {gap[first]:.3e} exceeds 1e-9"
+        )
+    return float(gap.max(initial=0.0))
 
 
 def cmd_train(args) -> int:
@@ -288,7 +292,7 @@ def cmd_predict(args) -> int:
             }
             if args.emit_features:
                 row["features"] = feature_row
-            f.write(json.dumps(row, separators=(",", ":")))
+            f.write(COMPACT_JSON.encode(row))
             f.write("\n")
     print(f"queries predicted: {len(rows)}")
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Annotated
 
@@ -38,6 +39,10 @@ from .metrics import GtBox, QueryPrediction
 
 SCHEMA_VERSION = 1  # dataset lines
 PREDICTIONS_SCHEMA = 1  # prediction lines: read by load_predictions, written by `predict`
+
+# The one JSON Lines encoder of both writers (save_dataset and `predict`):
+# json.dumps(obj, separators=(",", ":")) without building an encoder per line.
+COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 # Box-size clamp: apparent height is limited to [MIN_BOX_PX, image_h / 2].
 MIN_BOX_PX = 2.0
@@ -129,110 +134,110 @@ def generate(camera: CameraModel, config: GenConfig) -> list[SampleRecord]:
     camera, lands inside the frame, and the anchored box fits entirely within
     the frame. Per-sample RNG streams are derived from (seed, sample_index),
     so output is deterministic and independent of iteration parallelism.
+
+    Each sample's loop only draws from its stream, in a fixed order: the
+    attitude uniforms, the query count, each query's distance and bearing
+    uniforms, label jitter, dropout uniform and measurement noise, then the
+    attitude noise. One array pass over the whole dataset then projects,
+    boxes and labels every query and applies the recorded noise; the records
+    are built last.
     """
     bearing_range = config.bearing_range_deg or default_bearing_range(camera)
     # The two unbounded ranges: a width that overflows would give non-finite draws.
     if not all(math.isfinite(float(hi) - float(lo))
                for lo, hi in (config.heading_range_deg, bearing_range)):
         raise ConfigError("heading and bearing ranges must have a finite width")
-    records = []
-    visible_total = 0
+    qlo, qhi = config.queries_per_sample
+    # Raw doubles, not float objects, until the array pass reads them.
+    sample_draws = array("d")  # per sample: pitch, roll, heading uniforms, then their noise
+    query_draws = array("d")  # per query: distance, bearing uniforms; du, dv; dropout; their noise
+    counts = []
     for i in range(config.n_samples):
         rng = np.random.default_rng((config.seed, i))
-        pitch = _uniform(rng, *config.pitch_range_deg)
-        roll = _uniform(rng, *config.roll_range_deg)
-        heading = _uniform(rng, *config.heading_range_deg)
-        true_imu = ImuSample(
-            pitch_deg=pitch, roll_deg=roll, heading_deg=wrap_angle_deg(heading)
-        )
-        qlo, qhi = config.queries_per_sample
+        attitude = (rng.random(), rng.random(), rng.random())
         n_queries = int(rng.integers(qlo, qhi + 1))
-
-        queries = []
-        labels = []
         for _ in range(n_queries):
-            d = _uniform(rng, *config.distance_range_m)
-            bearing = _uniform(rng, *bearing_range)
-            true_query = ChartQuery(distance_m=d, bearing_deg=wrap_angle_deg(bearing))
+            query_draws.extend((  # a tuple's items are evaluated left to right
+                rng.random(), rng.random(),
+                rng.normal(0.0, config.label_noise_px),
+                rng.normal(0.0, config.label_noise_px),
+                rng.random(),
+                rng.normal(0.0, config.distance_noise_rel),
+                rng.normal(0.0, config.bearing_noise_deg),
+            ))
+        sample_draws.extend((
+            *attitude,
+            rng.normal(0.0, config.pitch_noise_deg),
+            rng.normal(0.0, config.roll_noise_deg),
+            rng.normal(0.0, config.heading_noise_deg),
+        ))
+        counts.append(n_queries)
 
-            pixel = project(camera, true_imu, true_query)
-            visible = pixel is not None and in_frame(camera, pixel)
+    s = np.frombuffer(sample_draws, dtype=np.float64).reshape(-1, 6)
+    q = np.frombuffer(query_draws, dtype=np.float64).reshape(-1, 7)  # (0, 7) if no queries
+    pitch = _uniform(s[:, 0], *config.pitch_range_deg)
+    roll = _uniform(s[:, 1], *config.roll_range_deg)
+    heading = wrap_angle_deg(_uniform(s[:, 2], *config.heading_range_deg))
+    d = _uniform(q[:, 0], *config.distance_range_m)
+    bearing = wrap_angle_deg(_uniform(q[:, 1], *bearing_range))
+    du, dv, dropout_u, d_noise, b_noise = q[:, 2:].T
 
-            h_px = min(max(config.box_height_coeff / d, MIN_BOX_PX), camera.image_h / 2)
-            w_px = config.box_aspect * h_px
-            w_norm = w_px / camera.image_w
-            h_norm = h_px / camera.image_h
-
-            # Label noise jitters the annotated waterline point, in pixels.
-            du = rng.normal(0.0, config.label_noise_px)
-            dv = rng.normal(0.0, config.label_noise_px)
-            drop = rng.random() < config.visibility_dropout
-
-            if visible:
-                # Visibility is decided on the true projection: the anchored
-                # box must fit entirely inside the frame.
-                c_x = pixel.u / camera.image_w
-                c_y = pixel.v / camera.image_h - h_norm / 2
-                fits = (
-                    c_x - w_norm / 2 >= 0
-                    and c_x + w_norm / 2 <= 1
-                    and c_y - h_norm / 2 >= 0
-                    and c_y + h_norm / 2 <= 1
-                )
-                visible = fits and not drop
-
-            if visible and config.label_noise_px > 0:
-                # Jitter the annotation, clamped so the box stays in frame.
-                u = min(max(pixel.u + du, w_px / 2), camera.image_w - w_px / 2)
-                v = min(max(pixel.v + dv, h_px), float(camera.image_h))
-                c_x = u / camera.image_w
-                c_y = v / camera.image_h - h_norm / 2
-
-            if visible:
-                labels.append(GtBox(visible=True, c_x=c_x, c_y=c_y, w=w_norm, h=h_norm))
-                visible_total += 1
-            else:
-                labels.append(GtBox(visible=False))
-
-            # Recorded measurements carry the sensor noise; the label does not.
-            rec_d = max(d * (1.0 + rng.normal(0.0, config.distance_noise_rel)), 1e-3)
-            rec_bearing = wrap_angle_deg(
-                true_query.bearing_deg + rng.normal(0.0, config.bearing_noise_deg)
-            )
-            queries.append(ChartQuery(distance_m=rec_d, bearing_deg=rec_bearing))
-
-        rec_imu = ImuSample(
-            pitch_deg=_clamp_90(pitch + rng.normal(0.0, config.pitch_noise_deg)),
-            roll_deg=_clamp_90(roll + rng.normal(0.0, config.roll_noise_deg)),
-            heading_deg=wrap_angle_deg(
-                true_imu.heading_deg + rng.normal(0.0, config.heading_noise_deg)
-            ),
-        )
-        records.append(
-            SampleRecord(
-                sample_id=f"{i:06d}",
-                imu=rec_imu,
-                queries=tuple(queries),
-                labels=tuple(labels),
-            )
-        )
-    if visible_total == 0:
+    u, v = project(camera, np.repeat(pitch, counts), np.repeat(roll, counts), d, bearing)
+    h_px = np.minimum(np.maximum(config.box_height_coeff / d, MIN_BOX_PX), camera.image_h / 2)
+    w_px = config.box_aspect * h_px
+    w_norm = w_px / camera.image_w
+    h_norm = h_px / camera.image_h
+    # Visibility is decided on the true projection: the point lands in frame
+    # and the anchored box fits entirely inside it. A NaN pixel fails both.
+    c_x = u / camera.image_w
+    c_y = v / camera.image_h - h_norm / 2
+    visible = (
+        in_frame(camera, u, v)
+        & (c_x - w_norm / 2 >= 0) & (c_x + w_norm / 2 <= 1)
+        & (c_y - h_norm / 2 >= 0) & (c_y + h_norm / 2 <= 1)
+        & ~(dropout_u < config.visibility_dropout)
+    )
+    if not visible.any():
         raise GenerationError(
             "generation produced zero visible queries; widen the ranges or "
             "check the camera configuration"
         )
+    if config.label_noise_px > 0:
+        # Jitter the annotated waterline point, clamped so the box stays in frame.
+        u = np.minimum(np.maximum(u + du, w_px / 2), camera.image_w - w_px / 2)
+        v = np.minimum(np.maximum(v + dv, h_px), float(camera.image_h))
+        c_x = u / camera.image_w
+        c_y = v / camera.image_h - h_norm / 2
+
+    # Recorded measurements carry the sensor noise; the label does not.
+    queries = [
+        ChartQuery(distance, angle)
+        for distance, angle in zip(np.maximum(d * (1.0 + d_noise), 1e-3).tolist(),
+                                   wrap_angle_deg(bearing + b_noise).tolist())
+    ]
+    labels = [
+        GtBox(True, *box) if vis else GtBox(visible=False)
+        for vis, box in zip(visible.tolist(), zip(c_x.tolist(), c_y.tolist(),
+                                                  w_norm.tolist(), h_norm.tolist()))
+    ]
+    imus = zip(np.clip(pitch + s[:, 3], -90.0, 90.0).tolist(),
+               np.clip(roll + s[:, 4], -90.0, 90.0).tolist(),
+               wrap_angle_deg(heading + s[:, 5]).tolist())
+    records = []
+    end = 0
+    for i, (imu, n_queries) in enumerate(zip(imus, counts)):
+        start, end = end, end + n_queries
+        records.append(SampleRecord(
+            f"{i:06d}", ImuSample(*imu), tuple(queries[start:end]), tuple(labels[start:end])
+        ))
     return records
 
 
-def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    """rng.uniform(lo, hi) without its argument checks: Generator.uniform's
-    own formula on the same double, so the same float bit for bit."""
-    return lo + (hi - lo) * rng.random()
-
-
-def _clamp_90(angle: float) -> float:
-    """A recorded pitch or roll clamped into [-90, 90], as np.clip would."""
-    return min(max(angle, -90.0), 90.0)
+def _uniform(u, lo: float, hi: float):
+    """Generator.uniform(lo, hi)'s own formula on the doubles `u` drawn by
+    Generator.random(), so the same floats bit for bit; the width is taken
+    before any int is converted, as Python's arithmetic on the scalars does."""
+    return float(lo) + float(hi - lo) * u
 
 
 def visible_examples(records) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +296,7 @@ def save_dataset(records, path) -> None:
     """Write records as JSONL; float fields keep full 64-bit precision."""
     with open(path, "w", encoding="utf-8") as f:
         for record in records:
-            f.write(json.dumps(_record_to_dict(record), separators=(",", ":")))
+            f.write(COMPACT_JSON.encode(_record_to_dict(record)))
             f.write("\n")
 
 
@@ -325,9 +330,19 @@ def load_predictions(path) -> tuple[list[QueryPrediction], list[GtBox]]:
 
     Line schema: {"schema": 1, "sample_id": str, "query_index": int,
     "logit": number, "box": {c_x, c_y, w, h}, "gt_visible": bool,
-    "gt_box": {c_x, c_y, w, h} | null}.
+    "gt_box": {c_x, c_y, w, h} | null}. query_index is a non-negative
+    integer, and no (sample_id, query_index) pair appears twice in a file.
     """
-    rows = _jsonl(path, _prediction_from_dict)
+    seen = set()
+
+    def parse(data):
+        key, pred, gt = _prediction_from_dict(data)
+        if key in seen:
+            raise DatasetSchemaError(f"duplicate sample_id and query_index {key!r}")
+        seen.add(key)
+        return pred, gt
+
+    rows = _jsonl(path, parse)
     return [pred for pred, _ in rows], [gt for _, gt in rows]
 
 
@@ -387,22 +402,32 @@ def _box(data, key: str) -> tuple[float, float, float, float]:
     return c_x, c_y, w, h
 
 
-def _prediction_from_dict(data) -> tuple[QueryPrediction, GtBox]:
+def _prediction_from_dict(data) -> tuple[tuple[str, int], QueryPrediction, GtBox]:
+    """((sample_id, query_index), prediction, ground truth) of one line."""
     if not isinstance(data, dict):
         raise DatasetSchemaError("prediction line must be an object")
     schema = data.get("schema")
     if type(schema) is not int or schema != PREDICTIONS_SCHEMA:  # JSON true == 1 in Python
         raise DatasetSchemaError(f"unsupported schema version {schema!r}")
+    sample_id = _require(data, "sample_id")
+    if not isinstance(sample_id, str):
+        raise DatasetSchemaError("'sample_id' must be a string")
+    query_index = _require(data, "query_index")
+    if type(query_index) is not int or query_index < 0:  # JSON true is an int in Python
+        raise DatasetSchemaError(
+            f"'query_index' must be a non-negative integer, got {query_index!r}"
+        )
+    key = (sample_id, query_index)
     pred = QueryPrediction(_number(data, "logit"), _box(_require(data, "box"), "box"))
     gt_visible = _require(data, "gt_visible")
     if not isinstance(gt_visible, bool):
         raise DatasetSchemaError("'gt_visible' must be a boolean")
     if not gt_visible:
-        return pred, GtBox(visible=False)
+        return key, pred, GtBox(visible=False)
     gt_box = data.get("gt_box")
     if not isinstance(gt_box, dict):
         raise DatasetSchemaError("visible ground truth requires a 'gt_box' object")
-    return pred, GtBox(True, *_box(gt_box, "gt_box"))
+    return key, pred, GtBox(True, *_box(gt_box, "gt_box"))
 
 
 def _record_from_dict(data) -> SampleRecord:

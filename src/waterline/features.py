@@ -72,10 +72,14 @@ class ImuSample:
             raise ValueError(f"heading must lie in [-180, 180], got {self.heading_deg}")
 
 
-def wrap_angle_deg(angle: float) -> float:
-    """Wrap an angle into [-180, 180] (the convention used on ingestion)."""
+def wrap_angle_deg(angle):
+    """Wrap an angle, or an array of angles, into [-180, 180] (the convention
+    used on ingestion)."""
     wrapped = (angle + 180.0) % 360.0 - 180.0
     # keep +180 as +180 rather than -180
+    if isinstance(wrapped, np.ndarray):
+        wrapped[(wrapped == -180.0) & (angle > 0)] = 180.0
+        return wrapped
     if wrapped == -180.0 and angle > 0:
         return 180.0
     return wrapped

@@ -30,21 +30,23 @@ of the projection, as it must for a body-fixed camera.
 
 ``project`` builds no matrix: it turns the offset (d sin(bearing),
 d cos(bearing), -mount height) by the transposed pitch, then the transposed
-roll rotation in scalar arithmetic, the product orientation_matrix gives.
+roll rotation, elementwise over whole arrays of queries. Each element takes
+the scalar formula's operations in the same order; where numpy's sin and cos
+round as the C library's do, the pixels equal a one-query-at-a-time
+evaluation in Python floats bit for bit (tests/oracles.py's scalar_project
+and scalar_generate are that evaluation).
 
 Angles are degrees at every public interface and radians internally.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import Annotated
 
 import numpy as np
 
 from .errors import Bounds, Config, ConfigError, write_json
-from .features import ChartQuery, ImuSample
 
 # Camera-frame depth below which a point counts as behind the image plane.
 DEPTH_EPS_M = 1e-6
@@ -83,42 +85,15 @@ class CameraModel(Config):
         write_json(path, asdict(self))
 
 
-@dataclass(frozen=True)
-class PixelPoint:
-    u: float
-    v: float
+def project(camera: CameraModel, pitch_deg, roll_deg, distance_m, bearing_deg):
+    """Project chart queries' waterline points into the image.
 
-
-def orientation_matrix(imu: ImuSample) -> np.ndarray:
-    """Body-to-reference rotation for the intrinsic sequence heading -> pitch -> roll.
-
-    Columns are the body axes (starboard, forward, up) expressed in the
-    reference frame. Orthonormal with determinant +1.
-    """
-    psi = math.radians(imu.heading_deg)
-    theta = math.radians(imu.pitch_deg)
-    phi = math.radians(imu.roll_deg)
-
-    ch, sh = math.cos(psi), math.sin(psi)
-    cp, sp = math.cos(theta), math.sin(theta)
-    cr, sr = math.cos(phi), math.sin(phi)
-
-    # Heading about up (z), compass sense (clockwise seen from above).
-    r_head = np.array([[ch, sh, 0.0], [-sh, ch, 0.0], [0.0, 0.0, 1.0]])
-    # Pitch about starboard (x), positive bow-up.
-    r_pitch = np.array([[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]])
-    # Roll about forward (y), positive starboard-down.
-    r_roll = np.array([[cr, 0.0, sr], [0.0, 1.0, 0.0], [-sr, 0.0, cr]])
-
-    return r_head @ r_pitch @ r_roll
-
-
-def project(camera: CameraModel, imu: ImuSample, query: ChartQuery) -> PixelPoint | None:
-    """Project a chart query's waterline point into the image.
-
-    Returns None when the point falls at or behind the image plane
-    (camera-frame depth <= DEPTH_EPS_M). Points in front of the camera but
-    outside the frame are still returned; use in_frame to test containment.
+    Takes floats or equal-length arrays (pitch and roll per query) and
+    returns the pixel coordinates (u, v) with the same shape. Both are NaN
+    where the point falls at or behind the image plane (camera-frame depth
+    <= DEPTH_EPS_M). Points in front of the camera but outside the frame are
+    still returned; use in_frame to test containment. The inputs are trusted:
+    ChartQuery and ImuSample hold the ranges they must satisfy.
 
     Bearing is vessel-relative and the camera is body-fixed, so the heading
     rotation cancels analytically (rotating the buoy azimuth up by heading and
@@ -128,26 +103,28 @@ def project(camera: CameraModel, imu: ImuSample, query: ChartQuery) -> PixelPoin
     """
     # Buoy position relative to the camera center, in the heading-aligned
     # water-plane frame (x starboard, y forward, z up).
-    beta = math.radians(query.bearing_deg)
-    x = query.distance_m * math.sin(beta)
-    y = query.distance_m * math.cos(beta)
+    beta = np.radians(bearing_deg)
+    x = distance_m * np.sin(beta)
+    y = distance_m * np.cos(beta)
     z = -camera.mount_height_m
 
     # Into the body frame: the transposed pitch rotation, then the transposed roll.
-    theta, phi = math.radians(imu.pitch_deg), math.radians(imu.roll_deg)
-    cp, sp = math.cos(theta), math.sin(theta)
-    cr, sr = math.cos(phi), math.sin(phi)
+    theta, phi = np.radians(pitch_deg), np.radians(roll_deg)
+    cp, sp = np.cos(theta), np.sin(theta)
+    cr, sr = np.cos(phi), np.sin(phi)
     y, z = cp * y + sp * z, cp * z - sp * y
     x, z = cr * x - sr * z, sr * x + cr * z
 
-    # Camera frame: X = body x, Y = -body z, depth Z = body y.
-    if y <= DEPTH_EPS_M:
-        return None
-    u = camera.principal_u + camera.focal_px * x / y
-    v = camera.principal_v - camera.focal_px * z / y
-    return PixelPoint(u=float(u), v=float(v))
+    # Camera frame: X = body x, Y = -body z, depth Z = body y. A depth at or
+    # behind the image plane becomes NaN before the divide, which then warns
+    # about nothing.
+    depth = np.where(y > DEPTH_EPS_M, y, np.nan)
+    u = camera.principal_u + camera.focal_px * x / depth
+    v = camera.principal_v - camera.focal_px * z / depth
+    return u, v
 
 
-def in_frame(camera: CameraModel, p: PixelPoint) -> bool:
-    """True iff the pixel lies inside the image (half-open on the far edges)."""
-    return 0.0 <= p.u < camera.image_w and 0.0 <= p.v < camera.image_h
+def in_frame(camera: CameraModel, u, v):
+    """True where the pixel lies inside the image (half-open on the far
+    edges); floats or arrays, and a NaN coordinate is not in frame."""
+    return (0.0 <= u) & (u < camera.image_w) & (0.0 <= v) & (v < camera.image_h)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from waterline.features import ChartQuery, ImuSample
-from waterline.geometry import CameraModel
+from waterline.geometry import CameraModel, project
 from waterline.metrics import GtBox, QueryPrediction
 
 
@@ -16,6 +16,13 @@ def camera():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def project_point(camera, imu, query):
+    """The package's array project on one query: (u, v) as floats, or None
+    where it returns NaN (at or behind the image plane)."""
+    u, v = project(camera, imu.pitch_deg, imu.roll_deg, query.distance_m, query.bearing_deg)
+    return None if math.isnan(u) else (float(u), float(v))
 
 
 def random_imu(rng, pitch_roll=10.0):

@@ -21,9 +21,12 @@ it checks:
   - scalar_detection_report: detection scoring as one float loop over the
     rows with a scalar math sigmoid, instead of one decision vector per bias
     and IoUs reused across the sweep.
-  - matrix_project: the projection through orientation_matrix's 3x3
-    rotation and a numpy matrix-vector product, instead of two closed-form
-    plane rotations.
+  - orientation_matrix / matrix_project: the projection through the 3x3
+    body-to-reference rotation and a numpy matrix-vector product, instead of
+    two closed-form plane rotations.
+  - scalar_project / scalar_generate: the projection and the dataset
+    generator one query at a time in Python floats and the math module,
+    instead of one array pass over every query.
   - per_frame_predict_rows: the `predict` rows from one eval forward per
     frame, instead of one forward over every query of the file.
   - constant_predictor_loss: the no-skill baseline for learnability checks.
@@ -38,9 +41,13 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from waterline.features import ImuSample, build_decoder_query, build_features
-from waterline.geometry import DEPTH_EPS_M, PixelPoint, orientation_matrix
-from waterline.metrics import DetectionReport, f1_from_pr, iou, overall_score
+from waterline.data import MIN_BOX_PX, SampleRecord, default_bearing_range
+from waterline.errors import ConfigError, GenerationError
+from waterline.features import (
+    ChartQuery, ImuSample, build_decoder_query, build_features, wrap_angle_deg,
+)
+from waterline.geometry import DEPTH_EPS_M
+from waterline.metrics import DetectionReport, GtBox, f1_from_pr, iou, overall_score
 from waterline.network import (
     BN_EPS,
     BN_MOMENTUM,
@@ -328,9 +335,34 @@ def scalar_detection_report(predictions, gts, logit_bias=0.0, threshold=0.90):
     )
 
 
+def orientation_matrix(imu: ImuSample) -> np.ndarray:
+    """Body-to-reference rotation for the intrinsic sequence heading -> pitch -> roll.
+
+    Columns are the body axes (starboard, forward, up) expressed in the
+    reference frame. Orthonormal with determinant +1.
+    """
+    psi = math.radians(imu.heading_deg)
+    theta = math.radians(imu.pitch_deg)
+    phi = math.radians(imu.roll_deg)
+
+    ch, sh = math.cos(psi), math.sin(psi)
+    cp, sp = math.cos(theta), math.sin(theta)
+    cr, sr = math.cos(phi), math.sin(phi)
+
+    # Heading about up (z), compass sense (clockwise seen from above).
+    r_head = np.array([[ch, sh, 0.0], [-sh, ch, 0.0], [0.0, 0.0, 1.0]])
+    # Pitch about starboard (x), positive bow-up.
+    r_pitch = np.array([[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]])
+    # Roll about forward (y), positive starboard-down.
+    r_roll = np.array([[cr, 0.0, sr], [0.0, 1.0, 0.0], [-sr, 0.0, cr]])
+
+    return r_head @ r_pitch @ r_roll
+
+
 def matrix_project(camera, imu, query):
     """project through the body-to-reference matrix at heading 0, transposed
-    and applied to the buoy offset by numpy; None at or behind the image plane."""
+    and applied to the buoy offset by numpy; (u, v), or None at or behind
+    the image plane."""
     query.validate()
     imu.validate()
     beta = math.radians(query.bearing_deg)
@@ -350,7 +382,125 @@ def matrix_project(camera, imu, query):
         return None
     u = camera.principal_u + camera.focal_px * x_cam / z_cam
     v = camera.principal_v + camera.focal_px * y_cam / z_cam
-    return PixelPoint(u=float(u), v=float(v))
+    return float(u), float(v)
+
+
+def scalar_project(camera, imu, query):
+    """The closed-form projection of one query in Python floats: (u, v), or
+    None at or behind the image plane (depth <= DEPTH_EPS_M)."""
+    beta = math.radians(query.bearing_deg)
+    x = query.distance_m * math.sin(beta)
+    y = query.distance_m * math.cos(beta)
+    z = -camera.mount_height_m
+    theta, phi = math.radians(imu.pitch_deg), math.radians(imu.roll_deg)
+    cp, sp = math.cos(theta), math.sin(theta)
+    cr, sr = math.cos(phi), math.sin(phi)
+    y, z = cp * y + sp * z, cp * z - sp * y
+    x, z = cr * x - sr * z, sr * x + cr * z
+    if y <= DEPTH_EPS_M:
+        return None
+    u = camera.principal_u + camera.focal_px * x / y
+    v = camera.principal_v - camera.focal_px * z / y
+    return u, v
+
+
+def scalar_generate(camera, config):
+    """data.generate one query at a time: each query drawn, projected with
+    scalar_project, boxed and labelled before the next is drawn."""
+
+    def uniform(rng, lo, hi):  # Generator.uniform's formula on the same double
+        return lo + (hi - lo) * rng.random()
+
+    def clamp_90(angle):
+        return min(max(angle, -90.0), 90.0)
+
+    bearing_range = config.bearing_range_deg or default_bearing_range(camera)
+    if not all(math.isfinite(float(hi) - float(lo))
+               for lo, hi in (config.heading_range_deg, bearing_range)):
+        raise ConfigError("heading and bearing ranges must have a finite width")
+    records = []
+    visible_total = 0
+    for i in range(config.n_samples):
+        rng = np.random.default_rng((config.seed, i))
+        pitch = uniform(rng, *config.pitch_range_deg)
+        roll = uniform(rng, *config.roll_range_deg)
+        heading = uniform(rng, *config.heading_range_deg)
+        true_imu = ImuSample(
+            pitch_deg=pitch, roll_deg=roll, heading_deg=wrap_angle_deg(heading)
+        )
+        qlo, qhi = config.queries_per_sample
+        n_queries = int(rng.integers(qlo, qhi + 1))
+
+        queries = []
+        labels = []
+        for _ in range(n_queries):
+            d = uniform(rng, *config.distance_range_m)
+            bearing = uniform(rng, *bearing_range)
+            true_query = ChartQuery(distance_m=d, bearing_deg=wrap_angle_deg(bearing))
+
+            pixel = scalar_project(camera, true_imu, true_query)
+            visible = (pixel is not None and 0.0 <= pixel[0] < camera.image_w
+                       and 0.0 <= pixel[1] < camera.image_h)
+
+            h_px = min(max(config.box_height_coeff / d, MIN_BOX_PX), camera.image_h / 2)
+            w_px = config.box_aspect * h_px
+            w_norm = w_px / camera.image_w
+            h_norm = h_px / camera.image_h
+
+            du = rng.normal(0.0, config.label_noise_px)
+            dv = rng.normal(0.0, config.label_noise_px)
+            drop = rng.random() < config.visibility_dropout
+
+            if visible:
+                c_x = pixel[0] / camera.image_w
+                c_y = pixel[1] / camera.image_h - h_norm / 2
+                fits = (
+                    c_x - w_norm / 2 >= 0
+                    and c_x + w_norm / 2 <= 1
+                    and c_y - h_norm / 2 >= 0
+                    and c_y + h_norm / 2 <= 1
+                )
+                visible = fits and not drop
+
+            if visible and config.label_noise_px > 0:
+                u = min(max(pixel[0] + du, w_px / 2), camera.image_w - w_px / 2)
+                v = min(max(pixel[1] + dv, h_px), float(camera.image_h))
+                c_x = u / camera.image_w
+                c_y = v / camera.image_h - h_norm / 2
+
+            if visible:
+                labels.append(GtBox(visible=True, c_x=c_x, c_y=c_y, w=w_norm, h=h_norm))
+                visible_total += 1
+            else:
+                labels.append(GtBox(visible=False))
+
+            rec_d = max(d * (1.0 + rng.normal(0.0, config.distance_noise_rel)), 1e-3)
+            rec_bearing = wrap_angle_deg(
+                true_query.bearing_deg + rng.normal(0.0, config.bearing_noise_deg)
+            )
+            queries.append(ChartQuery(distance_m=rec_d, bearing_deg=rec_bearing))
+
+        rec_imu = ImuSample(
+            pitch_deg=clamp_90(pitch + rng.normal(0.0, config.pitch_noise_deg)),
+            roll_deg=clamp_90(roll + rng.normal(0.0, config.roll_noise_deg)),
+            heading_deg=wrap_angle_deg(
+                true_imu.heading_deg + rng.normal(0.0, config.heading_noise_deg)
+            ),
+        )
+        records.append(
+            SampleRecord(
+                sample_id=f"{i:06d}",
+                imu=rec_imu,
+                queries=tuple(queries),
+                labels=tuple(labels),
+            )
+        )
+    if visible_total == 0:
+        raise GenerationError(
+            "generation produced zero visible queries; widen the ranges or "
+            "check the camera configuration"
+        )
+    return records
 
 
 def per_frame_predict_rows(records, params):

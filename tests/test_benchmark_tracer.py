@@ -5,6 +5,7 @@ fail when a rename or deletion would break `run.py`."""
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import waterline.cli  # noqa: F401  imports every module the tracer wraps
@@ -30,6 +31,21 @@ def test_instrument_finds_every_traced_function():
         waterline.data.visible_examples([])
     assert waterline.data.visible_examples is original
     assert tracer.counts["data.visible_examples_calls"] == 1
+
+
+def test_gen_verify_projects_once_per_stage(tmp_path, capsys):
+    """geometry.project_s measures geometry: `gen --verify` projects the whole
+    dataset in one call in generate and checks it in one more."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    config = tmp_path / "gen.json"
+    config.write_text(json.dumps({"n_samples": 60, "seed": 4}))
+    argv = ["gen", "--config", str(config), "--out", str(tmp_path / "data.jsonl"), "--verify"]
+    with tracing.instrument(tracer):
+        assert waterline.cli.main(argv) == 0
+    assert "OK" in capsys.readouterr().out
+    assert tracer.counts["geometry.project_calls"] == 2
+    assert tracer.counts["data.generate_calls"] == 1
 
 
 def test_workloads_read_only_existing_package_names():

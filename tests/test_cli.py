@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 
 import waterline
 from oracles import per_frame_predict_rows
-from waterline.cli import DEFAULT_VAL_RATIO, load_predictions, main
+from waterline.cli import DEFAULT_VAL_RATIO, _verify_fidelity, load_predictions, main
 from waterline.data import GenConfig, SampleRecord, generate, load_dataset, save_dataset
-from waterline.errors import DatasetParseError, DatasetSchemaError
-from waterline.features import ImuSample
+from waterline.errors import DatasetParseError, DatasetSchemaError, NumericError
+from waterline.features import ChartQuery, ImuSample
 from waterline.geometry import CameraModel
 from waterline.metrics import GtBox
 from waterline.network import init_params, load_checkpoint, save_checkpoint
@@ -106,6 +106,34 @@ class TestGen:
         out = tmp_path / "data.jsonl"
         assert main(["gen", "--config", str(config), "--out", str(out), "--verify"]) == 0
         assert "OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("faults, first", [
+        ({1: "gap", 2: "behind"}, 1),
+        ({2: "behind", 4: "gap"}, 2),
+    ])
+    def test_verify_names_first_offending_sample(self, faults, first):
+        """The one-call check raises for the first faulty visible label in
+        record order, with that fault's message."""
+        camera = CameraModel.default()
+        records = generate(camera, GenConfig(n_samples=30, seed=3))
+        assert 0.0 <= _verify_fidelity(camera, records) <= 1e-9
+        with_visible = [i for i, r in enumerate(records) if any(lb.visible for lb in r.labels)]
+        for k, fault in faults.items():
+            record = records[with_visible[k]]
+            if fault == "gap":
+                labels = tuple(dataclasses.replace(lb, c_x=lb.c_x + 1e-6) if lb.visible else lb
+                               for lb in record.labels)
+                record = dataclasses.replace(record, labels=labels)
+            else:  # a visible label whose query lies behind the camera
+                queries = tuple(ChartQuery(100.0, 180.0) for _ in record.queries)
+                record = dataclasses.replace(record, queries=queries)
+            records[with_visible[k]] = record
+        sample_id = records[with_visible[first]].sample_id
+        message = (f"sample {sample_id}: label/projection gap 1.000e-06 exceeds 1e-9"
+                   if faults[first] == "gap" else f"sample {sample_id}: visible label but no projection")
+        with pytest.raises(NumericError) as excinfo:
+            _verify_fidelity(camera, records)
+        assert str(excinfo.value) == message
 
     def test_verify_skipped_on_noisy(self, tmp_path, capsys):
         config = _write_gen_config(tmp_path / "gen.json", bearing_noise_deg=0.5)
@@ -716,13 +744,16 @@ _PREDICTION_LINE = st.one_of(
     st.fixed_dictionaries(
         {
             "schema": st.one_of(st.just(1), _JUNK),
+            "sample_id": st.one_of(st.sampled_from(["a", "b"]), _JUNK),
+            "query_index": st.one_of(st.integers(-1, 2), _JUNK),
             "logit": _NUMBER,
             "box": _BOX,
             "gt_visible": st.one_of(st.booleans(), _JUNK),
         },
         optional={"gt_box": _BOX},
     ).map(json.dumps),
-    st.dictionaries(st.sampled_from(["schema", "logit", "box", "gt_visible", "gt_box"]), _JUNK).map(
+    st.dictionaries(st.sampled_from(["schema", "sample_id", "query_index", "logit", "box",
+                                     "gt_visible", "gt_box"]), _JUNK).map(
         json.dumps
     ),
     st.text(max_size=30),

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from waterline.data import (
     GenConfig,
     SampleRecord,
-    _clamp_90,
     _uniform,
     default_bearing_range,
     generate,
@@ -27,8 +26,10 @@ from waterline.errors import (
     GenerationError,
 )
 from waterline.features import ChartQuery, ImuSample, build_features, waterline_target
-from waterline.geometry import project
 from waterline.metrics import GtBox
+
+from conftest import project_point
+from oracles import scalar_generate
 
 BASE_CONFIG = dict(
     n_samples=60,
@@ -128,10 +129,10 @@ class TestGenerate:
                 if not label.visible:
                     continue
                 n_visible += 1
-                pixel = project(camera, record.imu, query)
+                u, v = project_point(camera, record.imu, query)
                 target = waterline_target(label)
-                assert abs(target[0] - pixel.u / camera.image_w) < 1e-9
-                assert abs(target[1] - pixel.v / camera.image_h) < 1e-9
+                assert abs(target[0] - u / camera.image_w) < 1e-9
+                assert abs(target[1] - v / camera.image_h) < 1e-9
         assert n_visible > 20
 
     def test_wide_bearings_marked_invisible(self, camera):
@@ -185,17 +186,60 @@ class TestGenerate:
     def test_uniform_bit_equal_to_generator_uniform(self, lo, hi):
         for seed in range(20):
             ours, numpy_ = np.random.default_rng((seed, 1)), np.random.default_rng((seed, 1))
-            for _ in range(200):
-                x, y = _uniform(ours, lo, hi), numpy_.uniform(lo, hi)
+            draws = [ours.random() for _ in range(200)]
+            want = [numpy_.uniform(lo, hi) for _ in range(200)]
+            for u, y in zip(draws, want):
+                x = _uniform(u, lo, hi)
                 assert x == y and type(x) is type(y) is float
+            assert _uniform(np.array(draws), lo, hi).tolist() == want
 
-    def test_clamp_equals_np_clip(self):
-        values = [-math.inf, -1e300, -90.5, -90.0 - 1e-12, -90.0, -89.999, -0.0, 0.0, 45.0,
-                  89.999, 90.0, 90.0 + 1e-12, 91.0, 1e300, math.inf]
-        for x in values:
-            clipped = float(np.clip(x, -90, 90))
-            assert _clamp_90(x) == clipped and type(_clamp_90(x)) is float
-            assert math.copysign(1.0, _clamp_90(x)) == math.copysign(1.0, clipped)
+    # Each config, with a check that it reached the case it is there for.
+    _REFERENCE_CONFIGS = {
+        "default": ({}, lambda records: True),
+        "all-noise": (
+            {"distance_noise_rel": 0.05, "bearing_noise_deg": 1.0, "pitch_noise_deg": 5.0,
+             "roll_noise_deg": 5.0, "heading_noise_deg": 5.0, "label_noise_px": 3.0,
+             "pitch_range_deg": (-90.0, 90.0), "roll_range_deg": (-90.0, 90.0)},
+            lambda records: any(abs(r.imu.pitch_deg) == 90.0 for r in records)  # clamped
+            and any(abs(r.imu.roll_deg) == 90.0 for r in records),
+        ),
+        "dropout": ({"visibility_dropout": 0.5}, lambda records: True),
+        "wrapping-bearings": (
+            {"bearing_range_deg": (-400.0, 400.0)},
+            lambda records: any(abs(q.bearing_deg) > 170.0 for r in records for q in r.queries),
+        ),
+        "buoy-free-frames": (
+            {"queries_per_sample": (0, 3)}, lambda records: any(r.buoy_free for r in records),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(_REFERENCE_CONFIGS))
+    def test_dataset_bytes_equal_scalar_reference(self, camera, tmp_path, case):
+        overrides, reached = self._REFERENCE_CONFIGS[case]
+        config = GenConfig(**{"n_samples": 400, "seed": 11, **overrides})
+        records = generate(camera, config)
+        assert reached(records)
+        ours, reference = tmp_path / "ours.jsonl", tmp_path / "reference.jsonl"
+        save_dataset(records, ours)
+        save_dataset(scalar_generate(camera, config), reference)
+        assert ours.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("overrides, error, message", [
+        ({"visibility_dropout": 1.0}, GenerationError,
+         "generation produced zero visible queries; widen the ranges or check the camera "
+         "configuration"),
+        ({"queries_per_sample": (0, 0)}, GenerationError,
+         "generation produced zero visible queries; widen the ranges or check the camera "
+         "configuration"),
+        ({"bearing_range_deg": (-1e308, 1e308)}, ConfigError,
+         "heading and bearing ranges must have a finite width"),
+    ])
+    def test_errors_match_scalar_reference(self, camera, overrides, error, message):
+        config = GenConfig(**{**BASE_CONFIG, **overrides})
+        for gen in (generate, scalar_generate):
+            with pytest.raises(error) as excinfo:
+                gen(camera, config)
+            assert str(excinfo.value) == message
 
     def test_measurement_noise_breaks_fidelity_but_not_schema(self, camera):
         config = GenConfig(
@@ -216,11 +260,11 @@ class TestGenerate:
                 query.validate()
                 if not label.visible:
                     continue
-                pixel = project(camera, record.imu, query)
+                pixel = project_point(camera, record.imu, query)
                 if pixel is None:
                     continue
                 target = waterline_target(label)
-                worst = max(worst, abs(target[0] - pixel.u / camera.image_w))
+                worst = max(worst, abs(target[0] - pixel[0] / camera.image_w))
         assert worst > 1e-6  # recorded measurements no longer match the label
 
     def test_label_noise_moves_targets(self, camera):
@@ -540,6 +584,18 @@ _SINGLE_FAULTS = {
                           "line 3: unsupported schema version None"),
     "prediction-schema-bool": (P, _edit("schema", True), DatasetSchemaError,
                                "line 3: unsupported schema version True"),
+    "prediction-sample-id": (P, _edit("sample_id", 7), DatasetSchemaError,
+                             "line 3: 'sample_id' must be a string"),
+    "prediction-no-query-index": (P, _edit("query_index"), DatasetSchemaError,
+                                  "line 3: missing key 'query_index'"),
+    "prediction-query-index-bool": (P, _edit("query_index", True), DatasetSchemaError,
+                                    "line 3: 'query_index' must be a non-negative integer, got True"),
+    "prediction-query-index-float": (P, _edit("query_index", 1.0), DatasetSchemaError,
+                                     "line 3: 'query_index' must be a non-negative integer, got 1.0"),
+    "prediction-query-index-negative": (P, _edit("query_index", -1), DatasetSchemaError,
+                                        "line 3: 'query_index' must be a non-negative integer, got -1"),
+    "prediction-duplicate": (P, _edit("sample_id", "0001"), DatasetSchemaError,
+                             "line 3: duplicate sample_id and query_index ('0001', 0)"),
     "prediction-logit": (P, _edit("logit", "high"), DatasetSchemaError,
                          "line 3: 'logit' must be a finite number, got 'high'"),
     "prediction-box": (P, _edit("box"), DatasetSchemaError, "line 3: missing key 'box'"),

@@ -1,24 +1,19 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import matrix_project, raytrace_pixel
+from oracles import matrix_project, orientation_matrix, raytrace_pixel, scalar_project
 from waterline.errors import ConfigError
 from waterline.features import ChartQuery, ImuSample
-from waterline.geometry import (
-    CameraModel,
-    PixelPoint,
-    in_frame,
-    orientation_matrix,
-    project,
-)
+from waterline.geometry import DEPTH_EPS_M, CameraModel, in_frame, project
 
-from conftest import random_imu, random_query
+from conftest import project_point, random_imu, random_query
 
 
 class TestOrientationMatrix:
@@ -67,49 +62,49 @@ class TestProject:
     def test_on_axis_hits_principal_column_exactly(self, camera):
         for heading in (0.0, 37.5, -120.0, 180.0):
             for d in (10.0, 100.0, 5000.0):
-                p = project(camera, ImuSample(0.0, 0.0, heading), ChartQuery(d, 0.0))
-                assert p.u == camera.principal_u
+                u, _ = project_point(camera, ImuSample(0.0, 0.0, heading), ChartQuery(d, 0.0))
+                assert u == camera.principal_u
 
     def test_horizon_limit_at_zero_pitch(self, camera):
-        p = project(camera, ImuSample(0.0, 0.0, 0.0), ChartQuery(1e9, 0.0))
-        assert p.v > camera.principal_v
-        assert p.v - camera.principal_v < 1e-5
+        _, v = project_point(camera, ImuSample(0.0, 0.0, 0.0), ChartQuery(1e9, 0.0))
+        assert v > camera.principal_v
+        assert v - camera.principal_v < 1e-5
 
     def test_depth_monotone_in_distance(self, camera):
         imu = ImuSample(0.0, 0.0, 0.0)
         distances = np.geomspace(5.0, 5000.0, 40)
-        vs = [project(camera, imu, ChartQuery(d, 0.0)).v for d in distances]
+        vs = [project_point(camera, imu, ChartQuery(d, 0.0))[1] for d in distances]
         assert all(v > camera.principal_v for v in vs)
         assert all(a > b for a, b in zip(vs, vs[1:]))
 
     def test_roll_antisymmetry(self, camera):
         for roll in (3.0, 7.5, 15.0):
-            plus = project(camera, ImuSample(0.0, roll, 0.0), ChartQuery(800.0, 0.0))
-            minus = project(camera, ImuSample(0.0, -roll, 0.0), ChartQuery(800.0, 0.0))
-            assert plus.u - camera.principal_u == pytest.approx(
-                camera.principal_u - minus.u, abs=1e-9
+            plus = project_point(camera, ImuSample(0.0, roll, 0.0), ChartQuery(800.0, 0.0))
+            minus = project_point(camera, ImuSample(0.0, -roll, 0.0), ChartQuery(800.0, 0.0))
+            assert plus[0] - camera.principal_u == pytest.approx(
+                camera.principal_u - minus[0], abs=1e-9
             )
-            assert plus.v == pytest.approx(minus.v, abs=1e-9)
+            assert plus[1] == pytest.approx(minus[1], abs=1e-9)
 
     def test_behind_camera_returns_none(self, camera):
-        assert project(camera, ImuSample(0.0, 0.0, 0.0), ChartQuery(100.0, 180.0)) is None
-        assert project(camera, ImuSample(0.0, 0.0, 45.0), ChartQuery(50.0, -170.0)) is None
+        assert project_point(camera, ImuSample(0.0, 0.0, 0.0), ChartQuery(100.0, 180.0)) is None
+        assert project_point(camera, ImuSample(0.0, 0.0, 45.0), ChartQuery(50.0, -170.0)) is None
 
     def test_heading_does_not_move_the_pixel(self, camera):
-        base = project(camera, ImuSample(2.0, -3.0, 0.0), ChartQuery(200.0, 12.0))
+        base = project_point(camera, ImuSample(2.0, -3.0, 0.0), ChartQuery(200.0, 12.0))
         for heading in (-180.0, -35.0, 90.0, 179.0):
-            p = project(camera, ImuSample(2.0, -3.0, heading), ChartQuery(200.0, 12.0))
-            assert p.u == base.u and p.v == base.v
+            p = project_point(camera, ImuSample(2.0, -3.0, heading), ChartQuery(200.0, 12.0))
+            assert p == base
 
     def test_frozen_raytrace_example(self, camera):
         # independent inverse ray-trace values for focal 600, principal
         # (480, 270), height 3 m, d = 100 m, bearing 10 deg, zero attitude
-        p = project(camera, ImuSample(0.0, 0.0, 0.0), ChartQuery(100.0, 10.0))
-        assert p.u == pytest.approx(585.796188425079, rel=1e-9)
-        assert p.v == pytest.approx(288.2776790139434, rel=1e-9)
+        u, v = project_point(camera, ImuSample(0.0, 0.0, 0.0), ChartQuery(100.0, 10.0))
+        assert u == pytest.approx(585.796188425079, rel=1e-9)
+        assert v == pytest.approx(288.2776790139434, rel=1e-9)
         uv = raytrace_pixel(camera, ImuSample(0.0, 0.0, 0.0), ChartQuery(100.0, 10.0))
-        assert p.u == pytest.approx(uv[0], rel=1e-9)
-        assert p.v == pytest.approx(uv[1], rel=1e-9)
+        assert u == pytest.approx(uv[0], rel=1e-9)
+        assert v == pytest.approx(uv[1], rel=1e-9)
 
     def test_raytrace_agreement_1000_random_configs(self):
         checked = 0
@@ -125,14 +120,14 @@ class TestProject:
             )
             imu = random_imu(rng)
             query = random_query(rng)
-            p = project(cam, imu, query)
+            p = project_point(cam, imu, query)
             if p is None:
                 continue
             uv = raytrace_pixel(cam, imu, query)
             assert uv is not None, f"oracle failed on config {i}"
             scale = max(1.0, abs(uv[0]), abs(uv[1]))
-            assert abs(p.u - uv[0]) / scale < 1e-9
-            assert abs(p.v - uv[1]) / scale < 1e-9
+            assert abs(p[0] - uv[0]) / scale < 1e-9
+            assert abs(p[1] - uv[1]) / scale < 1e-9
             checked += 1
         assert checked > 900
 
@@ -148,30 +143,91 @@ class TestProject:
         for p, r, h, d, b in zip(pitch, roll, heading, distance, bearing):
             imu = ImuSample(float(p), float(r), float(h))
             query = ChartQuery(float(d), float(b))
-            got, want = project(camera, imu, query), matrix_project(camera, imu, query)
+            got, want = project_point(camera, imu, query), matrix_project(camera, imu, query)
             assert (got is None) == (want is None), (imu, query)
             if got is None:
                 continue
-            scale = 1e-12 * max(1.0, abs(want.u), abs(want.v))
-            assert abs(got.u - want.u) <= scale and abs(got.v - want.v) <= scale, (imu, query)
+            scale = 1e-12 * max(1.0, abs(want[0]), abs(want[1]))
+            assert abs(got[0] - want[0]) <= scale and abs(got[1] - want[1]) <= scale, (imu, query)
             projected += 1
         assert 0.2 * n < projected < 0.8 * n
 
 
+class TestArrayProject:
+    """project over whole arrays in one call, against the one-query routes."""
+
+    @staticmethod
+    def _inputs(rng, n, pitch_roll, max_bearing):
+        imus = [random_imu(rng, pitch_roll) for _ in range(n)]
+        queries = [random_query(rng, max_bearing) for _ in range(n)]
+        # At zero attitude and bearing 0 the depth is the distance itself: one
+        # query exactly at DEPTH_EPS_M (behind the image plane) and one just past it.
+        imus += [ImuSample(0.0, 0.0, 0.0)] * 2
+        queries += [ChartQuery(DEPTH_EPS_M, 0.0), ChartQuery(math.nextafter(DEPTH_EPS_M, 1.0), 0.0)]
+        return imus, queries
+
+    @staticmethod
+    def _project(camera, imus, queries):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return project(
+                camera,
+                np.array([imu.pitch_deg for imu in imus]),
+                np.array([imu.roll_deg for imu in imus]),
+                np.array([q.distance_m for q in queries]),
+                np.array([q.bearing_deg for q in queries]),
+            )
+
+    def test_matches_matrix_route_and_nan_where_scalar_gave_none(self, camera):
+        imus, queries = self._inputs(np.random.default_rng(2718), 5000, 90.0, 180.0)
+        u, v = self._project(camera, imus, queries)
+        assert u.shape == v.shape == (len(queries),)
+        for k, (imu, query) in enumerate(zip(imus, queries)):
+            old, want = scalar_project(camera, imu, query), matrix_project(camera, imu, query)
+            assert math.isnan(u[k]) == math.isnan(v[k]) == (old is None) == (want is None)
+            if old is None:
+                continue
+            scale = 1e-9 * max(1.0, abs(want[0]), abs(want[1]))
+            assert abs(u[k] - want[0]) <= scale and abs(v[k] - want[1]) <= scale
+        assert math.isnan(u[-2]) and not math.isnan(u[-1])
+        assert 1000 < np.isnan(u).sum() < 4000
+
+    def test_matches_raytrace(self, camera):
+        imus, queries = self._inputs(np.random.default_rng(1618), 300, 10.0, 40.0)
+        imus, queries = imus[:-2], queries[:-2]  # the raytrace tolerance scales with distance
+        u, v = self._project(camera, imus, queries)
+        checked = 0
+        for k, (imu, query) in enumerate(zip(imus, queries)):
+            if math.isnan(u[k]):
+                continue
+            uv = raytrace_pixel(camera, imu, query)
+            assert uv is not None, k
+            scale = max(1.0, abs(uv[0]), abs(uv[1]))
+            assert abs(u[k] - uv[0]) / scale < 1e-9 and abs(v[k] - uv[1]) / scale < 1e-9
+            checked += 1
+        assert checked > 100
+
+
 class TestInFrame:
     def test_center(self, camera):
-        assert in_frame(camera, PixelPoint(480.0, 270.0))
+        assert in_frame(camera, 480.0, 270.0)
 
     def test_negative_u(self, camera):
-        assert not in_frame(camera, PixelPoint(-1.0, 270.0))
+        assert not in_frame(camera, -1.0, 270.0)
 
     def test_far_corner_convention(self, camera):
-        assert in_frame(camera, PixelPoint(959.99, 539.99))
-        assert not in_frame(camera, PixelPoint(960.0, 270.0))
-        assert not in_frame(camera, PixelPoint(480.0, 540.0))
+        assert in_frame(camera, 959.99, 539.99)
+        assert not in_frame(camera, 960.0, 270.0)
+        assert not in_frame(camera, 480.0, 540.0)
 
     def test_origin_is_inside(self, camera):
-        assert in_frame(camera, PixelPoint(0.0, 0.0))
+        assert in_frame(camera, 0.0, 0.0)
+
+
+    def test_arrays_and_nan(self, camera):
+        u = np.array([480.0, np.nan, -1.0, 959.99, 480.0])
+        v = np.array([270.0, 270.0, 270.0, 539.99, np.nan])
+        assert in_frame(camera, u, v).tolist() == [True, False, False, True, False]
 
 
 class TestCameraModel:
@@ -216,11 +272,11 @@ class TestCameraModel:
 class TestProjectionGeometryConsistency:
     def test_bearing_moves_pixel_rightward(self, camera):
         imu = ImuSample(0.0, 0.0, 0.0)
-        left = project(camera, imu, ChartQuery(200.0, -10.0))
-        right = project(camera, imu, ChartQuery(200.0, 10.0))
-        assert left.u < camera.principal_u < right.u
+        left = project_point(camera, imu, ChartQuery(200.0, -10.0))
+        right = project_point(camera, imu, ChartQuery(200.0, 10.0))
+        assert left[0] < camera.principal_u < right[0]
 
     def test_pitch_up_moves_water_down_in_image(self, camera):
-        level = project(camera, ImuSample(0.0, 0.0, 0.0), ChartQuery(300.0, 0.0))
-        bow_up = project(camera, ImuSample(8.0, 0.0, 0.0), ChartQuery(300.0, 0.0))
-        assert bow_up.v > level.v
+        level = project_point(camera, ImuSample(0.0, 0.0, 0.0), ChartQuery(300.0, 0.0))
+        bow_up = project_point(camera, ImuSample(8.0, 0.0, 0.0), ChartQuery(300.0, 0.0))
+        assert bow_up[1] > level[1]
