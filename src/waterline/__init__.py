@@ -12,9 +12,9 @@ from .features import ChartQuery, ImuSample, build_decoder_query, build_features
 from .geometry import CameraModel, in_frame, project
 from .metrics import (
     DetectionReport,
+    Detections,
     ErrorStats,
     GtBox,
-    QueryPrediction,
     calibrate_bias,
     detection_report,
     error_stats,
@@ -37,11 +37,11 @@ __all__ = [
     "CameraModel",
     "ChartQuery",
     "DetectionReport",
+    "Detections",
     "ErrorStats",
     "GtBox",
     "ImuSample",
     "MlpParams",
-    "QueryPrediction",
     "TrainConfig",
     "TrainHistory",
     "adamw_step",

@@ -25,8 +25,9 @@ import numpy as np
 from . import __version__
 from .data import (
     COMPACT_JSON,
-    PREDICTIONS_SCHEMA,
+    PREDICT_SCHEMA,
     GenConfig,
+    float_rows,
     generate,
     load_dataset,
     load_predictions,
@@ -42,9 +43,9 @@ from .errors import (
     NumericError,
     write_json,
 )
-from .features import build_decoder_query, build_features, waterline_target
+from .features import decoder_queries, feature_matrix, waterline_targets
 from .geometry import CameraModel, project
-from .metrics import calibrate_bias, error_stats, pixel_error, write_curve_csv
+from .metrics import calibrate_bias, error_stats, pixel_errors, write_curve_csv
 from .network import forward, load_checkpoint, save_checkpoint
 # perfbench/workloads.py reads DEFAULT_VAL_RATIO from this module.
 from .training import DEFAULT_VAL_RATIO, TrainConfig, train  # noqa: F401
@@ -128,8 +129,10 @@ def _verify_fidelity(camera: CameraModel, records) -> float:
             if label.visible:
                 sample_ids.append(record.sample_id)
                 rows.append((imu.pitch_deg, imu.roll_deg, query.distance_m, query.bearing_deg,
-                             *waterline_target(label)))
-    pitch, roll, distance, bearing, target_x, target_y = np.array(rows).reshape(-1, 6).T
+                             *label.box))
+    columns = float_rows(rows, 8)
+    pitch, roll, distance, bearing = columns[:, :4].T
+    target_x, target_y = waterline_targets(columns[:, 4:]).T
     u, v = project(camera, pitch, roll, distance, bearing)
     gap = np.maximum(np.abs(target_x - u / camera.image_w), np.abs(target_y - v / camera.image_h))
     bad = np.flatnonzero(np.isnan(gap) | (gap > 1e-9))
@@ -198,9 +201,7 @@ def cmd_eval(args) -> int:
     ]
 
     pred, _ = forward(params, feats, training=False)
-    errors = [
-        pixel_error(p, t, camera.image_w, camera.image_h) for p, t in zip(pred, targets)
-    ]
+    errors = pixel_errors(pred, targets, camera.image_w, camera.image_h)
     stats = error_stats(errors)
 
     out_dir = Path(args.out)
@@ -209,8 +210,7 @@ def cmd_eval(args) -> int:
     with open(out_dir / "errors.csv", "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["sample_id", "query_index", "error_px"])
-        for (sample_id, qi), err in zip(rows, errors):
-            writer.writerow([sample_id, qi, repr(err)])
+        writer.writerows((sample_id, qi, repr(err)) for (sample_id, qi), err in zip(rows, errors))
 
     print(f"n: {stats.n}")
     print(f"median_px: {stats.median_px:.4f}")
@@ -233,10 +233,10 @@ def cmd_eval(args) -> int:
 
 def cmd_calibrate(args) -> int:
     started = _utcnow()
-    preds, gts = load_predictions(args.dataset)
+    detections = load_predictions(args.dataset)
     lo, hi = args.range
     best_bias, curve = calibrate_bias(
-        preds, gts, lo=lo, hi=hi, step=args.step, threshold=args.threshold
+        detections, lo=lo, hi=hi, step=args.step, threshold=args.threshold
     )
     best_report = dict(curve)[best_bias]
 
@@ -275,26 +275,31 @@ def cmd_predict(args) -> int:
     out = Path(args.out)
 
     # One eval forward over every chart query of the file, in record order.
-    rows = [(record, qi, query) for record in records for qi, query in enumerate(record.queries)]
-    points = features = []
-    if rows:  # forward rejects an empty batch; a buoy-free file gets no rows
-        feats = np.stack([build_features(query, record.imu) for record, _, query in rows])
+    keys = [(record.sample_id, qi) for record in records for qi in range(len(record.queries))]
+    rows = []
+    if keys:  # forward rejects an empty batch; a buoy-free file gets no rows
+        columns = float_rows((
+            (query.distance_m, query.bearing_deg,
+             record.imu.pitch_deg, record.imu.roll_deg, record.imu.heading_deg)
+            for record in records for query in record.queries
+        ), 5)
+        feats = feature_matrix(*columns.T)
         pred, _ = forward(params, feats, training=False)
-        points, features = pred.tolist(), feats.tolist()
+        rows = zip(keys, decoder_queries(feats, pred).tolist(), feats.tolist())
     with open(out, "w", encoding="utf-8") as f:
-        for (record, qi, query), point, feature_row in zip(rows, points, features):
-            row = {
-                "schema": PREDICTIONS_SCHEMA,
-                "sample_id": record.sample_id,
+        for (sample_id, qi), decoder_query, feature_row in rows:
+            row = {  # decoder_query ends with the predicted point
+                "schema": PREDICT_SCHEMA,
+                "sample_id": sample_id,
                 "query_index": qi,
-                "prediction": {"c_x": point[0], "c_y_plus_half_h": point[1]},
-                "decoder_query": build_decoder_query(query, point).tolist(),
+                "prediction": {"c_x": decoder_query[2], "c_y_plus_half_h": decoder_query[3]},
+                "decoder_query": decoder_query,
             }
             if args.emit_features:
                 row["features"] = feature_row
             f.write(COMPACT_JSON.encode(row))
             f.write("\n")
-    print(f"queries predicted: {len(rows)}")
+    print(f"queries predicted: {len(keys)}")
 
     _write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"),

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Annotated
 
 import numpy as np
@@ -33,12 +35,18 @@ import numpy as np
 from .errors import (
     Bounds, Config, ConfigError, DatasetParseError, DatasetSchemaError, GenerationError,
 )
-from .features import ChartQuery, ImuSample, build_features, waterline_target, wrap_angle_deg
+from .features import ChartQuery, ImuSample, feature_matrix, waterline_targets, wrap_angle_deg
 from .geometry import CameraModel, in_frame, project
-from .metrics import GtBox, QueryPrediction
+from .metrics import Detections, GtBox
 
 SCHEMA_VERSION = 1  # dataset lines
-PREDICTIONS_SCHEMA = 1  # prediction lines: read by load_predictions, written by `predict`
+# Detector lines: a detector's per-query logit and box with their ground truth,
+# read by load_predictions for `calibrate` (see load_predictions).
+DETECTOR_SCHEMA = 1
+# `predict` output lines: {"schema", "sample_id", "query_index", "prediction":
+# {"c_x", "c_y_plus_half_h"}, "decoder_query": [4 floats], "features"?: [6 floats]}.
+# No loader reads them.
+PREDICT_SCHEMA = 1
 
 # The one JSON Lines encoder of both writers (save_dataset and `predict`):
 # json.dumps(obj, separators=(",", ":")) without building an encoder per line.
@@ -240,18 +248,24 @@ def _uniform(u, lo: float, hi: float):
     return float(lo) + float(hi - lo) * u
 
 
+def float_rows(rows, width: int) -> np.ndarray:
+    """The (m, width) float64 array of m tuples of `width` numbers; faster than
+    np.array over the tuples, with the same values."""
+    return np.fromiter(chain.from_iterable(rows), np.float64).reshape(-1, width)
+
+
 def visible_examples(records) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (features, waterline targets) for every visible query."""
-    xs = []
-    ys = []
-    for record in records:
-        for query, label in zip(record.queries, record.labels):
-            if label.visible:
-                xs.append(build_features(query, record.imu))
-                ys.append(waterline_target(label))
-    if not xs:
-        return np.zeros((0, 6)), np.zeros((0, 2))
-    return np.stack(xs), np.asarray(ys, dtype=np.float64)
+    """Extract (features, waterline targets) for every visible query, the
+    floats gathered in one pass and both arrays built whole-set."""
+    rows = float_rows((
+        (query.distance_m, query.bearing_deg,
+         record.imu.pitch_deg, record.imu.roll_deg, record.imu.heading_deg,
+         label.c_x, label.c_y, label.w, label.h)
+        for record in records
+        for query, label in zip(record.queries, record.labels)
+        if label.visible
+    ), 9)
+    return feature_matrix(*rows[:, :5].T), waterline_targets(rows[:, 5:])
 
 
 def split(records, ratio: float, seed: int) -> DatasetSplit:
@@ -312,7 +326,8 @@ def _jsonl(path, parse) -> list:
                 if not line:
                     continue
                 data = json.loads(line)
-            except ValueError as exc:  # bad UTF-8, JSONDecodeError, or an over-long integer
+            # bad UTF-8, JSONDecodeError, an over-long integer, or nesting too deep to decode
+            except (ValueError, RecursionError) as exc:
                 raise DatasetParseError(str(exc), line=line_no) from exc
             try:
                 values.append(parse(data))
@@ -325,25 +340,89 @@ def load_dataset(path) -> list[SampleRecord]:
     return _jsonl(path, _record_from_dict)
 
 
-def load_predictions(path) -> tuple[list[QueryPrediction], list[GtBox]]:
-    """Read the per-query predictions JSONL used for calibration.
+def load_predictions(path) -> Detections:
+    """Read a detector file, the input of `calibrate`, as columns.
 
     Line schema: {"schema": 1, "sample_id": str, "query_index": int,
     "logit": number, "box": {c_x, c_y, w, h}, "gt_visible": bool,
     "gt_box": {c_x, c_y, w, h} | null}. query_index is a non-negative
     integer, and no (sample_id, query_index) pair appears twice in a file.
+
+    Each rule is checked once per column. When a column fails one, the
+    per-line rules of _prediction_from_dict run over the file: they name the
+    first bad line, or, when every line keeps them (an integer logit, say),
+    give the values.
     """
-    seen = set()
+    columns = _checked_columns(_jsonl(path, _detector_fields))
+    if columns is None:
+        seen = set()
 
-    def parse(data):
-        key, pred, gt = _prediction_from_dict(data)
-        if key in seen:
-            raise DatasetSchemaError(f"duplicate sample_id and query_index {key!r}")
-        seen.add(key)
-        return pred, gt
+        def parse(data):
+            row = _prediction_from_dict(data)
+            key = row[1:3]
+            if key in seen:
+                raise DatasetSchemaError(f"duplicate sample_id and query_index {key!r}")
+            seen.add(key)
+            return row
 
-    rows = _jsonl(path, parse)
-    return [pred for pred, _ in rows], [gt for _, gt in rows]
+        columns = _columns(list(zip(*_jsonl(path, parse))))
+    return columns
+
+
+_DETECTOR_KEYS = operator.itemgetter("schema", "sample_id", "query_index", "logit")
+_BOX_KEYS = operator.itemgetter("c_x", "c_y", "w", "h")
+_NO_BOX = (0.0, 0.0, 0.0, 0.0)  # the ground-truth box of a row whose buoy is not visible
+
+
+def _detector_fields(data) -> tuple | None:
+    """A detector line's values in row order (schema, sample_id, query_index,
+    logit, box, gt_visible, gt_box), unchecked; None if a key or an object is
+    missing."""
+    try:
+        visible = data["gt_visible"]
+        return (*_DETECTOR_KEYS(data), *_BOX_KEYS(data["box"]), visible,
+                *(_BOX_KEYS(data["gt_box"]) if visible is True else _NO_BOX))
+    except (KeyError, TypeError):  # a missing key, or a value that is not an object
+        return None
+
+
+def _checked_columns(rows) -> Detections | None:
+    """The columns of rows in _detector_fields' order, or None if a column
+    breaks a rule of _prediction_from_dict or holds a value that the writers
+    do not emit and that rule converts (an integer number)."""
+    if not rows:
+        return _columns([])
+    if None in rows:
+        return None
+    cols = list(zip(*rows))
+    schema, sample_id, query_index, visible = cols[0], cols[1], cols[2], cols[8]
+    if not (_types(schema) == {int} and set(schema) == {DETECTOR_SCHEMA}
+            and _types(sample_id) == {str}
+            and _types(query_index) == {int} and min(query_index) >= 0
+            and _types(visible) == {bool}
+            and all(_types(col) == {float} for col in cols[3:8] + cols[9:])
+            and len(set(zip(sample_id, query_index))) == len(rows)):
+        return None
+    columns = _columns(cols)
+    sizes = np.concatenate((columns.boxes[:, 2:], columns.gt_boxes[columns.gt_visible, 2:]))
+    finite = all(np.isfinite(col).all() for col in (columns.logits, columns.boxes, columns.gt_boxes))
+    return columns if finite and (sizes > 0).all() else None
+
+
+def _types(column) -> set:
+    return set(map(type, column))
+
+
+def _columns(cols) -> Detections:
+    """Detections of valid values, from the columns of rows in
+    _detector_fields' order (list(zip(*rows)), so [] for no rows)."""
+    numbers = np.array(cols[3:8] + cols[9:], dtype=np.float64).reshape(9, -1)
+    return Detections(
+        logits=numbers[0],
+        boxes=numbers[1:5].T,
+        gt_visible=np.array(cols[8:9], dtype=bool).reshape(-1),
+        gt_boxes=numbers[5:].T,
+    )
 
 
 def _record_to_dict(record: SampleRecord) -> dict:
@@ -402,12 +481,18 @@ def _box(data, key: str) -> tuple[float, float, float, float]:
     return c_x, c_y, w, h
 
 
-def _prediction_from_dict(data) -> tuple[tuple[str, int], QueryPrediction, GtBox]:
-    """((sample_id, query_index), prediction, ground truth) of one line."""
+def _prediction_from_dict(data) -> tuple:
+    """One detector line's values in _detector_fields' order, each rule
+    checked; the rules and their messages for the lines of a detector file."""
     if not isinstance(data, dict):
         raise DatasetSchemaError("prediction line must be an object")
+    if "logit" not in data and "prediction" in data:
+        raise DatasetSchemaError(
+            "a `predict` output row (prediction, decoder_query); calibrate reads "
+            "detector rows (logit, box, gt_visible, gt_box)"
+        )
     schema = data.get("schema")
-    if type(schema) is not int or schema != PREDICTIONS_SCHEMA:  # JSON true == 1 in Python
+    if type(schema) is not int or schema != DETECTOR_SCHEMA:  # JSON true == 1 in Python
         raise DatasetSchemaError(f"unsupported schema version {schema!r}")
     sample_id = _require(data, "sample_id")
     if not isinstance(sample_id, str):
@@ -417,17 +502,17 @@ def _prediction_from_dict(data) -> tuple[tuple[str, int], QueryPrediction, GtBox
         raise DatasetSchemaError(
             f"'query_index' must be a non-negative integer, got {query_index!r}"
         )
-    key = (sample_id, query_index)
-    pred = QueryPrediction(_number(data, "logit"), _box(_require(data, "box"), "box"))
+    head = (schema, sample_id, query_index, _number(data, "logit"),
+            *_box(_require(data, "box"), "box"))
     gt_visible = _require(data, "gt_visible")
     if not isinstance(gt_visible, bool):
         raise DatasetSchemaError("'gt_visible' must be a boolean")
     if not gt_visible:
-        return key, pred, GtBox(visible=False)
+        return (*head, False, *_NO_BOX)
     gt_box = data.get("gt_box")
     if not isinstance(gt_box, dict):
         raise DatasetSchemaError("visible ground truth requires a 'gt_box' object")
-    return key, pred, GtBox(True, *_box(gt_box, "gt_box"))
+    return (*head, True, *_box(gt_box, "gt_box"))
 
 
 def _record_from_dict(data) -> SampleRecord:

@@ -184,7 +184,8 @@ def load_json(path, label: str, error: type[Exception]) -> dict:
             data = json.load(f, parse_constant=_reject_constant)
     except FileNotFoundError as exc:
         raise error(f"{label} not found: {path}") from exc
-    except ValueError as exc:  # JSONDecodeError, or a NaN/Infinity constant
+    # JSONDecodeError, bad UTF-8, a NaN/Infinity constant, or nesting too deep to decode
+    except (ValueError, RecursionError) as exc:
         raise error(f"{label} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise error(f"{label} must be a JSON object")

@@ -11,6 +11,11 @@ Six network inputs, in fixed order:
 
 All math is 64-bit. Angles are degrees at this interface. ChartQuery and
 ImuSample check their ranges when built, so a function that takes one trusts it.
+
+build_features, waterline_target and build_decoder_query are the per-frame
+forms, on Python floats, for the serve path's 1-3 queries. feature_matrix,
+waterline_targets and decoder_queries are their whole-set forms, bit-equal
+row by row, for a file's worth of queries.
 """
 
 from __future__ import annotations
@@ -33,6 +38,10 @@ HEADING_SCALE_DEG = 180.0
 # Tolerance for a box bottom edge marginally below the frame (labels are often
 # stored at float32 precision upstream).
 BOTTOM_EDGE_EPS = 1e-6
+
+# The errors of the per-frame and whole-set forms, worded once.
+_BELOW_FRAME = "box bottom edge {} extends below the frame"
+_OUTSIDE_UNIT_SQUARE = "predicted waterline point must lie in [0, 1]^2, got {}"
 
 
 @dataclass(frozen=True)
@@ -102,6 +111,19 @@ def build_features(query: ChartQuery, imu: ImuSample) -> np.ndarray:
     )
 
 
+def feature_matrix(distance_m, bearing_deg, pitch_deg, roll_deg, heading_deg) -> np.ndarray:
+    """build_features of m queries at once: the (m, 6) inputs from five (m,)
+    columns, which the caller took from valid queries and attitudes."""
+    feats = np.empty((len(distance_m), 6))
+    feats[:, 0] = distance_m / DIST_SCALE_M
+    feats[:, 1] = np.minimum(np.maximum(DIST_SCALE_M / distance_m, 0.0), INV_DIST_MAX)
+    feats[:, 2] = bearing_deg / BEARING_SCALE_DEG
+    feats[:, 3] = pitch_deg / PITCH_ROLL_SCALE_DEG
+    feats[:, 4] = roll_deg / PITCH_ROLL_SCALE_DEG
+    feats[:, 5] = heading_deg / HEADING_SCALE_DEG
+    return feats
+
+
 def waterline_target(box: GtBox) -> tuple[float, float]:
     """Bottom-center of a ground-truth box: the waterline contact point.
 
@@ -113,8 +135,17 @@ def waterline_target(box: GtBox) -> tuple[float, float]:
         raise ValueError("waterline target is undefined for an invisible query")
     bottom = box.c_y + box.h / 2.0
     if bottom > 1.0 + BOTTOM_EDGE_EPS:
-        raise ValueError(f"box bottom edge {bottom} extends below the frame")
+        raise ValueError(_BELOW_FRAME.format(bottom))
     return (box.c_x, min(bottom, 1.0))
+
+
+def waterline_targets(boxes: np.ndarray) -> np.ndarray:
+    """waterline_target of each row of an (m, 4) array of visible boxes: (m, 2)."""
+    bottom = boxes[:, 1] + boxes[:, 3] / 2.0
+    below = bottom > 1.0 + BOTTOM_EDGE_EPS
+    if below.any():
+        raise ValueError(_BELOW_FRAME.format(float(bottom[below.argmax()])))
+    return np.column_stack((boxes[:, 0], np.minimum(bottom, 1.0)))
 
 
 def build_decoder_query(query: ChartQuery, predicted: tuple[float, float]) -> np.ndarray:
@@ -125,7 +156,7 @@ def build_decoder_query(query: ChartQuery, predicted: tuple[float, float]) -> np
     """
     c_x, c_y_plus_half_h = predicted
     if not (0.0 <= c_x <= 1.0 and 0.0 <= c_y_plus_half_h <= 1.0):
-        raise ValueError(f"predicted waterline point must lie in [0, 1]^2, got {predicted}")
+        raise ValueError(_OUTSIDE_UNIT_SQUARE.format(predicted))
     return np.array(
         [
             query.distance_m / DIST_SCALE_M,
@@ -135,3 +166,13 @@ def build_decoder_query(query: ChartQuery, predicted: tuple[float, float]) -> np
         ],
         dtype=np.float64,
     )
+
+
+def decoder_queries(features: np.ndarray, predicted: np.ndarray) -> np.ndarray:
+    """build_decoder_query of m queries at once: (m, 4) rows from the (m, 6)
+    features (columns 0 and 2 are dist_norm and bearing_norm) and the (m, 2)
+    predicted waterline points."""
+    inside = ((predicted >= 0.0) & (predicted <= 1.0)).all(axis=1)
+    if not inside.all():
+        raise ValueError(_OUTSIDE_UNIT_SQUARE.format(tuple(predicted[inside.argmin()].tolist())))
+    return np.column_stack((features[:, 0], features[:, 2], predicted))

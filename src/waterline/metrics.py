@@ -5,9 +5,11 @@ Matching rule: the pipeline emits exactly one prediction per chart query, so
 detections are matched to ground truth by query index, with no IoU gate; mIoU
 averages over true-positive pairs only.
 
-The bias sweep is one pass over the rows: each bias is one array comparison
-sigmoid(logits + bias) > threshold, tp/fp/fn are sums, and a pair's IoU is
-computed once and reused at every bias where the pair is a true positive.
+Detection scoring reads a detector file as columns (`Detections`). The bias
+sweep is one pass over them: each bias is one array comparison
+sigmoid(logits + bias) > threshold, tp/fp/fn are sums, and each true
+positive's IoU is computed once, in one array call for those at the highest
+bias, and reused at every bias where the pair is a true positive.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .network import sigmoid
 
-Box = Sequence[float]  # (c_x, c_y, w, h), normalized image coordinates
 
 # calibrate scores one detection report per grid point: 400x the default
 # 25-point grid, e.g. the default range at step 6e-4.
@@ -64,12 +65,16 @@ class GtBox:
             raise ValueError(f"visible box extends outside the unit frame: {self.box}")
 
 
-@dataclass(frozen=True)
-class QueryPrediction:
-    """Raw per-query detector output: pre-sigmoid objectness and a box."""
+class Detections(NamedTuple):
+    """A detector's per-query output and its ground truth, as aligned columns:
+    pre-sigmoid objectness logits (n,), predicted boxes (n, 4), ground-truth
+    visibility (n,) bool and ground-truth boxes (n, 4), whose rows are zero
+    where the buoy is not visible. Boxes are (c_x, c_y, w, h), normalized."""
 
-    objectness_logit: float
-    box: tuple[float, float, float, float]
+    logits: np.ndarray
+    boxes: np.ndarray
+    gt_visible: np.ndarray
+    gt_boxes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,15 @@ def pixel_error(
     return math.hypot(du, dv)
 
 
+def pixel_errors(pred: np.ndarray, targets: np.ndarray, image_w: float, image_h: float) -> list:
+    """pixel_error of each row of two (m, 2) arrays, bit for bit: the offsets
+    are array passes and math.hypot runs per row, since np.hypot can differ
+    from it in the last bit."""
+    du = (pred[:, 0] - targets[:, 0]) * image_w
+    dv = (pred[:, 1] - targets[:, 1]) * image_h
+    return list(map(math.hypot, du.tolist(), dv.tolist()))
+
+
 def error_stats(errors: Sequence[float]) -> ErrorStats:
     """Median / mean / 90th-percentile of a list of pixel errors.
 
@@ -121,27 +135,30 @@ def error_stats(errors: Sequence[float]) -> ErrorStats:
     )
 
 
-def iou(a: Box, b: Box) -> float:
-    """Intersection-over-union of two center-format boxes.
+def iou(a, b):
+    """Intersection-over-union of center-format boxes: of two boxes as a
+    float, or row by row of two (n, 4) arrays.
 
     Areas are computed from the same corner coordinates as the intersection,
     so identical boxes score exactly 1.0.
     """
-    ax, ay, aw, ah = a
-    bx, by, bw, bh = b
-    if aw <= 0 or ah <= 0 or bw <= 0 or bh <= 0:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if (a[..., 2:] <= 0).any() or (b[..., 2:] <= 0).any():
         raise ValueError("iou requires boxes with positive width and height")
+    ax, ay, aw, ah = a.T
+    bx, by, bw, bh = b.T
     ax1, ax2 = ax - aw / 2, ax + aw / 2
     ay1, ay2 = ay - ah / 2, ay + ah / 2
     bx1, bx2 = bx - bw / 2, bx + bw / 2
     by1, by2 = by - bh / 2, by + bh / 2
-    ix = min(ax2, bx2) - max(ax1, bx1)
-    iy = min(ay2, by2) - max(ay1, by1)
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
+    ix = np.minimum(ax2, bx2) - np.maximum(ax1, bx1)
+    iy = np.minimum(ay2, by2) - np.maximum(ay1, by1)
+    overlap = (ix > 0) & (iy > 0)
+    inter = np.where(overlap, ix * iy, 0.0)
     union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
-    return inter / union
+    out = np.where(overlap, inter / union, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def f1_from_pr(precision: float, recall: float) -> float:
@@ -157,42 +174,50 @@ def overall_score(f1: float, miou: float) -> float:
 
 
 def detection_report(
-    predictions: Sequence[QueryPrediction],
-    gts: Sequence[GtBox],
+    detections: Detections,
     logit_bias: float = 0.0,
     threshold: float = 0.90,
 ) -> DetectionReport:
     """Score per-query visibility decisions against ground truth.
 
     A query counts as predicted-visible when sigmoid(logit + logit_bias)
-    exceeds ``threshold`` (strict comparison). Counting per aligned pair:
+    exceeds ``threshold`` (strict comparison). Counting per aligned row:
     TP = predicted and actually visible, FP = predicted but not visible,
     FN = missed visible buoy. Convention at empty denominators: a precision
     (or recall) with no positive decisions is 1.0 when there was nothing to
     find, else 0.0 - this keeps the bias sweep total at extreme biases.
     """
-    return _reports(predictions, gts, [logit_bias], threshold)[0]
+    return _reports(detections, [logit_bias], threshold)[0]
 
 
-def _reports(predictions, gts, biases: Sequence[float], threshold: float) -> list[DetectionReport]:
+def _reports(detections: Detections, biases: Sequence[float],
+             threshold: float) -> list[DetectionReport]:
     """detection_report at each bias. One (n,) decision vector per bias keeps
-    memory O(rows) at any grid size; the kept IoUs are summed in query order."""
-    if len(predictions) != len(gts):
-        raise ValueError(
-            f"predictions and ground truth must align: {len(predictions)} vs {len(gts)}"
-        )
-    logits = np.array([p.objectness_logit for p in predictions], dtype=np.float64)
-    gt_visible = np.array([g.visible for g in gts], dtype=bool)
+    memory O(rows) at any grid size; the kept IoUs are summed in query order,
+    by Python's sum like a loop over the rows."""
+    logits, boxes, gt_visible, gt_boxes = detections
+    sizes = [len(column) for column in detections]
+    if len(set(sizes)) != 1:
+        raise ValueError(f"detection columns must align, got {sizes} rows")
     n_visible = int(np.count_nonzero(gt_visible))
-    ious = np.zeros(len(gts))
-    scored = np.zeros(len(gts), dtype=bool)
+    ious = np.zeros(len(logits))
+    scored = np.zeros(len(logits), dtype=bool)
+
+    def score(hits):
+        """Compute the IoUs of the true-positive pairs in `hits` not yet scored."""
+        new = hits & ~scored
+        if new.any():
+            ious[new] = iou(boxes[new], gt_boxes[new])
+            scored[new] = True
+
+    # Decisions rise with the bias, so the true positives at the highest bias
+    # take one iou call; a pair that is one only at a lower bias is scored there.
+    score((sigmoid(logits + max(biases)) > threshold) & gt_visible)
     reports = []
     for bias in biases:
         visible = sigmoid(logits + bias) > threshold
         hits = visible & gt_visible
-        for i in np.flatnonzero(hits & ~scored):
-            ious[i] = iou(predictions[i].box, gts[i].box)
-            scored[i] = True
+        score(hits)
         tp = int(np.count_nonzero(hits))
         fp = int(np.count_nonzero(visible)) - tp
         fn = n_visible - tp
@@ -227,8 +252,7 @@ def bias_grid(lo: float, hi: float, step: float) -> list[float]:
 
 
 def calibrate_bias(
-    predictions: Sequence[QueryPrediction],
-    gts: Sequence[GtBox],
+    detections: Detections,
     lo: float = -3.0,
     hi: float = 3.0,
     step: float = 0.25,
@@ -240,12 +264,12 @@ def calibrate_bias(
     Returns (best_bias, curve) where curve lists (bias, report) in grid order.
     No predictions is a ValueError: every bias would score the same.
     """
-    if len(predictions) == 0:
+    if len(detections.logits) == 0:
         raise ValueError("no predictions to calibrate on")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     grid = bias_grid(lo, hi, step)
-    curve = list(zip(grid, _reports(predictions, gts, grid, threshold)))
+    curve = list(zip(grid, _reports(detections, grid, threshold)))
     best_bias, _ = min(curve, key=lambda item: (-item[1].overall, abs(item[0]), item[0]))
     return best_bias, curve
 

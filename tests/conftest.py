@@ -5,7 +5,7 @@ import pytest
 
 from waterline.features import ChartQuery, ImuSample
 from waterline.geometry import CameraModel, project
-from waterline.metrics import GtBox, QueryPrediction
+from waterline.metrics import Detections
 
 
 @pytest.fixture
@@ -40,6 +40,18 @@ def random_query(rng, max_bearing=40.0):
     )
 
 
+def detections(rows):
+    """Detections of (logit, box, gt_box) rows; a gt_box of None marks a query
+    whose buoy is not visible."""
+    return Detections(
+        logits=np.array([float(logit) for logit, _, _ in rows]),
+        boxes=np.array([box for _, box, _ in rows], dtype=np.float64).reshape(-1, 4),
+        gt_visible=np.array([gt is not None for _, _, gt in rows], dtype=bool),
+        gt_boxes=np.array([(0.0,) * 4 if gt is None else gt for _, _, gt in rows],
+                          dtype=np.float64).reshape(-1, 4),
+    )
+
+
 def miscalibrated_instance(rng, shift=0.5, n=400):
     """Queries scored by a well-calibrated detector, then inflated by +shift.
 
@@ -48,13 +60,11 @@ def miscalibrated_instance(rng, shift=0.5, n=400):
     bias is optimal before the shift and ~ -shift after it.
     """
     center = math.log(0.9 / 0.1)
-    preds = []
-    gts = []
+    rows = []
     for _ in range(n):
         visible = rng.random() < 0.55
         if visible:
             box = (rng.uniform(0.25, 0.75), rng.uniform(0.25, 0.75), 0.2, 0.2)
-            gts.append(GtBox(True, *box))
             logit = center + 2.5 + rng.normal(0, 1.2)
             pred_box = (
                 box[0] + rng.normal(0, 0.02),
@@ -63,8 +73,8 @@ def miscalibrated_instance(rng, shift=0.5, n=400):
                 0.2,
             )
         else:
-            gts.append(GtBox(False))
+            box = None
             logit = center - 2.5 + rng.normal(0, 1.2)
             pred_box = (rng.uniform(0.25, 0.75), rng.uniform(0.25, 0.75), 0.2, 0.2)
-        preds.append(QueryPrediction(float(logit + shift), pred_box))
-    return preds, gts
+        rows.append((logit + shift, pred_box, box))
+    return detections(rows)

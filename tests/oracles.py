@@ -18,9 +18,9 @@ it checks:
     of one pass over the flat parameter vector.
   - exact_report / exact_sweep: detection scoring in exact rational
     arithmetic (fractions.Fraction) with plain loops.
-  - scalar_detection_report: detection scoring as one float loop over the
-    rows with a scalar math sigmoid, instead of one decision vector per bias
-    and IoUs reused across the sweep.
+  - scalar_detection_report / scalar_iou: detection scoring as one float
+    loop over the rows with a scalar math sigmoid and a scalar IoU, instead
+    of one decision vector per bias and array IoUs reused across the sweep.
   - orientation_matrix / matrix_project: the projection through the 3x3
     body-to-reference rotation and a numpy matrix-vector product, instead of
     two closed-form plane rotations.
@@ -47,7 +47,7 @@ from waterline.features import (
     ChartQuery, ImuSample, build_decoder_query, build_features, wrap_angle_deg,
 )
 from waterline.geometry import DEPTH_EPS_M
-from waterline.metrics import DetectionReport, GtBox, f1_from_pr, iou, overall_score
+from waterline.metrics import DetectionReport, GtBox, f1_from_pr, overall_score
 from waterline.network import (
     BN_EPS,
     BN_MOMENTUM,
@@ -291,27 +291,47 @@ def exact_sigmoid_above(logit: float, bias: float, threshold: float) -> bool:
     return math_sigmoid(logit + bias) > threshold
 
 
-def scalar_detection_report(predictions, gts, logit_bias=0.0, threshold=0.90):
+def _rows(detections):
+    """(logit, box, gt_visible, gt_box) of each row, as Python values."""
+    return zip(*(column.tolist() for column in detections), strict=True)
+
+
+def scalar_iou(a, b) -> float:
+    """IoU of two center-format boxes in Python floats, one pair at a time."""
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
+    if aw <= 0 or ah <= 0 or bw <= 0 or bh <= 0:
+        raise ValueError("iou requires boxes with positive width and height")
+    ax1, ax2 = ax - aw / 2, ax + aw / 2
+    ay1, ay2 = ay - ah / 2, ay + ah / 2
+    bx1, bx2 = bx - bw / 2, bx + bw / 2
+    by1, by2 = by - bh / 2, by + bh / 2
+    ix = min(ax2, bx2) - max(ax1, bx1)
+    iy = min(ay2, by2) - max(ay1, by1)
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    inter = ix * iy
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    return inter / union
+
+
+def scalar_detection_report(detections, logit_bias=0.0, threshold=0.90):
     """detection_report as one float loop over the rows with math_sigmoid.
 
     math_sigmoid and the package's sigmoid can disagree by a few ulps, so a
     decision can differ from this reference only where sigmoid(logit + bias)
     lies within test_network's 1e-14 relative bound of the threshold.
     """
-    if len(predictions) != len(gts):
-        raise ValueError(
-            f"predictions and ground truth must align: {len(predictions)} vs {len(gts)}"
-        )
     tp = fp = fn = 0
     ious = []
-    for pred, gt in zip(predictions, gts):
-        visible = math_sigmoid(pred.objectness_logit + logit_bias) > threshold
-        if visible and gt.visible:
+    for logit, box, gt_visible, gt_box in _rows(detections):
+        visible = math_sigmoid(logit + logit_bias) > threshold
+        if visible and gt_visible:
             tp += 1
-            ious.append(iou(pred.box, gt.box))
+            ious.append(scalar_iou(box, gt_box))
         elif visible:
             fp += 1
-        elif gt.visible:
+        elif gt_visible:
             fn += 1
     if tp + fp == 0:
         precision = 1.0 if fn == 0 else 0.0
@@ -573,26 +593,26 @@ def exact_report(pred_visible, gt_visible, pair_ious):
     }
 
 
-def exact_report_from_queries(predictions, gts, bias, threshold):
-    """exact_report driven by raw logits/boxes, mirroring the public inputs."""
-    pred_visible = [
-        exact_sigmoid_above(p.objectness_logit, bias, threshold) for p in predictions
-    ]
-    gt_visible = [g.visible for g in gts]
-    ious = [
-        exact_iou(p.box, g.box) if pv and g.visible else Fraction(0)
-        for p, g, pv in zip(predictions, gts, pred_visible)
-    ]
+def exact_report_from_queries(detections, bias, threshold):
+    """exact_report driven by raw logits/boxes, row by row from the columns."""
+    pred_visible = []
+    gt_visible = []
+    ious = []
+    for logit, box, gt, gt_box in _rows(detections):
+        pv = exact_sigmoid_above(logit, bias, threshold)
+        pred_visible.append(pv)
+        gt_visible.append(gt)
+        ious.append(exact_iou(box, gt_box) if pv and gt else Fraction(0))
     return exact_report(pred_visible, gt_visible, ious)
 
 
-def exact_sweep(predictions, gts, biases, threshold):
+def exact_sweep(detections, biases, threshold):
     """Brute-force bias sweep; returns (best_bias, best_overall, curve)."""
     best_bias = None
     best_overall = Fraction(-1)
     curve = []
     for bias in biases:
-        report = exact_report_from_queries(predictions, gts, bias, threshold)
+        report = exact_report_from_queries(detections, bias, threshold)
         curve.append((bias, report))
         if report["overall"] > best_overall:
             best_overall = report["overall"]

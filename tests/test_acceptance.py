@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from conftest import miscalibrated_instance
+from conftest import detections, miscalibrated_instance
 from oracles import exact_report_from_queries, exact_sweep, fd_gradients
 from test_network import GRADCHECK_SEEDS
 from waterline.cli import main
@@ -19,8 +19,6 @@ from waterline.data import GenConfig, generate, visible_examples
 from waterline.features import ChartQuery, ImuSample, build_features
 from waterline.geometry import CameraModel
 from waterline.metrics import (
-    GtBox,
-    QueryPrediction,
     bias_grid,
     calibrate_bias,
     detection_report,
@@ -143,10 +141,10 @@ def test_criterion_4_synthetic_learnability():
 def test_criterion_5_calibration_sweep():
     """With logits shifted +0.5 from a calibrated reference the sweep finds a
     negative bias within one coarse step of the 10x-finer brute-force optimum."""
-    preds, gts = miscalibrated_instance(np.random.default_rng(515))
-    best, curve = calibrate_bias(preds, gts)
+    rows = miscalibrated_instance(np.random.default_rng(515))
+    best, curve = calibrate_bias(rows)
     coarse_overall = dict(curve)[best].overall
-    fine_best, fine_overall, _ = exact_sweep(preds, gts, bias_grid(-3.0, 3.0, 0.025), 0.90)
+    fine_best, fine_overall, _ = exact_sweep(rows, bias_grid(-3.0, 3.0, 0.025), 0.90)
     ok = (
         best < 0.0
         and abs(best - fine_best) <= 0.25 + 1e-12
@@ -184,13 +182,12 @@ def test_criterion_6_metric_oracle_equivalence():
     worst = 0.0
     for n in range(1, 5):
         for combo in itertools.product(states, repeat=n):
-            gts = [GtBox(True, *gt_box) if g else GtBox(False) for g, _, _ in combo]
-            preds = [
-                QueryPrediction(30.0 if p else -30.0, pred_boxes[kind])
-                for _, p, kind in combo
-            ]
-            report = detection_report(preds, gts)
-            oracle = exact_report_from_queries(preds, gts, 0.0, 0.90)
+            rows = detections([
+                (30.0 if p else -30.0, pred_boxes[kind], gt_box if g else None)
+                for g, p, kind in combo
+            ])
+            report = detection_report(rows)
+            oracle = exact_report_from_queries(rows, 0.0, 0.90)
             assert (report.tp, report.fp, report.fn) == (
                 oracle["tp"],
                 oracle["fp"],
@@ -285,17 +282,12 @@ def test_criterion_8_monotone_positives():
     for i in range(100):
         rng = np.random.default_rng(900 + i)
         n = int(rng.integers(1, 60))
-        gts = [
-            GtBox(True, 0.5, 0.5, 0.1, 0.1) if rng.random() < 0.5 else GtBox(False)
-            for _ in range(n)
-        ]
-        preds = [
-            QueryPrediction(float(rng.normal(0, 2.5)), (0.5, 0.5, 0.1, 0.1))
-            for _ in range(n)
-        ]
+        box = (0.5, 0.5, 0.1, 0.1)
+        visible = [rng.random() < 0.5 for _ in range(n)]
+        rows = detections([(float(rng.normal(0, 2.5)), box, box if v else None) for v in visible])
         counts = []
         for bias in grid:
-            report = detection_report(preds, gts, logit_bias=bias)
+            report = detection_report(rows, logit_bias=bias)
             counts.append(report.tp + report.fp)
         if any(a > b for a, b in zip(counts, counts[1:])):
             violations += 1

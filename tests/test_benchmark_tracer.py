@@ -10,6 +10,8 @@ from pathlib import Path
 
 import waterline.cli  # noqa: F401  imports every module the tracer wraps
 import waterline.data
+from waterline.geometry import CameraModel
+from waterline.network import init_params, save_checkpoint
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 WORKLOADS = TRACING.with_name("workloads.py")
@@ -46,6 +48,44 @@ def test_gen_verify_projects_once_per_stage(tmp_path, capsys):
     assert "OK" in capsys.readouterr().out
     assert tracer.counts["geometry.project_calls"] == 2
     assert tracer.counts["data.generate_calls"] == 1
+
+
+def test_offline_stages_make_no_per_query_calls(tmp_path, capsys):
+    """predict, eval and calibrate work on whole arrays: no per-query feature,
+    decoder-query or pixel-error call, and one eval forward each for predict
+    and eval."""
+    dataset, checkpoint = tmp_path / "data.jsonl", tmp_path / "checkpoint.json"
+    records = waterline.data.generate(
+        CameraModel.default(), waterline.data.GenConfig(n_samples=40, seed=3)
+    )
+    waterline.data.save_dataset(records, dataset)
+    save_checkpoint(init_params(0), checkpoint)
+    detector = tmp_path / "detector.jsonl"
+    box = {"c_x": 0.5, "c_y": 0.5, "w": 0.1, "h": 0.1}
+    detector.write_text("".join(
+        json.dumps({"schema": 1, "sample_id": f"{i:03d}", "query_index": 0, "logit": i / 4 - 2,
+                    "box": box, "gt_visible": i % 2 == 0, "gt_box": box}) + "\n"
+        for i in range(30)
+    ))
+    runs = [
+        ["predict", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+         "--out", str(tmp_path / "pred.jsonl"), "--emit-features"],
+        ["eval", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+         "--out", str(tmp_path / "eval")],
+        ["calibrate", "--dataset", str(detector), "--out", str(tmp_path / "cal")],
+    ]
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        for argv in runs:
+            assert waterline.cli.main(argv) == 0
+    capsys.readouterr()
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.predict", "cli.eval", "cli.calibrate", "metrics.calibrate"} <= names
+    assert tracer.counts["features.build_calls"] == 0
+    assert "features.decoder_query" not in names
+    assert tracer.counts["metrics.pixel_error_calls"] == 0
+    assert tracer.counts["network.forward_eval_calls"] == 2
 
 
 def test_workloads_read_only_existing_package_names():

@@ -3,7 +3,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import re
 import subprocess
@@ -22,7 +21,6 @@ from waterline.data import GenConfig, SampleRecord, generate, load_dataset, save
 from waterline.errors import DatasetParseError, DatasetSchemaError, NumericError
 from waterline.features import ChartQuery, ImuSample
 from waterline.geometry import CameraModel
-from waterline.metrics import GtBox
 from waterline.network import init_params, load_checkpoint, save_checkpoint
 from waterline.training import TrainConfig
 
@@ -664,6 +662,20 @@ class TestCalibrate:
         assert "no predictions to calibrate on" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_predict_output_names_its_format(self, tmp_path, capsys, dataset):
+        predictions, checkpoint = tmp_path / "pred.jsonl", tmp_path / "checkpoint.json"
+        save_checkpoint(init_params(0), checkpoint)
+        argv = ["predict", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                "--out", str(predictions)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        code = main(["calibrate", "--dataset", str(predictions), "--out", str(tmp_path / "cal")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: line 1: a `predict` output row (prediction, decoder_query); calibrate "
+            "reads detector rows (logit, box, gt_visible, gt_box)\n"
+        )
+
     def test_malformed_predictions_is_data_error(self, tmp_path):
         bad = tmp_path / "preds.jsonl"
         bad.write_text('{"schema": 1, "logit": 1.0}\n')
@@ -723,9 +735,32 @@ class TestCalibrate:
 
     def test_load_predictions_round_trip(self, tmp_path):
         path = _write_predictions(tmp_path / "preds.jsonl", n=10)
-        preds, gts = load_predictions(path)
-        assert len(preds) == len(gts) == 10
-        assert all(isinstance(g, GtBox) for g in gts)
+        rows = load_predictions(path)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        boxes = [list(line["box"].values()) for line in lines]
+        assert rows.logits.tolist() == [line["logit"] for line in lines]
+        assert rows.boxes.tolist() == boxes
+        assert rows.gt_visible.tolist() == [line["gt_visible"] for line in lines]
+        assert rows.gt_boxes.tolist() == [
+            box if line["gt_visible"] else [0.0] * 4 for box, line in zip(boxes, lines)
+        ]
+        assert 0 < rows.gt_visible.sum() < 10
+
+    def test_integer_numbers_load_as_floats(self, tmp_path):
+        """Values the writers never emit but the line rules accept: integer
+        numbers, a gt_box beside gt_visible false and an extra key."""
+        path = _write_predictions(tmp_path / "preds.jsonl", n=4)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        expected = load_predictions(path)
+        lines[1]["logit"] = 3
+        lines[2]["box"]["w"] = 1
+        lines[3].update(gt_visible=False, gt_box={"c_x": "x"}, note=None)
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        rows = load_predictions(path)
+        assert rows.logits.tolist() == [expected.logits[0], 3.0, *expected.logits[2:]]
+        assert rows.boxes[2].tolist() == [*expected.boxes[2, :2], 1.0, expected.boxes[2, 3]]
+        assert not rows.gt_visible[3] and rows.gt_boxes[3].tolist() == [0.0] * 4
+        assert rows.logits.dtype == rows.boxes.dtype == rows.gt_boxes.dtype == np.float64
 
 
 # Any JSON value, plus the non-finite floats and the out-of-range integers that
@@ -766,16 +801,24 @@ def test_load_predictions_yields_finite_typed_values_or_a_data_error(tmp_path, l
     path = tmp_path / "preds.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     try:
-        preds, gts = load_predictions(path)
+        rows = load_predictions(path)
     except (DatasetParseError, DatasetSchemaError):
         return  # main maps both to exit code 3
-    assert len(preds) == len(gts)
-    for pred, gt in zip(preds, gts):
-        boxes = (pred.box, gt.box) if gt.visible else (pred.box,)
-        values = (pred.objectness_logit, *(v for box in boxes for v in box))
-        assert all(type(v) is float and math.isfinite(v) for v in values)
-        assert all(box[2] > 0 and box[3] > 0 for box in boxes)
-        assert type(gt.visible) is bool
+    n = len(rows.logits)
+    assert rows.logits.shape == (n,) and rows.gt_visible.shape == (n,)
+    assert rows.boxes.shape == rows.gt_boxes.shape == (n, 4)
+    assert rows.logits.dtype == rows.boxes.dtype == rows.gt_boxes.dtype == np.float64
+    assert rows.gt_visible.dtype == bool
+    assert all(np.isfinite(column).all() for column in (rows.logits, rows.boxes, rows.gt_boxes))
+    sizes = np.concatenate((rows.boxes[:, 2:], rows.gt_boxes[rows.gt_visible, 2:]))
+    assert (sizes > 0).all()
+    assert not rows.gt_boxes[~rows.gt_visible].any()
+    # The columns hold each line's values, in file order.
+    parsed = [json.loads(raw) for raw in path.read_bytes().split(b"\n") if raw.decode().strip()]
+    assert rows.logits.tolist() == [float(line["logit"]) for line in parsed]
+    assert rows.gt_visible.tolist() == [line["gt_visible"] for line in parsed]
+    assert rows.boxes.tolist() == [[float(line["box"][k]) for k in "c_x c_y w h".split()]
+                                   for line in parsed]
 
 
 class TestMisc:

@@ -300,6 +300,18 @@ class TestVisibleExamples:
         assert np.array_equal(x[0], build_features(query, record.imu))
         assert tuple(y[0]) == waterline_target(label)
 
+    def test_bit_equal_to_per_query_forms(self, camera):
+        config = GenConfig(**{**BASE_CONFIG, "n_samples": 600, "queries_per_sample": (0, 3),
+                              "distance_noise_rel": 0.05, "bearing_noise_deg": 1.0,
+                              "pitch_noise_deg": 1.0, "label_noise_px": 2.0})
+        records = generate(camera, config)
+        visible = [(q, r.imu, lb) for r in records for q, lb in zip(r.queries, r.labels)
+                   if lb.visible]
+        x, y = visible_examples(records)
+        assert x.tobytes() == np.stack([build_features(q, imu) for q, imu, _ in visible]).tobytes()
+        assert [tuple(row) for row in y.tolist()] == [waterline_target(lb) for _, _, lb in visible]
+        assert any(r.buoy_free for r in records) and len(visible) > 300
+
     def test_empty(self):
         x, y = visible_examples([])
         assert x.shape == (0, 6) and y.shape == (0, 2)
@@ -629,6 +641,18 @@ def test_single_fault_message_names_line(tmp_path, capsys, case):
             if loader == D else ["calibrate", "--dataset", str(path), "--out", out])
     assert main(argv) == 3  # predict reads the dataset before the checkpoint
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("loader, make", [(load_dataset, _dataset_line),
+                                          (load_predictions, _prediction_line)])
+def test_deeply_nested_line_is_parse_error(tmp_path, loader, make):
+    """Nesting deeper than the JSON decoder's recursion limit is a malformed
+    line (exit 3), not an unexpected error."""
+    path = tmp_path / "lines.jsonl"
+    path.write_text(json.dumps(make()) + "\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+    with pytest.raises(DatasetParseError) as excinfo:
+        loader(path)
+    assert excinfo.value.line == 2 and "recursion" in str(excinfo.value)
 
 
 # A finite, valid value of each dataset number; angles wider than their range

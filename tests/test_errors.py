@@ -2,6 +2,7 @@
 and the JSON writer."""
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waterline.data import GenConfig
-from waterline.errors import Bounds, ConfigError, write_json
+from waterline.errors import Bounds, ConfigError, load_json, write_json
 from waterline.geometry import CameraModel
 from waterline.training import TrainConfig
 
@@ -66,3 +67,42 @@ def test_write_json_rejects_non_finite_before_opening(tmp_path):
     with pytest.raises(ValueError):
         write_json(path, {"threshold": math.nan})
     assert not path.exists()
+
+
+def _finite_typed(value) -> bool:
+    """Whether a decoded JSON value holds only finite numbers and JSON types."""
+    if isinstance(value, dict):
+        return all(type(k) is str and _finite_typed(v) for k, v in value.items())
+    if isinstance(value, list):
+        return all(_finite_typed(v) for v in value)
+    if type(value) is float:
+        return math.isfinite(value)
+    return value is None or type(value) in (bool, int, str)
+
+
+# JSON text (json.dumps writes NaN and Infinity for non-finite floats), nesting
+# deeper than the decoder's recursion limit, and arbitrary bytes.
+_JSON_FILE = st.one_of(
+    _JSON.map(lambda v: json.dumps(v).encode()),
+    st.dictionaries(st.text(max_size=3), _JSON, max_size=3).map(lambda v: json.dumps(v).encode()),
+    st.tuples(st.sampled_from([1, 50, 10_000, 100_000]), st.sampled_from("[{")).map(
+        lambda d: (b'{"a": ' + (b"[" * d[0] + b"]" * d[0] if d[1] == "[" else
+                                b'{"a": ' * d[0] + b"1" + b"}" * d[0]) + b"}")
+    ),
+    st.binary(max_size=40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_JSON_FILE)
+def test_load_json_loads_finite_object_or_raises_config_error(tmp_path_factory, raw):
+    """Every file either loads to a JSON object of finite, typed values or
+    raises the loader's error, which main maps to exit code 2."""
+    path = tmp_path_factory.mktemp("json") / "config.json"
+    path.write_bytes(raw)
+    try:
+        data = load_json(path, "config", ConfigError)
+    except ConfigError as exc:
+        assert str(exc).startswith("config ")
+        return
+    assert type(data) is dict and _finite_typed(data)

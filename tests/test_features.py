@@ -11,7 +11,10 @@ from waterline.features import (
     ImuSample,
     build_decoder_query,
     build_features,
+    decoder_queries,
+    feature_matrix,
     waterline_target,
+    waterline_targets,
     wrap_angle_deg,
 )
 from waterline.metrics import GtBox
@@ -151,6 +154,66 @@ class TestBuildDecoderQuery:
         assert q[0] * 1000.0 == pytest.approx(d, rel=1e-12)
         assert q[1] * 180.0 == pytest.approx(b, rel=1e-12, abs=1e-12)
         assert q[2] == cx and q[3] == cy
+
+
+class TestWholeSetForms:
+    """Each whole-set form gives its per-frame form's floats, row by row."""
+
+    def test_feature_matrix_bit_equal_to_build_features(self, rng):
+        m = 2000
+        queries = [ChartQuery(d, b) for d, b in zip(
+            np.exp(rng.uniform(np.log(1e-3), np.log(1e5), m)).tolist(),  # both sides of 100 m
+            rng.uniform(-180.0, 180.0, m).tolist(),
+        )]
+        imus = [ImuSample(*angles) for angles in zip(
+            rng.uniform(-90.0, 90.0, m).tolist(), rng.uniform(-90.0, 90.0, m).tolist(),
+            rng.uniform(-180.0, 180.0, m).tolist(),
+        )]
+        queries[0], imus[0] = ChartQuery(100.0, 180.0), ImuSample(-90.0, 90.0, -180.0)
+        columns = np.array([(q.distance_m, q.bearing_deg, imu.pitch_deg, imu.roll_deg,
+                             imu.heading_deg) for q, imu in zip(queries, imus)])
+        got = feature_matrix(*columns.T)
+        want = np.stack([build_features(q, imu) for q, imu in zip(queries, imus)])
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert feature_matrix(*np.zeros((5, 0))).shape == (0, 6)
+
+    def test_waterline_targets_bit_equal_to_waterline_target(self, rng):
+        boxes = np.column_stack((rng.uniform(0, 1, (500, 2)), rng.uniform(0.01, 0.2, (500, 2))))
+        boxes[:, 1] = np.minimum(boxes[:, 1], 1.0 - boxes[:, 3] / 2)
+        boxes[0] = (0.5, 0.9, 0.05, 0.2 + 1e-9)  # a tiny overshoot clamps to 1
+        got = waterline_targets(boxes)
+        want = [waterline_target(GtBox(True, *box)) for box in boxes.tolist()]
+        assert [tuple(row) for row in got.tolist()] == want
+        assert got[0, 1] == 1.0
+
+    def test_waterline_targets_reject_like_waterline_target(self):
+        boxes = np.array([[0.5, 0.5, 0.1, 0.2], [0.5, 0.95, 0.05, 0.2], [0.5, 0.99, 0.05, 0.2]])
+        with pytest.raises(ValueError) as per_frame:
+            waterline_target(GtBox(True, *boxes[1].tolist()))
+        with pytest.raises(ValueError) as whole_set:
+            waterline_targets(boxes)
+        assert str(whole_set.value) == str(per_frame.value)
+
+    def test_decoder_queries_bit_equal_to_build_decoder_query(self, rng):
+        m = 500
+        queries = [ChartQuery(d, b) for d, b in zip(
+            rng.uniform(1.0, 2000.0, m).tolist(), rng.uniform(-180.0, 180.0, m).tolist())]
+        points = rng.uniform(0.0, 1.0, (m, 2))
+        points[0] = (0.0, 1.0)
+        feats = np.stack([build_features(q, LEVEL) for q in queries])
+        got = decoder_queries(feats, points)
+        want = np.stack([build_decoder_query(q, tuple(p)) for q, p in zip(queries, points.tolist())])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [(1.2, 0.5), (0.5, -0.01), (math.nan, 0.5)])
+    def test_decoder_queries_reject_like_build_decoder_query(self, bad):
+        feats = np.stack([build_features(ChartQuery(10.0, 0.0), LEVEL)] * 3)
+        points = np.array([(0.5, 0.5), bad, (2.0, 2.0)])
+        with pytest.raises(ValueError) as per_frame:
+            build_decoder_query(ChartQuery(10.0, 0.0), bad)
+        with pytest.raises(ValueError) as whole_set:
+            decoder_queries(feats, points)
+        assert str(whole_set.value) == str(per_frame.value)
 
 
 class TestWrapAngle:

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import miscalibrated_instance
-from oracles import exact_report_from_queries, exact_sweep, scalar_detection_report
+from conftest import detections, miscalibrated_instance
+from oracles import exact_report_from_queries, exact_sweep, scalar_detection_report, scalar_iou
 from waterline.metrics import (
     MAX_GRID_POINTS,
     DetectionReport,
     GtBox,
-    QueryPrediction,
     bias_grid,
     calibrate_bias,
     detection_report,
@@ -22,6 +21,7 @@ from waterline.metrics import (
     iou,
     overall_score,
     pixel_error,
+    pixel_errors,
     write_curve_csv,
 )
 
@@ -29,8 +29,10 @@ VISIBLE = 30.0  # saturated logits: sigmoid ~ 1
 HIDDEN = -30.0
 
 
-def _pred(visible, box=(0.5, 0.5, 0.2, 0.2)):
-    return QueryPrediction(objectness_logit=VISIBLE if visible else HIDDEN, box=box)
+def _row(visible, box=(0.5, 0.5, 0.2, 0.2), gt=None):
+    """A detector row (logit, box, gt_box) whose decision is `visible` at
+    every bias of the default grid; gt None: the buoy is not visible."""
+    return (VISIBLE if visible else HIDDEN, box, gt)
 
 
 class TestGtBoxValidate:
@@ -58,6 +60,14 @@ class TestPixelError:
         got = pixel_error((0.55, 0.55), (0.5, 0.5), 960, 540)
         assert got == pytest.approx(math.hypot(48.0, 27.0), rel=1e-12)
         assert got == pytest.approx(55.0726792520575, rel=1e-12)
+
+    def test_whole_set_form_bit_equal_to_per_row(self, rng):
+        pred = rng.uniform(0.0, 1.0, size=(500, 2))
+        targets = rng.uniform(0.0, 1.0, size=(500, 2))
+        targets[:5] = pred[:5]  # zero error
+        got = pixel_errors(pred, targets, 960, 540)
+        assert got == [pixel_error(p, t, 960, 540) for p, t in zip(pred, targets)]
+        assert all(type(e) is float for e in got)
 
 
 class TestErrorStats:
@@ -115,6 +125,24 @@ class TestIou:
         with pytest.raises(ValueError):
             iou((0.5, 0.5, 0.0, 0.2), (0.5, 0.5, 0.2, 0.2))
 
+    def test_arrays_bit_equal_to_scalar_pairs(self, rng):
+        a = np.column_stack((rng.uniform(0.2, 0.8, (400, 2)), rng.uniform(0.05, 0.3, (400, 2))))
+        b = np.column_stack((rng.uniform(0.2, 0.8, (400, 2)), rng.uniform(0.05, 0.3, (400, 2))))
+        b[:3] = a[:3]  # identical
+        b[3] = (a[3, 0] + a[3, 2], a[3, 1], a[3, 2], a[3, 3])  # touching edges
+        got = iou(a, b)
+        want = [scalar_iou(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert got.tolist() == want
+        assert 0.0 in want and 1.0 in want and any(0.0 < v < 1.0 for v in want)
+        assert [iou(x, y) for x, y in zip(a.tolist(), b.tolist())] == want
+
+    def test_arrays_reject_any_degenerate_row(self):
+        good = np.full((3, 4), 0.2)
+        bad = good.copy()
+        bad[2, 3] = 0.0
+        with pytest.raises(ValueError, match="positive width and height"):
+            iou(good, bad)
+
     def test_symmetric(self, rng):
         for _ in range(50):
             a = tuple(rng.uniform(0.2, 0.8, 2)) + tuple(rng.uniform(0.05, 0.3, 2))
@@ -140,9 +168,8 @@ class TestScoreHelpers:
 
 class TestDetectionReport:
     def test_all_perfect(self):
-        gts = [GtBox(True, 0.4, 0.4, 0.2, 0.2), GtBox(True, 0.7, 0.6, 0.1, 0.1), GtBox(False)]
-        preds = [_pred(True, gts[0].box), _pred(True, gts[1].box), _pred(False)]
-        report = detection_report(preds, gts)
+        a, b = (0.4, 0.4, 0.2, 0.2), (0.7, 0.6, 0.1, 0.1)
+        report = detection_report(detections([_row(True, a, a), _row(True, b, b), _row(False)]))
         assert report.precision == report.recall == report.f1 == 1.0
         assert report.miou == 1.0 and report.overall == 1.0
         assert (report.tp, report.fp, report.fn) == (2, 0, 0)
@@ -151,9 +178,9 @@ class TestDetectionReport:
         # 1 TP at IoU 0.5 (nested half-area box), 1 FP, 1 FN
         gt_box = (0.5, 0.5, 0.2, 0.2)
         tp_pred_box = (0.5, 0.5, 0.2, 0.1)
-        gts = [GtBox(True, *gt_box), GtBox(False), GtBox(True, 0.2, 0.2, 0.1, 0.1)]
-        preds = [_pred(True, tp_pred_box), _pred(True), _pred(False)]
-        report = detection_report(preds, gts)
+        report = detection_report(detections([
+            _row(True, tp_pred_box, gt_box), _row(True), _row(False, gt=(0.2, 0.2, 0.1, 0.1)),
+        ]))
         assert (report.tp, report.fp, report.fn) == (1, 1, 1)
         assert report.precision == 0.5
         assert report.recall == 0.5
@@ -163,55 +190,49 @@ class TestDetectionReport:
 
     def test_empty_denominator_conventions(self):
         # nothing predicted, nothing visible: vacuous success
-        report = detection_report([_pred(False)], [GtBox(False)])
+        report = detection_report(detections([_row(False)]))
         assert report.precision == 1.0 and report.recall == 1.0
         assert report.miou == 0.0 and report.overall == overall_score(report.f1, 0.0)
         # nothing predicted but a buoy was there
-        report = detection_report([_pred(False)], [GtBox(True, 0.5, 0.5, 0.1, 0.1)])
+        report = detection_report(detections([_row(False, gt=(0.5, 0.5, 0.1, 0.1))]))
         assert report.precision == 0.0 and report.recall == 0.0 and report.f1 == 0.0
         # prediction fired at an empty scene
-        report = detection_report([_pred(True)], [GtBox(False)])
+        report = detection_report(detections([_row(True)]))
         assert report.precision == 0.0 and report.recall == 0.0
 
     def test_threshold_comparison_is_strict(self):
         # sigmoid(0) = 0.5 exactly: at threshold 0.5 the query must NOT fire
-        report = detection_report(
-            [QueryPrediction(0.0, (0.5, 0.5, 0.1, 0.1))],
-            [GtBox(True, 0.5, 0.5, 0.1, 0.1)],
-            logit_bias=0.0,
-            threshold=0.5,
-        )
+        box = (0.5, 0.5, 0.1, 0.1)
+        report = detection_report(detections([(0.0, box, box)]), logit_bias=0.0, threshold=0.5)
         assert report.tp == 0 and report.fn == 1
 
     def test_bias_shifts_decision(self):
         logit = 1.0  # sigmoid(1) ~ 0.73 < 0.9, sigmoid(1 + 1.5) ~ 0.924 > 0.9
-        preds = [QueryPrediction(logit, (0.5, 0.5, 0.1, 0.1))]
-        gts = [GtBox(True, 0.5, 0.5, 0.1, 0.1)]
-        assert detection_report(preds, gts, logit_bias=0.0).tp == 0
-        assert detection_report(preds, gts, logit_bias=1.5).tp == 1
+        box = (0.5, 0.5, 0.1, 0.1)
+        rows = detections([(logit, box, box)])
+        assert detection_report(rows, logit_bias=0.0).tp == 0
+        assert detection_report(rows, logit_bias=1.5).tp == 1
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            detection_report([_pred(True)], [])
+        rows = detections([_row(True)])
+        with pytest.raises(ValueError, match="detection columns must align"):
+            detection_report(rows._replace(gt_visible=rows.gt_visible[:0]))
 
     def test_matches_exact_oracle_on_random_instances(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 8))
-            preds = []
-            gts = []
+            rows = []
             for _ in range(n):
                 gt_visible = bool(rng.random() < 0.6)
                 box = (rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), 0.2, 0.2)
-                gts.append(GtBox(gt_visible, *box) if gt_visible else GtBox(False))
-                preds.append(
-                    QueryPrediction(
-                        float(rng.normal(0, 4)),
-                        (rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), 0.2, 0.2),
-                    )
-                )
+                rows.append((
+                    float(rng.normal(0, 4)),
+                    (rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7), 0.2, 0.2),
+                    box if gt_visible else None,
+                ))
             bias = float(rng.uniform(-2, 2))
-            report = detection_report(preds, gts, logit_bias=bias)
-            oracle = exact_report_from_queries(preds, gts, bias, 0.90)
+            report = detection_report(detections(rows), logit_bias=bias)
+            oracle = exact_report_from_queries(detections(rows), bias, 0.90)
             assert (report.tp, report.fp, report.fn) == (
                 oracle["tp"],
                 oracle["fp"],
@@ -230,9 +251,9 @@ class TestDetectionReport:
         bias=st.floats(min_value=-3, max_value=3),
     )
     def test_tp_plus_fn_counts_visible_gts(self, data, bias):
-        gts = [GtBox(v, 0.5, 0.5, 0.1, 0.1) if v else GtBox(False) for v, _ in data]
-        preds = [QueryPrediction(l, (0.5, 0.5, 0.1, 0.1)) for _, l in data]
-        report = detection_report(preds, gts, logit_bias=bias)
+        box = (0.5, 0.5, 0.1, 0.1)
+        rows = detections([(logit, box, box if v else None) for v, logit in data])
+        report = detection_report(rows, logit_bias=bias)
         assert report.tp + report.fn == sum(1 for v, _ in data if v)
 
 
@@ -247,39 +268,37 @@ class TestCalibrateBias:
 
     def test_no_predictions_is_an_error(self):
         with pytest.raises(ValueError, match="no predictions to calibrate on"):
-            calibrate_bias([], [])
+            calibrate_bias(detections([]))
 
     def test_tie_break_prefers_zero(self):
-        gts = [GtBox(True, 0.5, 0.5, 0.1, 0.1), GtBox(False)]
-        preds = [_pred(True, gts[0].box), _pred(False)]
-        best, curve = calibrate_bias(preds, gts)
+        box = (0.5, 0.5, 0.1, 0.1)
+        best, curve = calibrate_bias(detections([_row(True, box, box), _row(False)]))
         assert best == 0.0
         assert all(report.overall == 1.0 for _, report in curve)
 
     def test_curve_in_grid_order_and_best_beats_zero_bias(self, rng):
-        preds, gts = miscalibrated_instance(rng, shift=0.5)
-        best, curve = calibrate_bias(preds, gts)
+        best, curve = calibrate_bias(miscalibrated_instance(rng, shift=0.5))
         biases = [b for b, _ in curve]
         assert biases == bias_grid(-3.0, 3.0, 0.25)
         by_bias = dict(curve)
         assert by_bias[best].overall >= by_bias[0.0].overall
 
     def test_recovers_negative_bias_for_inflated_logits(self, rng):
-        preds, gts = miscalibrated_instance(rng, shift=0.5)
-        best, curve = calibrate_bias(preds, gts)
+        rows = miscalibrated_instance(rng, shift=0.5)
+        best, curve = calibrate_bias(rows)
         assert best < 0.0
         # brute-force optimum on the 10x finer grid, exact arithmetic
-        fine_best, fine_overall, _ = exact_sweep(preds, gts, bias_grid(-3, 3, 0.025), 0.90)
+        fine_best, fine_overall, _ = exact_sweep(rows, bias_grid(-3, 3, 0.025), 0.90)
         coarse_overall = dict(curve)[best].overall
         assert abs(best - fine_best) <= 0.25 + 1e-12
         assert float(fine_overall) - coarse_overall <= 0.25
         assert float(fine_overall) >= coarse_overall - 1e-12
 
     def test_every_grid_report_matches_exact_oracle(self, rng):
-        preds, gts = miscalibrated_instance(rng, shift=0.5, n=120)
-        _, curve = calibrate_bias(preds, gts)
+        rows = miscalibrated_instance(rng, shift=0.5, n=120)
+        _, curve = calibrate_bias(rows)
         for bias, report in curve:
-            oracle = exact_report_from_queries(preds, gts, bias, 0.90)
+            oracle = exact_report_from_queries(rows, bias, 0.90)
             assert (report.tp, report.fp, report.fn) == (
                 oracle["tp"],
                 oracle["fp"],
@@ -290,34 +309,29 @@ class TestCalibrateBias:
     @pytest.mark.parametrize("step", [0.25, 0.01])  # 25 and 601 grid points
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_curve_bit_equal_to_scalar_reference(self, seed, step):
-        preds, gts = miscalibrated_instance(np.random.default_rng(seed), n=300)
-        _, curve = calibrate_bias(preds, gts, step=step)
+        rows = miscalibrated_instance(np.random.default_rng(seed), n=300)
+        _, curve = calibrate_bias(rows, step=step)
         assert len(curve) == len(bias_grid(-3.0, 3.0, step))
         for bias, report in curve:
-            assert report == scalar_detection_report(preds, gts, bias, 0.90)
+            assert report == scalar_detection_report(rows, bias, 0.90)
 
     def test_degenerate_box_raises_only_once_a_true_positive(self):
-        gts = [GtBox(True, 0.5, 0.5, 0.1, 0.1), GtBox(True, 0.5, 0.5, 0.1, 0.1)]
+        box = (0.5, 0.5, 0.1, 0.1)
         flat = (0.5, 0.5, 0.1, 0.0)
-        calibrate_bias([_pred(True, gts[0].box), _pred(False, flat)], gts)
+        calibrate_bias(detections([_row(True, box, box), _row(False, flat, box)]))
         with pytest.raises(ValueError, match="positive width and height"):
-            calibrate_bias([_pred(True, gts[0].box), QueryPrediction(0.0, flat)], gts)
+            calibrate_bias(detections([_row(True, box, box), (0.0, flat, box)]))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31))
     def test_monotone_positive_count(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 40))
-        gts = [
-            GtBox(True, 0.5, 0.5, 0.1, 0.1) if rng.random() < 0.5 else GtBox(False)
-            for _ in range(n)
-        ]
-        preds = [
-            QueryPrediction(float(rng.normal(0, 3)), (0.5, 0.5, 0.1, 0.1)) for _ in range(n)
-        ]
+        box = (0.5, 0.5, 0.1, 0.1)
+        visible = [rng.random() < 0.5 for _ in range(n)]
+        rows = detections([(float(rng.normal(0, 3)), box, box if v else None) for v in visible])
         counts = [
-            detection_report(preds, gts, logit_bias=b).tp
-            + detection_report(preds, gts, logit_bias=b).fp
+            detection_report(rows, logit_bias=b).tp + detection_report(rows, logit_bias=b).fp
             for b in bias_grid(-3.0, 3.0, 0.25)
         ]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
@@ -352,8 +366,7 @@ class TestCalibrateBias:
 
 class TestExports:
     def test_curve_csv_round_trips(self, tmp_path, rng):
-        preds, gts = miscalibrated_instance(rng, shift=0.5, n=60)
-        _, curve = calibrate_bias(preds, gts)
+        _, curve = calibrate_bias(miscalibrated_instance(rng, shift=0.5, n=60))
         path = tmp_path / "curve.csv"
         write_curve_csv(curve, path)
         with open(path) as f:
@@ -365,7 +378,7 @@ class TestExports:
             assert float(row[5]) == report.overall
 
     def test_report_dict_keys(self):
-        report = detection_report([_pred(False)], [GtBox(False)])
+        report = detection_report(detections([_row(False)]))
         assert set(dataclasses.asdict(report)) == {
             "precision",
             "recall",

@@ -584,6 +584,53 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+_BLOB = init_params(0).flat.astype("<f8").tobytes()
+_EDGE_DOUBLES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
+
+
+@st.composite
+def _checkpoint_payload(draw):
+    """A checkpoint object with a drawn version and a drawn params blob: the
+    real parameter bytes, resized or with an edge double written in, then
+    base64 that may be corrupted, or a value of another type."""
+    raw = bytearray(_BLOB)
+    edit = draw(st.sampled_from(["none", "resize", "double"]))
+    if edit == "resize":
+        size = len(raw) + draw(st.integers(-17, 17).filter(bool))
+        raw = raw[:size] + bytes(max(0, size - len(raw)))
+    elif edit == "double":
+        at = draw(st.integers(0, len(raw) // 8 - 1)) * 8
+        raw[at:at + 8] = np.float64(draw(st.sampled_from(_EDGE_DOUBLES))).astype("<f8").tobytes()
+    blob = base64.b64encode(bytes(raw)).decode("ascii")
+    kind = draw(st.sampled_from(["valid", "char", "unpadded", "other"]))
+    if kind == "char":
+        at = draw(st.integers(0, len(blob)))
+        blob = blob[:at] + draw(st.sampled_from(["!", "=", " ", "\n", "é", "-", "A"])) + blob[at:]
+    elif kind == "unpadded":
+        blob = blob.rstrip("=")[:-1]
+    elif kind == "other":
+        blob = draw(st.sampled_from([None, 3, [], {}, True, ""]))
+    version = draw(st.sampled_from([2, 2, 2, 1, 3, "2", None, True]))
+    return {"format_version": version, "layer_sizes": list(LAYER_SIZES),
+            "init_seed": 0, "train_seed": None, "params": blob}
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=_checkpoint_payload())
+def test_checkpoint_loads_finite_or_raises_checkpoint_error(tmp_path_factory, payload):
+    """Every checkpoint either loads to N_PARAMS finite float64 values, the
+    bytes its blob encodes, or raises CheckpointError (exit code 2)."""
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+    path.write_text(json.dumps(payload))
+    try:
+        params = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert params.flat.dtype == np.float64 and params.flat.shape == (N_PARAMS,)
+    assert np.isfinite(params.flat).all()
+    assert params.flat.astype("<f8").tobytes() == base64.b64decode(payload["params"])
+
+
 def _save_tampered(path, edit):
     """Save a fresh checkpoint with edit(bytes) applied to its decoded blob."""
     save_checkpoint(init_params(0), path)
