@@ -43,7 +43,7 @@ from .errors import (
     NumericError,
     write_json,
 )
-from .features import decoder_queries, feature_matrix, waterline_targets
+from .features import decoder_queries, waterline_targets
 from .geometry import CameraModel, project
 from .metrics import calibrate_bias, error_stats, pixel_errors, write_curve_csv
 from .network import forward, load_checkpoint, save_checkpoint
@@ -153,7 +153,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
 
-    parts = split(load_dataset(args.dataset), config.val_ratio, seed=config.seed)
+    parts = split(load_dataset(args.dataset).records(), config.val_ratio, seed=config.seed)
     train_xy = visible_examples(parts.train)
     val_xy = visible_examples(parts.val)
     if train_xy[0].shape[0] == 0 or val_xy[0].shape[0] == 0:
@@ -190,15 +190,15 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     started = _utcnow()
     camera = _load_camera(args.camera)
-    records = load_dataset(args.dataset)
+    frames = load_dataset(args.dataset)
     params = load_checkpoint(args.checkpoint)
 
-    feats, targets = visible_examples(records)
+    visible = frames.visible
+    feats = frames.features()[visible]
+    targets = waterline_targets(frames.boxes)
     if len(feats) == 0:
         raise ConfigError("no visible queries to evaluate")
-    rows = [  # (sample_id, query_index), aligned with feats
-        (r.sample_id, qi) for r in records for qi, lb in enumerate(r.labels) if lb.visible
-    ]
+    sample_ids, query_index = (keys[visible].tolist() for keys in frames.query_keys())
 
     pred, _ = forward(params, feats, training=False)
     errors = pixel_errors(pred, targets, camera.image_w, camera.image_h)
@@ -210,7 +210,7 @@ def cmd_eval(args) -> int:
     with open(out_dir / "errors.csv", "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["sample_id", "query_index", "error_px"])
-        writer.writerows((sample_id, qi, repr(err)) for (sample_id, qi), err in zip(rows, errors))
+        writer.writerows(zip(sample_ids, query_index, map(repr, errors)))
 
     print(f"n: {stats.n}")
     print(f"median_px: {stats.median_px:.4f}")
@@ -270,24 +270,20 @@ def cmd_calibrate(args) -> int:
 
 def cmd_predict(args) -> int:
     started = _utcnow()
-    records = load_dataset(args.dataset)
+    frames = load_dataset(args.dataset)
     params = load_checkpoint(args.checkpoint)
     out = Path(args.out)
 
-    # One eval forward over every chart query of the file, in record order.
-    keys = [(record.sample_id, qi) for record in records for qi in range(len(record.queries))]
+    # One eval forward over every chart query of the file, in file order.
+    n_queries = len(frames.distance_m)
     rows = []
-    if keys:  # forward rejects an empty batch; a buoy-free file gets no rows
-        columns = float_rows((
-            (query.distance_m, query.bearing_deg,
-             record.imu.pitch_deg, record.imu.roll_deg, record.imu.heading_deg)
-            for record in records for query in record.queries
-        ), 5)
-        feats = feature_matrix(*columns.T)
+    if n_queries:  # forward rejects an empty batch; a buoy-free file gets no rows
+        feats = frames.features()
         pred, _ = forward(params, feats, training=False)
-        rows = zip(keys, decoder_queries(feats, pred).tolist(), feats.tolist())
+        rows = zip(*(keys.tolist() for keys in frames.query_keys()),
+                   decoder_queries(feats, pred).tolist(), feats.tolist())
     with open(out, "w", encoding="utf-8") as f:
-        for (sample_id, qi), decoder_query, feature_row in rows:
+        for sample_id, qi, decoder_query, feature_row in rows:
             row = {  # decoder_query ends with the predicted point
                 "schema": PREDICT_SCHEMA,
                 "sample_id": sample_id,
@@ -299,7 +295,7 @@ def cmd_predict(args) -> int:
                 row["features"] = feature_row
             f.write(COMPACT_JSON.encode(row))
             f.write("\n")
-    print(f"queries predicted: {len(keys)}")
+    print(f"queries predicted: {n_queries}")
 
     _write_manifest(
         out.with_suffix(out.suffix + ".manifest.json"),

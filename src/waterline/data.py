@@ -11,7 +11,8 @@ On-disk format is JSON Lines, one sample per line:
 
 `queries` and `labels` are aligned; an empty `queries` list marks a buoy-free
 frame. Box fields are normalized to [0, 1] and are omitted when a label is
-not visible. Headings are wrapped into [-180, 180] on ingestion.
+not visible. Headings are wrapped into [-180, 180] on ingestion, and
+load_dataset returns the file as columns (Frames).
 
 The generator draws vessel attitude and chart queries at random, projects
 each query's waterline point through the pinhole camera, and anchors a
@@ -27,8 +28,8 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
-from itertools import chain
-from typing import Annotated
+from itertools import chain, compress
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .features import ChartQuery, ImuSample, feature_matrix, waterline_targets, wrap_angle_deg
 from .geometry import CameraModel, in_frame, project
-from .metrics import Detections, GtBox
+from .metrics import FRAME_SLACK, Detections, GtBox
 
 SCHEMA_VERSION = 1  # dataset lines
 # Detector lines: a detector's per-query logit and box with their ground truth,
@@ -51,6 +52,7 @@ PREDICT_SCHEMA = 1
 # The one JSON Lines encoder of both writers (save_dataset and `predict`):
 # json.dumps(obj, separators=(",", ":")) without building an encoder per line.
 COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+_RAW_DECODE = json.JSONDecoder().raw_decode  # the decoder of json.loads
 
 # Box-size clamp: apparent height is limited to [MIN_BOX_PX, image_h / 2].
 MIN_BOX_PX = 2.0
@@ -87,6 +89,46 @@ class SampleRecord:
     @property
     def buoy_free(self) -> bool:
         return len(self.queries) == 0
+
+
+class Frames(NamedTuple):
+    """A dataset as columns: n frames holding m chart queries, m_vis of them
+    visible. Frame i's queries are rows offsets[i]:offsets[i + 1] of the
+    query columns, in file order."""
+
+    sample_id: np.ndarray  # (n,) object: str
+    imu: np.ndarray  # (n, 3) float64: pitch, roll, heading (wrapped), degrees
+    offsets: np.ndarray  # (n + 1,) int64
+    distance_m: np.ndarray  # (m,) float64
+    bearing_deg: np.ndarray  # (m,) float64
+    visible: np.ndarray  # (m,) bool
+    boxes: np.ndarray  # (m_vis, 4) float64: c_x, c_y, w, h of the visible queries, in order
+
+    def query_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (sample_id, query_index) of each query, as two (m,) arrays."""
+        counts = np.diff(self.offsets)
+        return (np.repeat(self.sample_id, counts),
+                np.arange(len(self.distance_m)) - np.repeat(self.offsets[:-1], counts))
+
+    def features(self) -> np.ndarray:
+        """The (m, 6) network inputs of every query (feature_matrix)."""
+        pitch, roll, heading = np.repeat(self.imu, np.diff(self.offsets), axis=0).T
+        return feature_matrix(self.distance_m, self.bearing_deg, pitch, roll, heading)
+
+    def records(self) -> list[SampleRecord]:
+        """The frames as SampleRecords, the input of split and visible_examples."""
+        queries = [ChartQuery(*query) for query in
+                   zip(self.distance_m.tolist(), self.bearing_deg.tolist())]
+        boxes = iter(self.boxes.tolist())
+        labels = [GtBox(True, *next(boxes)) if visible else GtBox(visible=False)
+                  for visible in self.visible.tolist()]
+        offsets = self.offsets.tolist()
+        return [
+            SampleRecord(sample_id, ImuSample(*imu), tuple(queries[start:end]),
+                         tuple(labels[start:end]))
+            for sample_id, imu, start, end in zip(self.sample_id.tolist(), self.imu.tolist(),
+                                                  offsets, offsets[1:])
+        ]
 
 
 @dataclass(frozen=True)
@@ -325,7 +367,14 @@ def _jsonl(path, parse) -> list:
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                data = json.loads(line)
+                # json.loads(line) is this call once it has checked for a BOM and
+                # skipped outer whitespace, which the line no longer has.
+                try:
+                    data, end = _RAW_DECODE(line)
+                except (ValueError, RecursionError):
+                    end = None
+                if end != len(line):  # then json.loads raises its error for the line
+                    data = json.loads(line)
             # bad UTF-8, JSONDecodeError, an over-long integer, or nesting too deep to decode
             except (ValueError, RecursionError) as exc:
                 raise DatasetParseError(str(exc), line=line_no) from exc
@@ -336,8 +385,18 @@ def _jsonl(path, parse) -> list:
     return values
 
 
-def load_dataset(path) -> list[SampleRecord]:
-    return _jsonl(path, _record_from_dict)
+def load_dataset(path) -> Frames:
+    """Read a dataset file as columns.
+
+    Each rule of _record_from_dict is checked once per column. When a column
+    fails one, the per-line rules run over the file: they name the first bad
+    line, or, when every line keeps them (an integer number, say), give the
+    values.
+    """
+    frames = _checked_frames(_jsonl(path, lambda data: data))
+    if frames is None:
+        frames = _records_frames(_jsonl(path, _record_from_dict))
+    return frames
 
 
 def load_predictions(path) -> Detections:
@@ -422,6 +481,89 @@ def _columns(cols) -> Detections:
         boxes=numbers[1:5].T,
         gt_visible=np.array(cols[8:9], dtype=bool).reshape(-1),
         gt_boxes=numbers[5:].T,
+    )
+
+
+_LINE_KEYS = operator.itemgetter("schema", "sample_id", "imu", "queries", "labels")
+_IMU_KEYS = operator.itemgetter("pitch_deg", "roll_deg", "heading_deg")
+_QUERY_KEYS = operator.itemgetter("distance_m", "bearing_deg")
+_VISIBLE_KEY = operator.itemgetter("visible")
+
+
+def _checked_frames(lines) -> Frames | None:
+    """The Frames of decoded dataset lines, or None if a column lacks a key or
+    an object, breaks a rule of _record_from_dict, or holds a value that the
+    writers do not emit and that rule converts (an integer number)."""
+    if not lines:
+        return _frames((), (), (), (), (), ())
+    try:
+        schema, sample_id, imu, queries, labels = zip(*map(_LINE_KEYS, lines))
+        if _types(queries + labels) != {list}:  # before a dict's keys are iterated
+            return None
+        imu = list(chain.from_iterable(map(_IMU_KEYS, imu)))
+        counts = list(map(len, queries))
+        aligned = counts == list(map(len, labels))
+        query_values = list(chain.from_iterable(map(_QUERY_KEYS, chain.from_iterable(queries))))
+        labels = list(chain.from_iterable(labels))
+        visible = list(map(_VISIBLE_KEY, labels))
+        box_values = list(chain.from_iterable(map(_BOX_KEYS, compress(labels, visible))))
+    except (KeyError, TypeError):  # a missing key, or a value that is not an object
+        return None
+    if not (aligned and _types(schema) == {int} and set(schema) == {SCHEMA_VERSION}
+            and _types(sample_id) == {str}
+            and _types(imu) == {float}
+            and _types(query_values + box_values) <= {float}
+            and _types(visible) <= {bool}):
+        return None
+    imu = np.array(imu).reshape(-1, 3)
+    heading = imu[:, 2]
+    if not np.isfinite(heading).all():  # before the wrap, which would make it NaN
+        return None
+    imu[:, 2] = wrap_angle_deg(heading)
+    frames = _frames(sample_id, imu, counts, query_values, visible, box_values)
+    pitch_roll, distance, bearing = frames.imu[:, :2], frames.distance_m, frames.bearing_deg
+    c_x, c_y, w, h = frames.boxes.T
+    # Each range holds only for finite values (a comparison with NaN is false),
+    # so it is its field's finiteness check too.
+    in_range = (
+        ((-90.0 <= pitch_roll) & (pitch_roll <= 90.0)).all()
+        and ((0.0 < distance) & (distance < math.inf)).all()
+        and ((-180.0 <= bearing) & (bearing <= 180.0)).all()
+        and ((w > 0) & (h > 0)).all()
+        and ((c_x - w / 2 >= -FRAME_SLACK) & (c_x + w / 2 <= 1 + FRAME_SLACK)
+             & (c_y - h / 2 >= -FRAME_SLACK) & (c_y + h / 2 <= 1 + FRAME_SLACK)).all()
+    )
+    return frames if in_range else None
+
+
+def _records_frames(records) -> Frames:
+    """The Frames of valid records."""
+    return _frames(
+        [record.sample_id for record in records],
+        [(r.imu.pitch_deg, r.imu.roll_deg, r.imu.heading_deg) for r in records],
+        [len(record.queries) for record in records],
+        [(query.distance_m, query.bearing_deg) for r in records for query in r.queries],
+        [label.visible for record in records for label in record.labels],
+        [label.box for record in records for label in record.labels if label.visible],
+    )
+
+
+def _frames(sample_id, imu, counts, queries, visible, boxes) -> Frames:
+    """Frames of valid values: per frame its sample_id, its (pitch, roll,
+    wrapped heading) and its query count; per query its (distance, bearing)
+    and visible flag; per visible query its box. Each number sequence may
+    also be flat."""
+    queries = np.asarray(queries, dtype=np.float64).reshape(-1, 2)
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(np.asarray(counts, dtype=np.int64), out=offsets[1:])
+    return Frames(
+        sample_id=np.array(sample_id, dtype=object),
+        imu=np.asarray(imu, dtype=np.float64).reshape(-1, 3),
+        offsets=offsets,
+        distance_m=queries[:, 0],
+        bearing_deg=queries[:, 1],
+        visible=np.asarray(visible, dtype=bool),
+        boxes=np.asarray(boxes, dtype=np.float64).reshape(-1, 4),
     )
 
 

@@ -28,6 +28,10 @@ from .network import sigmoid
 # 25-point grid, e.g. the default range at step 6e-4.
 MAX_GRID_POINTS = 10_001
 
+# How far a visible dataset label may reach past the unit frame, normalized
+# (labels are often stored at float32 precision upstream).
+FRAME_SLACK = 1e-6
+
 
 @dataclass(frozen=True)
 class GtBox:
@@ -48,7 +52,7 @@ class GtBox:
     def box(self) -> tuple[float, float, float, float]:
         return (self.c_x, self.c_y, self.w, self.h)
 
-    def validate(self, eps: float = 1e-6) -> None:
+    def validate(self, eps: float = FRAME_SLACK) -> None:
         """Raise ValueError if a visible box violates its invariants."""
         if not self.visible:
             return

@@ -420,10 +420,20 @@ def load_checkpoint(path) -> MlpParams:
     Use params.copy() for writable tensors, e.g. to train further.
     """
     payload = load_json(path, "checkpoint", CheckpointError)
-    if payload.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {payload.get('format_version')}")
-    if payload.get("layer_sizes") != list(LAYER_SIZES):
-        raise CheckpointError(f"checkpoint architecture {payload.get('layer_sizes')} unsupported")
+    # Integers by type: in Python, 2.0 and true compare equal to 2 and 1.
+    version = payload.get("format_version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    sizes = payload.get("layer_sizes")
+    if sizes != list(LAYER_SIZES) or set(map(type, sizes)) != {int}:
+        raise CheckpointError(f"checkpoint architecture {sizes} unsupported")
+    init_seed, train_seed = payload.get("init_seed"), payload.get("train_seed")
+    if type(init_seed) is not int:
+        raise CheckpointError(f"checkpoint init_seed must be an integer, got {init_seed!r}")
+    if train_seed is not None and type(train_seed) is not int:
+        raise CheckpointError(
+            f"checkpoint train_seed must be an integer or null, got {train_seed!r}"
+        )
     blob = payload.get("params")
     if not isinstance(blob, str):
         raise CheckpointError("checkpoint has no params blob")
@@ -438,6 +448,6 @@ def load_checkpoint(path) -> MlpParams:
         raise CheckpointError("checkpoint params have non-finite values")
     # Read-only before MlpParams takes its views, so that every view inherits it.
     flat.flags.writeable = False
-    params = MlpParams(flat, payload.get("init_seed", 0), payload.get("train_seed"))
+    params = MlpParams(flat, init_seed, train_seed)
     params._plan = tuple([_aligned(a.shape, a) for a in group] for group in _fold(params))
     return params

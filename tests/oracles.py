@@ -29,6 +29,9 @@ it checks:
     instead of one array pass over every query.
   - per_frame_predict_rows: the `predict` rows from one eval forward per
     frame, instead of one forward over every query of the file.
+  - per_line_records / frames_of: a dataset file read line by line into
+    records, each rule checked as the line's values are built, then put in
+    columns with plain loops, instead of each rule checked once per column.
   - constant_predictor_loss: the no-skill baseline for learnability checks.
 """
 
@@ -41,7 +44,9 @@ from types import SimpleNamespace
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from waterline.data import MIN_BOX_PX, SampleRecord, default_bearing_range
+from waterline.data import (
+    MIN_BOX_PX, Frames, SampleRecord, _jsonl, _record_from_dict, default_bearing_range,
+)
 from waterline.errors import ConfigError, GenerationError
 from waterline.features import (
     ChartQuery, ImuSample, build_decoder_query, build_features, wrap_angle_deg,
@@ -538,6 +543,36 @@ def per_frame_predict_rows(records, params):
             rows.append((record.sample_id, qi, point, decoder_query,
                          [float(v) for v in feats[qi]]))
     return rows
+
+
+def per_line_records(path) -> list:
+    """A dataset file's records, each line through the per-line rules of
+    data._record_from_dict."""
+    return _jsonl(path, _record_from_dict)
+
+
+def frames_of(records) -> Frames:
+    """The Frames of records, one value at a time."""
+    sample_id, imu, offsets, distance, bearing, visible, boxes = [], [], [0], [], [], [], []
+    for record in records:
+        sample_id.append(record.sample_id)
+        imu.append([record.imu.pitch_deg, record.imu.roll_deg, record.imu.heading_deg])
+        offsets.append(offsets[-1] + len(record.queries))
+        for query, label in zip(record.queries, record.labels, strict=True):
+            distance.append(query.distance_m)
+            bearing.append(query.bearing_deg)
+            visible.append(label.visible)
+            if label.visible:
+                boxes.append(list(label.box))
+    return Frames(
+        sample_id=np.array(sample_id, dtype=object),
+        imu=np.array(imu, dtype=np.float64).reshape(-1, 3),
+        offsets=np.array(offsets, dtype=np.int64),
+        distance_m=np.array(distance, dtype=np.float64),
+        bearing_deg=np.array(bearing, dtype=np.float64),
+        visible=np.array(visible, dtype=bool),
+        boxes=np.array(boxes, dtype=np.float64).reshape(-1, 4),
+    )
 
 
 def exact_iou(a, b) -> Fraction:

@@ -50,16 +50,28 @@ def test_gen_verify_projects_once_per_stage(tmp_path, capsys):
     assert tracer.counts["data.generate_calls"] == 1
 
 
-def test_offline_stages_make_no_per_query_calls(tmp_path, capsys):
-    """predict, eval and calibrate work on whole arrays: no per-query feature,
-    decoder-query or pixel-error call, and one eval forward each for predict
-    and eval."""
+def _predict_and_eval(tmp_path):
+    """A 40-frame dataset, and the argv of `predict --emit-features` and
+    `eval` on it."""
     dataset, checkpoint = tmp_path / "data.jsonl", tmp_path / "checkpoint.json"
     records = waterline.data.generate(
         CameraModel.default(), waterline.data.GenConfig(n_samples=40, seed=3)
     )
     waterline.data.save_dataset(records, dataset)
     save_checkpoint(init_params(0), checkpoint)
+    return dataset, [
+        ["predict", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+         "--out", str(tmp_path / "pred.jsonl"), "--emit-features"],
+        ["eval", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+         "--out", str(tmp_path / "eval")],
+    ]
+
+
+def test_offline_stages_make_no_per_query_calls(tmp_path, capsys):
+    """predict, eval and calibrate work on whole arrays: no per-query feature,
+    decoder-query or pixel-error call, and one eval forward each for predict
+    and eval."""
+    _, runs = _predict_and_eval(tmp_path)
     detector = tmp_path / "detector.jsonl"
     box = {"c_x": 0.5, "c_y": 0.5, "w": 0.1, "h": 0.1}
     detector.write_text("".join(
@@ -67,13 +79,7 @@ def test_offline_stages_make_no_per_query_calls(tmp_path, capsys):
                     "box": box, "gt_visible": i % 2 == 0, "gt_box": box}) + "\n"
         for i in range(30)
     ))
-    runs = [
-        ["predict", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
-         "--out", str(tmp_path / "pred.jsonl"), "--emit-features"],
-        ["eval", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
-         "--out", str(tmp_path / "eval")],
-        ["calibrate", "--dataset", str(detector), "--out", str(tmp_path / "cal")],
-    ]
+    runs.append(["calibrate", "--dataset", str(detector), "--out", str(tmp_path / "cal")])
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
@@ -86,6 +92,22 @@ def test_offline_stages_make_no_per_query_calls(tmp_path, capsys):
     assert "features.decoder_query" not in names
     assert tracer.counts["metrics.pixel_error_calls"] == 0
     assert tracer.counts["network.forward_eval_calls"] == 2
+
+
+def test_tracer_sees_each_dataset_load(tmp_path, capsys):
+    """data.load_s keeps measuring the loader: predict and eval each read the
+    dataset once through data.load_dataset, which the tracer wraps by name,
+    and eval no longer goes through visible_examples."""
+    dataset, runs = _predict_and_eval(tmp_path)
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        for argv in runs:
+            assert waterline.cli.main(argv) == 0
+    capsys.readouterr()
+    assert tracer.counts["data.load_calls"] == 2
+    assert tracer.counts["data.bytes_read"] == 2 * dataset.stat().st_size
+    assert tracer.counts["data.visible_examples_calls"] == 0
 
 
 def test_workloads_read_only_existing_package_names():

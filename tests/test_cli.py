@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import waterline
-from oracles import per_frame_predict_rows
+from oracles import per_frame_predict_rows, per_line_records
 from waterline.cli import DEFAULT_VAL_RATIO, _verify_fidelity, load_predictions, main
 from waterline.data import GenConfig, SampleRecord, generate, load_dataset, save_dataset
 from waterline.errors import DatasetParseError, DatasetSchemaError, NumericError
@@ -484,8 +484,7 @@ class TestPredict:
             ["predict", "--dataset", str(dataset), "--checkpoint", str(checkpoint), "--out", str(out)]
         )
         assert code == 0
-        records = load_dataset(dataset)
-        total_queries = sum(len(r.queries) for r in records)
+        total_queries = len(load_dataset(dataset).distance_m)
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(rows) == total_queries
         for row in rows:
@@ -533,7 +532,7 @@ class TestPredict:
                      "--out", str(out), "--emit-features"])
         assert code == 0
         rows = [json.loads(line) for line in out.read_text().splitlines()]
-        expected = per_frame_predict_rows(load_dataset(dataset), load_checkpoint(checkpoint))
+        expected = per_frame_predict_rows(per_line_records(dataset), load_checkpoint(checkpoint))
         assert len(rows) == len(expected) > 200
         for row, (sample_id, qi, point, decoder_query, features) in zip(rows, expected):
             assert (row["sample_id"], row["query_index"]) == (sample_id, qi)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import waterline.data
 from waterline.data import (
+    Frames,
     GenConfig,
     SampleRecord,
     _uniform,
@@ -25,11 +27,13 @@ from waterline.errors import (
     DatasetSchemaError,
     GenerationError,
 )
-from waterline.features import ChartQuery, ImuSample, build_features, waterline_target
+from waterline.features import (
+    ChartQuery, ImuSample, build_features, waterline_target, wrap_angle_deg,
+)
 from waterline.metrics import GtBox
 
 from conftest import project_point
-from oracles import scalar_generate
+from oracles import frames_of, per_line_records, scalar_generate
 
 BASE_CONFIG = dict(
     n_samples=60,
@@ -374,7 +378,7 @@ class TestSerialization:
         records = generate(camera, GenConfig(**BASE_CONFIG))
         path = tmp_path / "data.jsonl"
         save_dataset(records, path)
-        assert load_dataset(path) == records
+        assert load_dataset(path).records() == records
 
     def test_buoy_free_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -386,8 +390,8 @@ class TestSerialization:
             "labels": [],
         }
         path.write_text(json.dumps(line) + "\n")
-        records = load_dataset(path)
-        assert len(records) == 1 and records[0].buoy_free
+        frames = load_dataset(path)
+        assert frames.sample_id.tolist() == ["x"] and frames.offsets.tolist() == [0, 0]
 
     def test_invisible_label_needs_no_box(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -399,8 +403,8 @@ class TestSerialization:
             "labels": [{"visible": False}],
         }
         path.write_text(json.dumps(line) + "\n")
-        records = load_dataset(path)
-        assert records[0].labels[0] == GtBox(False)
+        frames = load_dataset(path)
+        assert frames.visible.tolist() == [False] and frames.boxes.shape == (0, 4)
 
     def test_missing_imu_names_key_and_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -451,7 +455,7 @@ class TestSerialization:
             "labels": [],
         }
         path.write_text(json.dumps(line) + "\n")
-        assert load_dataset(path)[0].imu.heading_deg == -90.0
+        assert load_dataset(path).imu[0, 2] == -90.0
 
     def test_out_of_range_values_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"
@@ -503,7 +507,7 @@ class TestSerialization:
             "labels": [],
         }
         path.write_text("\n" + json.dumps(line) + "\n\n")
-        assert len(load_dataset(path)) == 1
+        assert len(load_dataset(path).sample_id) == 1
 
 
 def _dataset_line(i=2):
@@ -643,6 +647,56 @@ def test_single_fault_message_names_line(tmp_path, capsys, case):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _float_edit(path, token):
+    """An _edit that writes the JSON number `token` (a float literal) at `path`."""
+    return lambda line: _edit(path, "TOKEN")(line).replace('"TOKEN"', token)
+
+
+# Faults in values of the types the writers emit, so that only the column
+# checks see them first: fault, message.
+_COLUMN_FAULTS = {
+    "arrays": (lambda line: json.dumps({**line, "queries": {}, "labels": {}}),
+               "'queries' and 'labels' must be arrays"),
+    "distance-zero": (_float_edit("queries.0.distance_m", "0.0"),
+                      "chart distance must be positive and finite, got 0.0"),
+    "distance-negative": (_float_edit("queries.1.distance_m", "-1.5"),
+                          "chart distance must be positive and finite, got -1.5"),
+    "distance-inf": (_float_edit("queries.0.distance_m", "Infinity"),
+                     "'distance_m' must be a finite number, got inf"),
+    "bearing": (_float_edit("queries.1.bearing_deg", "-180.5"),
+                "bearing must lie in [-180, 180], got -180.5"),
+    "heading-inf": (_float_edit("imu.heading_deg", "-1e999"),
+                    "'heading_deg' must be a finite number, got -inf"),
+    "label-nan": (_float_edit("labels.0.h", "NaN"), "'h' must be a finite number, got nan"),
+    "label-width": (_float_edit("labels.0.w", "-0.0"),
+                    "'label' must have positive width and height, got w=-0.0, h=0.08"),
+    "label-height": (_float_edit("labels.0.h", "-0.08"),
+                     "'label' must have positive width and height, got w=0.05, h=-0.08"),
+    "label-c_x-inf": (_float_edit("labels.0.c_x", "Infinity"),
+                      "'c_x' must be a finite number, got inf"),
+    "label-left": (_float_edit("labels.0.c_x", "0.024"),
+                   "visible box extends outside the unit frame: (0.024, 0.6, 0.05, 0.08)"),
+    "label-right": (_float_edit("labels.0.c_x", "0.976"),
+                    "visible box extends outside the unit frame: (0.976, 0.6, 0.05, 0.08)"),
+    "label-top": (_float_edit("labels.0.c_y", "0.0399"),
+                  "visible box extends outside the unit frame: (0.5, 0.0399, 0.05, 0.08)"),
+    "label-bottom": (_float_edit("labels.0.c_y", "0.9601"),
+                     "visible box extends outside the unit frame: (0.5, 0.9601, 0.05, 0.08)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_COLUMN_FAULTS))
+def test_column_fault_names_line(tmp_path, case):
+    """A fault the column checks catch gets the per-line message and line."""
+    mutate, message = _COLUMN_FAULTS[case]
+    path = tmp_path / "lines.jsonl"
+    path.write_text("\n".join([json.dumps(_dataset_line(i)) for i in range(2)]
+                              + [mutate(_dataset_line())]))
+    with pytest.raises(DatasetSchemaError) as excinfo:
+        load_dataset(path)
+    assert str(excinfo.value) == f"line 3: {message}" and excinfo.value.line == 3
+
+
 @pytest.mark.parametrize("loader, make", [(load_dataset, _dataset_line),
                                           (load_predictions, _prediction_line)])
 def test_deeply_nested_line_is_parse_error(tmp_path, loader, make):
@@ -738,10 +792,11 @@ def test_mutated_line_loads_or_names_its_line(tmp_path, data):
     path = tmp_path / "data.jsonl"
     path.write_bytes(b"\n".join(raw) + b"\n")
     try:
-        records = load_dataset(path)
+        frames = load_dataset(path)
     except (DatasetParseError, DatasetSchemaError) as exc:  # main maps both to exit code 3
         assert exc.line == k and str(exc).startswith(f"line {k}: ")
         return
+    records = per_line_records(path)  # the per-line rules keep a file that loads
     assert len(records) == n
     for record in records:
         assert type(record.sample_id) is str
@@ -753,3 +808,73 @@ def test_mutated_line_loads_or_names_its_line(tmp_path, data):
             values += [query.distance_m, query.bearing_deg, *(label.box if label.visible else ())]
             assert type(label.visible) is bool
         assert all(type(v) is float and math.isfinite(v) for v in values)
+    assert_same_frames(frames, frames_of(records))
+    assert frames.records() == records
+
+
+def assert_same_frames(frames, reference):
+    """Equal fields, dtypes and shapes; numbers equal bit for bit."""
+    assert type(frames) is Frames
+    for name, got, want in zip(Frames._fields, frames, reference):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        if got.dtype == object:
+            assert got.tolist() == want.tolist() and {type(v) for v in got.tolist()} <= {str}
+        else:
+            assert got.tobytes() == want.tobytes(), name
+
+
+def _line(sample_id="x", heading=30.0, queries=(), labels=()):
+    return json.dumps({"schema": 1, "sample_id": sample_id,
+                       "imu": {"pitch_deg": 1.5, "roll_deg": -2.0, "heading_deg": heading},
+                       "queries": list(queries), "labels": list(labels)})
+
+
+_QUERY = {"distance_m": 412.0, "bearing_deg": -12.5}
+_LABEL = {"visible": True, "c_x": 0.31, "c_y": 0.52, "w": 0.01, "h": 0.02}
+# File text, the route that loads it, and a check of the Frames it gives.
+_LOAD_CASES = {
+    "integer-numbers": (
+        _line(queries=[_QUERY], labels=[_LABEL]).replace("412.0", "412").replace("1.5", "0")
+        + "\n", "lines",
+        lambda f: f.distance_m.tolist() == [412.0] and f.imu[0].tolist() == [0.0, -2.0, 30.0],
+    ),
+    "blank-lines": (
+        "\n" + _line("a", queries=[_QUERY], labels=[_LABEL]) + "\n\n  \n" + _line("b") + "\n",
+        "columns", lambda f: f.sample_id.tolist() == ["a", "b"] and f.offsets.tolist() == [0, 1, 1],
+    ),
+    "empty-file": (
+        "", "columns",
+        lambda f: f.imu.shape == (0, 3) and f.offsets.tolist() == [0] and f.boxes.shape == (0, 4),
+    ),
+    "buoy-free-only": (
+        "".join(_line(str(i)) + "\n" for i in range(3)), "columns",
+        lambda f: f.offsets.tolist() == [0, 0, 0, 0] and f.distance_m.shape == (0,),
+    ),
+    "label-within-slack": (
+        _line(queries=[_QUERY], labels=[{**_LABEL, "c_x": 0.9950005}]) + "\n", "columns",
+        lambda f: f.boxes[:, 0].tolist() == [0.9950005],
+    ),
+    "heading-540": (
+        _line(heading=540.0, queries=[_QUERY], labels=[{"visible": False}]) + "\n", "columns",
+        lambda f: f.imu[0, 2].tobytes() == np.float64(wrap_angle_deg(540.0)).tobytes()
+        and wrap_angle_deg(540.0) == 180.0 and f.visible.tolist() == [False],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_LOAD_CASES))
+def test_load_routes_agree(tmp_path, monkeypatch, case):
+    """Files a writer emits load by columns; an integer number takes the
+    per-line route, which gives the floats that route always gave. Either
+    way the Frames equal the per-line reference."""
+    text, route, check = _LOAD_CASES[case]
+    path = tmp_path / "data.jsonl"
+    path.write_text(text)
+    per_line = []
+    record_from_dict = waterline.data._record_from_dict
+    monkeypatch.setattr(waterline.data, "_record_from_dict",
+                        lambda data: per_line.append(data) or record_from_dict(data))
+    frames = load_dataset(path)
+    assert ("lines" if per_line else "columns") == route
+    assert_same_frames(frames, frames_of(per_line_records(path)))
+    assert check(frames)

@@ -537,6 +537,23 @@ class TestCheckpoint:
         pred_b, _ = forward(loaded, x, training=False)
         assert np.array_equal(pred_a, pred_b)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("format_version", 2.0, "unsupported checkpoint version 2.0"),
+        ("layer_sizes", [float(n) for n in LAYER_SIZES],
+         "checkpoint architecture [6.0, 128.0, 128.0, 128.0, 2.0] unsupported"),
+        ("init_seed", 0.0, "checkpoint init_seed must be an integer, got 0.0"),
+        ("train_seed", True, "checkpoint train_seed must be an integer or null, got True"),
+    ])
+    def test_rejects_number_of_the_wrong_type(self, tmp_path, key, value, message):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(init_params(0), path)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value) == message
+
     def test_rejects_bad_version(self, tmp_path):
         p = init_params(0)
         path = tmp_path / "ckpt.json"
@@ -610,22 +627,29 @@ def _checkpoint_payload(draw):
         blob = blob.rstrip("=")[:-1]
     elif kind == "other":
         blob = draw(st.sampled_from([None, 3, [], {}, True, ""]))
-    version = draw(st.sampled_from([2, 2, 2, 1, 3, "2", None, True]))
-    return {"format_version": version, "layer_sizes": list(LAYER_SIZES),
-            "init_seed": 0, "train_seed": None, "params": blob}
+    version = draw(st.sampled_from([2, 2, 2, 1, 3, "2", None, True, 2.0]))
+    sizes = draw(st.sampled_from([list(LAYER_SIZES)] * 3 + [[float(n) for n in LAYER_SIZES]]))
+    init_seed = draw(st.sampled_from([0, 0, 7, 0.0, True, "0", None]))
+    train_seed = draw(st.sampled_from([None, None, 3, 3.0, False]))
+    return {"format_version": version, "layer_sizes": sizes,
+            "init_seed": init_seed, "train_seed": train_seed, "params": blob}
 
 
 @settings(max_examples=200, deadline=None)
 @given(payload=_checkpoint_payload())
 def test_checkpoint_loads_finite_or_raises_checkpoint_error(tmp_path_factory, payload):
     """Every checkpoint either loads to N_PARAMS finite float64 values, the
-    bytes its blob encodes, or raises CheckpointError (exit code 2)."""
+    bytes its blob encodes, or raises CheckpointError (exit code 2). One that
+    loads has the integer version 2, integer layer sizes and integer seeds."""
     path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
     path.write_text(json.dumps(payload))
     try:
         params = load_checkpoint(path)
     except CheckpointError:
         return
+    assert type(payload["format_version"]) is int
+    assert {type(n) for n in payload["layer_sizes"]} == {int}
+    assert type(params.init_seed) is int and type(params.train_seed) in (int, type(None))
     assert params.flat.dtype == np.float64 and params.flat.shape == (N_PARAMS,)
     assert np.isfinite(params.flat).all()
     assert params.flat.astype("<f8").tobytes() == base64.b64decode(payload["params"])
