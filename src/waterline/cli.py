@@ -24,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    COMPACT_JSON,
     PREDICT_SCHEMA,
     GenConfig,
     float_rows,
@@ -34,6 +33,7 @@ from .data import (
     save_dataset,
     split,
     visible_examples,
+    write_jsonl,
 )
 from .errors import (
     CheckpointError,
@@ -282,19 +282,17 @@ def cmd_predict(args) -> int:
         pred, _ = forward(params, feats, training=False)
         rows = zip(*(keys.tolist() for keys in frames.query_keys()),
                    decoder_queries(feats, pred).tolist(), feats.tolist())
-    with open(out, "w", encoding="utf-8") as f:
-        for sample_id, qi, decoder_query, feature_row in rows:
-            row = {  # decoder_query ends with the predicted point
-                "schema": PREDICT_SCHEMA,
-                "sample_id": sample_id,
-                "query_index": qi,
-                "prediction": {"c_x": decoder_query[2], "c_y_plus_half_h": decoder_query[3]},
-                "decoder_query": decoder_query,
-            }
-            if args.emit_features:
-                row["features"] = feature_row
-            f.write(COMPACT_JSON.encode(row))
-            f.write("\n")
+    write_jsonl(out, (
+        {  # decoder_query ends with the predicted point
+            "schema": PREDICT_SCHEMA,
+            "sample_id": sample_id,
+            "query_index": qi,
+            "prediction": {"c_x": decoder_query[2], "c_y_plus_half_h": decoder_query[3]},
+            "decoder_query": decoder_query,
+            **({"features": feature_row} if args.emit_features else {}),
+        }
+        for sample_id, qi, decoder_query, feature_row in rows
+    ))
     print(f"queries predicted: {n_queries}")
 
     _write_manifest(

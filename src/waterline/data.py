@@ -11,8 +11,12 @@ On-disk format is JSON Lines, one sample per line:
 
 `queries` and `labels` are aligned; an empty `queries` list marks a buoy-free
 frame. Box fields are normalized to [0, 1] and are omitted when a label is
-not visible. Headings are wrapped into [-180, 180] on ingestion, and
-load_dataset returns the file as columns (Frames).
+not visible. Headings are wrapped into [-180, 180] on ingestion.
+
+Frames, a dataset as columns, is the one in-memory form dataset values pass
+through: load_dataset and generate build one, and Frames.records() builds
+every SampleRecord. A JSON integer loads as the float it equals; the
+per-line rules of _record_from_dict only name a bad line.
 
 The generator draws vessel attitude and chart queries at random, projects
 each query's waterline point through the pinhole camera, and anchors a
@@ -36,9 +40,12 @@ import numpy as np
 from .errors import (
     Bounds, Config, ConfigError, DatasetParseError, DatasetSchemaError, GenerationError,
 )
-from .features import ChartQuery, ImuSample, feature_matrix, waterline_targets, wrap_angle_deg
+from .features import (
+    ANGLE_DEG, DISTANCE_M, PITCH_ROLL_DEG, ChartQuery, ImuSample, feature_matrix,
+    waterline_targets, wrap_angle_deg,
+)
 from .geometry import CameraModel, in_frame, project
-from .metrics import FRAME_SLACK, Detections, GtBox
+from .metrics import Detections, GtBox, inside_frame, positive_size
 
 SCHEMA_VERSION = 1  # dataset lines
 # Detector lines: a detector's per-query logit and box with their ground truth,
@@ -49,10 +56,11 @@ DETECTOR_SCHEMA = 1
 # No loader reads them.
 PREDICT_SCHEMA = 1
 
-# The one JSON Lines encoder of both writers (save_dataset and `predict`):
-# json.dumps(obj, separators=(",", ":")) without building an encoder per line.
+# The encoder of write_jsonl: json.dumps(obj, separators=(",", ":")) without
+# building an encoder per line.
 COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 _RAW_DECODE = json.JSONDecoder().raw_decode  # the decoder of json.loads
+_NUMBER_TYPES = {float, int}  # of a JSON number; a JSON true or false is a bool
 
 # Box-size clamp: apparent height is limited to [MIN_BOX_PX, image_h / 2].
 MIN_BOX_PX = 2.0
@@ -116,17 +124,18 @@ class Frames(NamedTuple):
         return feature_matrix(self.distance_m, self.bearing_deg, pitch, roll, heading)
 
     def records(self) -> list[SampleRecord]:
-        """The frames as SampleRecords, the input of split and visible_examples."""
-        queries = [ChartQuery(*query) for query in
-                   zip(self.distance_m.tolist(), self.bearing_deg.tolist())]
-        boxes = iter(self.boxes.tolist())
+        """The frames as SampleRecords, the input of split and visible_examples,
+        built from column lists (no per-row list): the package's one builder."""
+        queries = list(map(ChartQuery, self.distance_m.tolist(), self.bearing_deg.tolist()))
+        boxes = zip(*self.boxes.T.tolist())
         labels = [GtBox(True, *next(boxes)) if visible else GtBox(visible=False)
                   for visible in self.visible.tolist()]
         offsets = self.offsets.tolist()
         return [
             SampleRecord(sample_id, ImuSample(*imu), tuple(queries[start:end]),
                          tuple(labels[start:end]))
-            for sample_id, imu, start, end in zip(self.sample_id.tolist(), self.imu.tolist(),
+            for sample_id, imu, start, end in zip(self.sample_id.tolist(),
+                                                  zip(*self.imu.T.tolist()),
                                                   offsets, offsets[1:])
         ]
 
@@ -143,8 +152,8 @@ class GenConfig(Config):
     queries_per_sample: Annotated[tuple[int, int], Bounds(0)] = (1, 3)
     distance_range_m: Annotated[tuple[float, float], Bounds(0, lo_open=True)] = (5.0, 1000.0)
     bearing_range_deg: tuple[float, float] | None = None  # None: +/- (half horizontal FOV + 5 deg)
-    pitch_range_deg: Annotated[tuple[float, float], Bounds(-90, 90)] = (-10.0, 10.0)
-    roll_range_deg: Annotated[tuple[float, float], Bounds(-90, 90)] = (-10.0, 10.0)
+    pitch_range_deg: Annotated[tuple[float, float], PITCH_ROLL_DEG] = (-10.0, 10.0)
+    roll_range_deg: Annotated[tuple[float, float], PITCH_ROLL_DEG] = (-10.0, 10.0)
     heading_range_deg: tuple[float, float] = (-180.0, 180.0)
     # apparent height ~ coeff / distance, in px; width = aspect * height
     box_height_coeff: Annotated[float, Bounds(0, lo_open=True)] = 900.0
@@ -167,8 +176,6 @@ class GenConfig(Config):
 class DatasetSplit:
     train: tuple
     val: tuple
-    ratio: float
-    seed: int
 
 
 def default_bearing_range(camera: CameraModel) -> tuple[float, float]:
@@ -189,9 +196,14 @@ def generate(camera: CameraModel, config: GenConfig) -> list[SampleRecord]:
     attitude uniforms, the query count, each query's distance and bearing
     uniforms, label jitter, dropout uniform and measurement noise, then the
     attitude noise. One array pass over the whole dataset then projects,
-    boxes and labels every query and applies the recorded noise; the records
-    are built last.
+    boxes and labels every query and applies the recorded noise into Frames;
+    Frames.records() builds the records last, once the draws are freed.
     """
+    return _generated_frames(camera, config).records()
+
+
+def _generated_frames(camera: CameraModel, config: GenConfig) -> Frames:
+    """generate's samples as Frames."""
     bearing_range = config.bearing_range_deg or default_bearing_range(camera)
     # The two unbounded ranges: a width that overflows would give non-finite draws.
     if not all(math.isfinite(float(hi) - float(lo))
@@ -260,27 +272,14 @@ def generate(camera: CameraModel, config: GenConfig) -> list[SampleRecord]:
         c_y = v / camera.image_h - h_norm / 2
 
     # Recorded measurements carry the sensor noise; the label does not.
-    queries = [
-        ChartQuery(distance, angle)
-        for distance, angle in zip(np.maximum(d * (1.0 + d_noise), 1e-3).tolist(),
-                                   wrap_angle_deg(bearing + b_noise).tolist())
-    ]
-    labels = [
-        GtBox(True, *box) if vis else GtBox(visible=False)
-        for vis, box in zip(visible.tolist(), zip(c_x.tolist(), c_y.tolist(),
-                                                  w_norm.tolist(), h_norm.tolist()))
-    ]
-    imus = zip(np.clip(pitch + s[:, 3], -90.0, 90.0).tolist(),
-               np.clip(roll + s[:, 4], -90.0, 90.0).tolist(),
-               wrap_angle_deg(heading + s[:, 5]).tolist())
-    records = []
-    end = 0
-    for i, (imu, n_queries) in enumerate(zip(imus, counts)):
-        start, end = end, end + n_queries
-        records.append(SampleRecord(
-            f"{i:06d}", ImuSample(*imu), tuple(queries[start:end]), tuple(labels[start:end])
-        ))
-    return records
+    imu = np.column_stack((np.clip(pitch + s[:, 3], PITCH_ROLL_DEG.lo, PITCH_ROLL_DEG.hi),
+                           np.clip(roll + s[:, 4], PITCH_ROLL_DEG.lo, PITCH_ROLL_DEG.hi),
+                           wrap_angle_deg(heading + s[:, 5])))
+    queries = np.column_stack((np.maximum(d * (1.0 + d_noise), 1e-3),
+                               wrap_angle_deg(bearing + b_noise)))
+    boxes = np.column_stack((c_x, c_y, w_norm, h_norm))[visible]
+    sample_ids = [f"{i:06d}" for i in range(config.n_samples)]
+    return _frames(sample_ids, imu, counts, queries, visible, boxes)
 
 
 def _uniform(u, lo: float, hi: float):
@@ -345,14 +344,20 @@ def split(records, ratio: float, seed: int) -> DatasetSplit:
 
     train = tuple(records[i] for i in range(n) if i in train_idx)
     val = tuple(records[i] for i in range(n) if i not in train_idx)
-    return DatasetSplit(train=train, val=val, ratio=ratio, seed=seed)
+    return DatasetSplit(train=train, val=val)
 
 
 def save_dataset(records, path) -> None:
     """Write records as JSONL; float fields keep full 64-bit precision."""
+    write_jsonl(path, map(_record_to_dict, records))
+
+
+def write_jsonl(path, rows) -> None:
+    """Write each row as one line of compact JSON: the one JSONL writer, as
+    _jsonl is the one reader."""
     with open(path, "w", encoding="utf-8") as f:
-        for record in records:
-            f.write(COMPACT_JSON.encode(_record_to_dict(record)))
+        for row in rows:
+            f.write(COMPACT_JSON.encode(row))
             f.write("\n")
 
 
@@ -388,15 +393,20 @@ def _jsonl(path, parse) -> list:
 def load_dataset(path) -> Frames:
     """Read a dataset file as columns.
 
-    Each rule of _record_from_dict is checked once per column. When a column
-    fails one, the per-line rules run over the file: they name the first bad
-    line, or, when every line keeps them (an integer number, say), give the
-    values.
+    Each rule of _record_from_dict is checked once per column, and a JSON
+    integer loads as the float it equals. When a column breaks a rule, the
+    per-line rules run over the file only to name the first bad line.
     """
     frames = _checked_frames(_jsonl(path, lambda data: data))
     if frames is None:
-        frames = _records_frames(_jsonl(path, _record_from_dict))
+        _jsonl(path, _record_from_dict)
+        raise _unnamed_fault(path)
     return frames
+
+
+def _unnamed_fault(path) -> AssertionError:
+    """A file whose columns break a rule that no line breaks: a defect here, not in the file."""
+    return AssertionError(f"{path}: the column checks refused a file that every line rule keeps")
 
 
 def load_predictions(path) -> Detections:
@@ -407,24 +417,15 @@ def load_predictions(path) -> Detections:
     "gt_box": {c_x, c_y, w, h} | null}. query_index is a non-negative
     integer, and no (sample_id, query_index) pair appears twice in a file.
 
-    Each rule is checked once per column. When a column fails one, the
-    per-line rules of _prediction_from_dict run over the file: they name the
-    first bad line, or, when every line keeps them (an integer logit, say),
-    give the values.
+    Each rule is checked once per column, and a JSON integer loads as the
+    float it equals. When a column breaks a rule, the per-line rules of
+    _check_prediction run over the file only to name the first bad line.
     """
     columns = _checked_columns(_jsonl(path, _detector_fields))
     if columns is None:
         seen = set()
-
-        def parse(data):
-            row = _prediction_from_dict(data)
-            key = row[1:3]
-            if key in seen:
-                raise DatasetSchemaError(f"duplicate sample_id and query_index {key!r}")
-            seen.add(key)
-            return row
-
-        columns = _columns(list(zip(*_jsonl(path, parse))))
+        _jsonl(path, lambda data: _check_prediction(data, seen))
+        raise _unnamed_fault(path)
     return columns
 
 
@@ -447,41 +448,32 @@ def _detector_fields(data) -> tuple | None:
 
 def _checked_columns(rows) -> Detections | None:
     """The columns of rows in _detector_fields' order, or None if a column
-    breaks a rule of _prediction_from_dict or holds a value that the writers
-    do not emit and that rule converts (an integer number)."""
-    if not rows:
-        return _columns([])
+    breaks a rule of _check_prediction."""
     if None in rows:
         return None
-    cols = list(zip(*rows))
+    cols = list(zip(*rows)) or [()] * 13  # no rows: the 13 fields, empty
     schema, sample_id, query_index, visible = cols[0], cols[1], cols[2], cols[8]
-    if not (_types(schema) == {int} and set(schema) == {DETECTOR_SCHEMA}
-            and _types(sample_id) == {str}
-            and _types(query_index) == {int} and min(query_index) >= 0
-            and _types(visible) == {bool}
-            and all(_types(col) == {float} for col in cols[3:8] + cols[9:])
-            and len(set(zip(sample_id, query_index))) == len(rows)):
+    if rows and not (_types(schema) == {int} and set(schema) == {DETECTOR_SCHEMA}
+                     and _types(sample_id) == {str}
+                     and _types(query_index) == {int} and min(query_index) >= 0
+                     and _types(visible) == {bool}
+                     and all(_types(col) <= _NUMBER_TYPES for col in cols[3:8] + cols[9:])
+                     and len(set(zip(sample_id, query_index))) == len(rows)):
         return None
-    columns = _columns(cols)
-    sizes = np.concatenate((columns.boxes[:, 2:], columns.gt_boxes[columns.gt_visible, 2:]))
-    finite = all(np.isfinite(col).all() for col in (columns.logits, columns.boxes, columns.gt_boxes))
-    return columns if finite and (sizes > 0).all() else None
+    try:
+        numbers = np.array(cols[3:8] + cols[9:], dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    visible = np.array(visible, dtype=bool)
+    sizes = np.concatenate((numbers[3:5], numbers[7:, visible]), axis=1)
+    if not (np.isfinite(numbers).all() and positive_size(*sizes).all()):
+        return None
+    return Detections(logits=numbers[0], boxes=numbers[1:5].T, gt_visible=visible,
+                      gt_boxes=numbers[5:].T)
 
 
 def _types(column) -> set:
     return set(map(type, column))
-
-
-def _columns(cols) -> Detections:
-    """Detections of valid values, from the columns of rows in
-    _detector_fields' order (list(zip(*rows)), so [] for no rows)."""
-    numbers = np.array(cols[3:8] + cols[9:], dtype=np.float64).reshape(9, -1)
-    return Detections(
-        logits=numbers[0],
-        boxes=numbers[1:5].T,
-        gt_visible=np.array(cols[8:9], dtype=bool).reshape(-1),
-        gt_boxes=numbers[5:].T,
-    )
 
 
 _LINE_KEYS = operator.itemgetter("schema", "sample_id", "imu", "queries", "labels")
@@ -492,8 +484,7 @@ _VISIBLE_KEY = operator.itemgetter("visible")
 
 def _checked_frames(lines) -> Frames | None:
     """The Frames of decoded dataset lines, or None if a column lacks a key or
-    an object, breaks a rule of _record_from_dict, or holds a value that the
-    writers do not emit and that rule converts (an integer number)."""
+    an object or breaks a rule of _record_from_dict."""
     if not lines:
         return _frames((), (), (), (), (), ())
     try:
@@ -511,48 +502,34 @@ def _checked_frames(lines) -> Frames | None:
         return None
     if not (aligned and _types(schema) == {int} and set(schema) == {SCHEMA_VERSION}
             and _types(sample_id) == {str}
-            and _types(imu) == {float}
-            and _types(query_values + box_values) <= {float}
+            and _types(imu + query_values + box_values) <= _NUMBER_TYPES
             and _types(visible) <= {bool}):
         return None
-    imu = np.array(imu).reshape(-1, 3)
-    heading = imu[:, 2]
+    try:
+        frames = _frames(sample_id, imu, counts, query_values, visible, box_values)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    heading = frames.imu[:, 2]
     if not np.isfinite(heading).all():  # before the wrap, which would make it NaN
         return None
-    imu[:, 2] = wrap_angle_deg(heading)
-    frames = _frames(sample_id, imu, counts, query_values, visible, box_values)
-    pitch_roll, distance, bearing = frames.imu[:, :2], frames.distance_m, frames.bearing_deg
-    c_x, c_y, w, h = frames.boxes.T
+    heading[:] = wrap_angle_deg(heading)
     # Each range holds only for finite values (a comparison with NaN is false),
     # so it is its field's finiteness check too.
     in_range = (
-        ((-90.0 <= pitch_roll) & (pitch_roll <= 90.0)).all()
-        and ((0.0 < distance) & (distance < math.inf)).all()
-        and ((-180.0 <= bearing) & (bearing <= 180.0)).all()
-        and ((w > 0) & (h > 0)).all()
-        and ((c_x - w / 2 >= -FRAME_SLACK) & (c_x + w / 2 <= 1 + FRAME_SLACK)
-             & (c_y - h / 2 >= -FRAME_SLACK) & (c_y + h / 2 <= 1 + FRAME_SLACK)).all()
+        PITCH_ROLL_DEG.holds(frames.imu[:, :2]).all()
+        and DISTANCE_M.holds(frames.distance_m).all()
+        and ANGLE_DEG.holds(frames.bearing_deg).all()
+        and positive_size(*frames.boxes[:, 2:].T).all()
+        and inside_frame(*frames.boxes.T).all()
     )
     return frames if in_range else None
 
 
-def _records_frames(records) -> Frames:
-    """The Frames of valid records."""
-    return _frames(
-        [record.sample_id for record in records],
-        [(r.imu.pitch_deg, r.imu.roll_deg, r.imu.heading_deg) for r in records],
-        [len(record.queries) for record in records],
-        [(query.distance_m, query.bearing_deg) for r in records for query in r.queries],
-        [label.visible for record in records for label in record.labels],
-        [label.box for record in records for label in record.labels if label.visible],
-    )
-
-
 def _frames(sample_id, imu, counts, queries, visible, boxes) -> Frames:
-    """Frames of valid values: per frame its sample_id, its (pitch, roll,
-    wrapped heading) and its query count; per query its (distance, bearing)
-    and visible flag; per visible query its box. Each number sequence may
-    also be flat."""
+    """Frames of the given values: per frame its sample_id, its (pitch, roll,
+    heading) and its query count; per query its (distance, bearing) and
+    visible flag; per visible query its box. Each number sequence may also be
+    flat; an integer beyond the float range raises OverflowError."""
     queries = np.asarray(queries, dtype=np.float64).reshape(-1, 2)
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(np.asarray(counts, dtype=np.int64), out=offsets[1:])
@@ -616,16 +593,17 @@ def _box(data, key: str) -> tuple[float, float, float, float]:
     if not isinstance(data, dict):
         raise DatasetSchemaError(f"{key!r} must be an object")
     c_x, c_y, w, h = (_number(data, k) for k in ("c_x", "c_y", "w", "h"))
-    if w <= 0 or h <= 0:
+    if not positive_size(w, h):
         raise DatasetSchemaError(
             f"{key!r} must have positive width and height, got w={w!r}, h={h!r}"
         )
     return c_x, c_y, w, h
 
 
-def _prediction_from_dict(data) -> tuple:
-    """One detector line's values in _detector_fields' order, each rule
-    checked; the rules and their messages for the lines of a detector file."""
+def _check_prediction(data, seen: set) -> None:
+    """Raise at the first rule of a detector file that line `data` breaks,
+    with its message; a (sample_id, query_index) pair already in `seen`
+    breaks one. Adds the line's pair to `seen`."""
     if not isinstance(data, dict):
         raise DatasetSchemaError("prediction line must be an object")
     if "logit" not in data and "prediction" in data:
@@ -644,17 +622,20 @@ def _prediction_from_dict(data) -> tuple:
         raise DatasetSchemaError(
             f"'query_index' must be a non-negative integer, got {query_index!r}"
         )
-    head = (schema, sample_id, query_index, _number(data, "logit"),
-            *_box(_require(data, "box"), "box"))
+    _number(data, "logit")
+    _box(_require(data, "box"), "box")
     gt_visible = _require(data, "gt_visible")
     if not isinstance(gt_visible, bool):
         raise DatasetSchemaError("'gt_visible' must be a boolean")
-    if not gt_visible:
-        return (*head, False, *_NO_BOX)
-    gt_box = data.get("gt_box")
-    if not isinstance(gt_box, dict):
-        raise DatasetSchemaError("visible ground truth requires a 'gt_box' object")
-    return (*head, True, *_box(gt_box, "gt_box"))
+    if gt_visible:
+        gt_box = data.get("gt_box")
+        if not isinstance(gt_box, dict):
+            raise DatasetSchemaError("visible ground truth requires a 'gt_box' object")
+        _box(gt_box, "gt_box")
+    key = (sample_id, query_index)
+    if key in seen:
+        raise DatasetSchemaError(f"duplicate sample_id and query_index {key!r}")
+    seen.add(key)
 
 
 def _record_from_dict(data) -> SampleRecord:

@@ -61,19 +61,23 @@ _NUMBER = (int, float, np.integer, np.floating)
 
 @dataclasses.dataclass(frozen=True)
 class Bounds:
-    """The interval a config number, or each item of a range, must lie in:
-    closed on each side unless that side is open; infinite sides are unbounded.
-    Declared beside the field's type as `Annotated[kind, Bounds(...)]`."""
+    """The interval a number must lie in: closed on each side unless that side
+    is open; infinite sides are unbounded. A config field declares it beside
+    its type as `Annotated[kind, Bounds(...)]`, for the number or each item."""
 
     lo: float = -math.inf
     hi: float = math.inf
     lo_open: bool = False
     hi_open: bool = False
 
-    def __contains__(self, x) -> bool:
+    def holds(self, x):
+        """Whether x lies in the interval, elementwise on an array; false for NaN."""
         above = self.lo < x if self.lo_open else self.lo <= x
         below = x < self.hi if self.hi_open else x <= self.hi
-        return above and below
+        return above & below
+
+    def __contains__(self, x) -> bool:
+        return bool(self.holds(x))
 
     def __str__(self) -> str:
         if self.hi == math.inf:

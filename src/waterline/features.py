@@ -20,11 +20,11 @@ row by row, for a file's worth of queries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import Bounds
 from .metrics import GtBox
 
 FEATURE_NAMES = ("dist_norm", "inv_dist", "bearing_norm", "pitch_norm", "roll_norm", "heading_norm")
@@ -43,6 +43,11 @@ BOTTOM_EDGE_EPS = 1e-6
 _BELOW_FRAME = "box bottom edge {} extends below the frame"
 _OUTSIDE_UNIT_SQUARE = "predicted waterline point must lie in [0, 1]^2, got {}"
 
+# Input ranges, checked by the constructors below and the dataset column checks.
+DISTANCE_M = Bounds(0.0, lo_open=True, hi_open=True)  # positive and finite
+ANGLE_DEG = Bounds(-180.0, 180.0)  # bearing and heading
+PITCH_ROLL_DEG = Bounds(-90.0, 90.0)
+
 
 @dataclass(frozen=True)
 class ChartQuery:
@@ -55,10 +60,10 @@ class ChartQuery:
         self.validate()
 
     def validate(self) -> None:
-        if not 0.0 < self.distance_m < math.inf:
+        if not DISTANCE_M.holds(self.distance_m):
             raise ValueError(f"chart distance must be positive and finite, got {self.distance_m}")
-        if not -180.0 <= self.bearing_deg <= 180.0:
-            raise ValueError(f"bearing must lie in [-180, 180], got {self.bearing_deg}")
+        if not ANGLE_DEG.holds(self.bearing_deg):
+            raise ValueError(f"bearing must {ANGLE_DEG}, got {self.bearing_deg}")
 
 
 @dataclass(frozen=True)
@@ -73,12 +78,12 @@ class ImuSample:
         self.validate()
 
     def validate(self) -> None:
-        if not -90.0 <= self.pitch_deg <= 90.0:
-            raise ValueError(f"pitch must lie in [-90, 90], got {self.pitch_deg}")
-        if not -90.0 <= self.roll_deg <= 90.0:
-            raise ValueError(f"roll must lie in [-90, 90], got {self.roll_deg}")
-        if not -180.0 <= self.heading_deg <= 180.0:
-            raise ValueError(f"heading must lie in [-180, 180], got {self.heading_deg}")
+        if not PITCH_ROLL_DEG.holds(self.pitch_deg):
+            raise ValueError(f"pitch must {PITCH_ROLL_DEG}, got {self.pitch_deg}")
+        if not PITCH_ROLL_DEG.holds(self.roll_deg):
+            raise ValueError(f"roll must {PITCH_ROLL_DEG}, got {self.roll_deg}")
+        if not ANGLE_DEG.holds(self.heading_deg):
+            raise ValueError(f"heading must {ANGLE_DEG}, got {self.heading_deg}")
 
 
 def wrap_angle_deg(angle):

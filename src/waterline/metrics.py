@@ -52,21 +52,27 @@ class GtBox:
     def box(self) -> tuple[float, float, float, float]:
         return (self.c_x, self.c_y, self.w, self.h)
 
-    def validate(self, eps: float = FRAME_SLACK) -> None:
+    def validate(self) -> None:
         """Raise ValueError if a visible box violates its invariants."""
         if not self.visible:
             return
         if not all(math.isfinite(v) for v in self.box):
             raise ValueError(f"visible box has a non-finite field: {self.box}")
-        if not (self.w > 0 and self.h > 0):
+        if not positive_size(self.w, self.h):
             raise ValueError(f"visible box must have positive size, got w={self.w}, h={self.h}")
-        if (
-            self.c_x - self.w / 2 < -eps
-            or self.c_x + self.w / 2 > 1 + eps
-            or self.c_y - self.h / 2 < -eps
-            or self.c_y + self.h / 2 > 1 + eps
-        ):
+        if not inside_frame(*self.box):
             raise ValueError(f"visible box extends outside the unit frame: {self.box}")
+
+
+def positive_size(w, h):
+    """Whether boxes have positive width and height, elementwise; false for NaN."""
+    return (w > 0) & (h > 0)
+
+
+def inside_frame(c_x, c_y, w, h):
+    """Whether boxes lie in the unit frame within FRAME_SLACK, elementwise; false for NaN."""
+    return ((c_x - w / 2 >= -FRAME_SLACK) & (c_x + w / 2 <= 1 + FRAME_SLACK)
+            & (c_y - h / 2 >= -FRAME_SLACK) & (c_y + h / 2 <= 1 + FRAME_SLACK))
 
 
 class Detections(NamedTuple):

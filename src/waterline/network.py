@@ -321,8 +321,9 @@ def forward(
     return cache.pred, cache
 
 
-def smooth_l1(pred: np.ndarray, target: np.ndarray, beta: float = SMOOTH_L1_BETA) -> float:
-    """Huber-style loss: 0.5 x^2 / beta inside |x| < beta, |x| - beta/2 outside.
+def smooth_l1(pred: np.ndarray, target: np.ndarray) -> float:
+    """Huber-style loss with beta = SMOOTH_L1_BETA: 0.5 x^2 / beta inside
+    |x| < beta, |x| - beta/2 outside.
 
     Reduced by the mean over all elements.
     """
@@ -332,19 +333,19 @@ def smooth_l1(pred: np.ndarray, target: np.ndarray, beta: float = SMOOTH_L1_BETA
         raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
     x = pred - target
     absx = np.abs(x)
+    beta = SMOOTH_L1_BETA
     per_elem = np.where(absx < beta, 0.5 * x * x / beta, absx - 0.5 * beta)
     return float(per_elem.mean())
 
 
-def smooth_l1_grad(
-    pred: np.ndarray, target: np.ndarray, beta: float = SMOOTH_L1_BETA
-) -> np.ndarray:
+def smooth_l1_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """d(smooth_l1)/d(pred), including the 1/N mean-reduction factor."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
     x = pred - target
+    beta = SMOOTH_L1_BETA
     g = np.where(np.abs(x) < beta, x / beta, np.sign(x))
     return g / x.size
 

@@ -745,21 +745,40 @@ class TestCalibrate:
         ]
         assert 0 < rows.gt_visible.sum() < 10
 
-    def test_integer_numbers_load_as_floats(self, tmp_path):
+    def test_integer_numbers_load_as_floats(self, tmp_path, monkeypatch):
         """Values the writers never emit but the line rules accept: integer
-        numbers, a gt_box beside gt_visible false and an extra key."""
-        path = _write_predictions(tmp_path / "preds.jsonl", n=4)
+        numbers, a gt_box beside gt_visible false and an extra key. They load
+        by columns, with no per-line call; an integer too large for a float
+        is named by its line."""
+        path = _write_predictions(tmp_path / "preds.jsonl", n=6)
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         expected = load_predictions(path)
         lines[1]["logit"] = 3
         lines[2]["box"]["w"] = 1
         lines[3].update(gt_visible=False, gt_box={"c_x": "x"}, note=None)
+        lines[4].update(logit=-2, box={"c_x": 0, "c_y": 1, "w": 2, "h": 3}, gt_visible=True,
+                        gt_box={"c_x": 1, "c_y": 0, "w": 1, "h": 1})
+        lines[5]["logit"] = 2**53 + 1
         path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        per_line = []
+        check_prediction = waterline.data._check_prediction
+        monkeypatch.setattr(waterline.data, "_check_prediction",
+                            lambda data, seen: per_line.append(data) or check_prediction(data, seen))
         rows = load_predictions(path)
-        assert rows.logits.tolist() == [expected.logits[0], 3.0, *expected.logits[2:]]
+        assert per_line == []
+        assert rows.logits.tolist() == [expected.logits[0], 3.0, *expected.logits[2:4],
+                                        -2.0, float(2**53 + 1)]
         assert rows.boxes[2].tolist() == [*expected.boxes[2, :2], 1.0, expected.boxes[2, 3]]
         assert not rows.gt_visible[3] and rows.gt_boxes[3].tolist() == [0.0] * 4
+        assert rows.boxes[4].tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert rows.gt_visible[4] and rows.gt_boxes[4].tolist() == [1.0, 0.0, 1.0, 1.0]
         assert rows.logits.dtype == rows.boxes.dtype == rows.gt_boxes.dtype == np.float64
+
+        lines[2]["box"]["h"] = 10**400
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(DatasetSchemaError) as excinfo:
+            load_predictions(path)
+        assert str(excinfo.value) == f"line 3: 'h' must be a finite number, got {10**400!r}"
 
 
 # Any JSON value, plus the non-finite floats and the out-of-range integers that

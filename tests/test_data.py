@@ -835,8 +835,18 @@ _LABEL = {"visible": True, "c_x": 0.31, "c_y": 0.52, "w": 0.01, "h": 0.02}
 _LOAD_CASES = {
     "integer-numbers": (
         _line(queries=[_QUERY], labels=[_LABEL]).replace("412.0", "412").replace("1.5", "0")
-        + "\n", "lines",
+        + "\n", "columns",
         lambda f: f.distance_m.tolist() == [412.0] and f.imu[0].tolist() == [0.0, -2.0, 30.0],
+    ),
+    "integer-imu": (
+        json.dumps({"schema": 1, "sample_id": "x",
+                    "imu": {"pitch_deg": -3, "roll_deg": 90, "heading_deg": 540},
+                    "queries": [_QUERY], "labels": [_LABEL]}) + "\n", "columns",
+        lambda f: f.imu.tolist() == [[-3.0, 90.0, 180.0]] and f.imu.dtype == np.float64,
+    ),
+    "integer-beyond-2**53": (
+        _line(queries=[{**_QUERY, "distance_m": 2**53 + 1}], labels=[{"visible": False}]) + "\n",
+        "columns", lambda f: f.distance_m.tolist() == [float(2**53 + 1)],
     ),
     "blank-lines": (
         "\n" + _line("a", queries=[_QUERY], labels=[_LABEL]) + "\n\n  \n" + _line("b") + "\n",
@@ -864,9 +874,9 @@ _LOAD_CASES = {
 
 @pytest.mark.parametrize("case", list(_LOAD_CASES))
 def test_load_routes_agree(tmp_path, monkeypatch, case):
-    """Files a writer emits load by columns; an integer number takes the
-    per-line route, which gives the floats that route always gave. Either
-    way the Frames equal the per-line reference."""
+    """Every file that keeps the rules loads by columns, with no per-line
+    call; an integer number loads as the float the per-line rules give it.
+    The Frames equal the per-line reference."""
     text, route, check = _LOAD_CASES[case]
     path = tmp_path / "data.jsonl"
     path.write_text(text)
@@ -878,3 +888,30 @@ def test_load_routes_agree(tmp_path, monkeypatch, case):
     assert ("lines" if per_line else "columns") == route
     assert_same_frames(frames, frames_of(per_line_records(path)))
     assert check(frames)
+
+
+def test_integer_beyond_float_range_names_its_line(tmp_path):
+    """An integer too large for a float fails the column checks, and the
+    per-line rules name its line with the message of a non-finite number."""
+    path = tmp_path / "data.jsonl"
+    path.write_text(_line("a") + "\n"
+                    + _line("b", queries=[_QUERY], labels=[{**_LABEL, "w": 10**400}]) + "\n")
+    with pytest.raises(DatasetSchemaError) as excinfo:
+        load_dataset(path)
+    assert str(excinfo.value) == f"line 2: 'w' must be a finite number, got {10**400!r}"
+    assert excinfo.value.line == 2
+
+
+@pytest.mark.parametrize("loader, make, checks", [
+    (load_dataset, _dataset_line, "_checked_frames"),
+    (load_predictions, _prediction_line, "_checked_columns"),
+])
+def test_columns_refusing_a_valid_file_is_an_internal_error(tmp_path, monkeypatch, loader,
+                                                            make, checks):
+    """When no line breaks a rule, the column checks must not refuse the file:
+    if they do, the loader raises AssertionError (exit 1), not a data error."""
+    path = tmp_path / "lines.jsonl"
+    path.write_text(json.dumps(make()) + "\n")
+    monkeypatch.setattr(waterline.data, checks, lambda rows: None)
+    with pytest.raises(AssertionError, match="column checks refused"):
+        loader(path)

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +61,14 @@ def test_from_dict_builds_or_raises_config_error(cls, data):
 def test_bounds_edges(bounds, inside, outside):
     assert all(x in bounds for x in inside)
     assert not any(x in bounds for x in outside)
+
+
+def test_bounds_holds_elementwise():
+    """On an array, holds gives each item's membership; NaN lies in no interval."""
+    bounds = Bounds(0, 1, lo_open=True)
+    items = [-0.5, 0.0, 5e-324, 1.0, 1.5, math.nan, math.inf]
+    assert bounds.holds(np.array(items)).tolist() == [x in bounds for x in items]
+    assert [x in bounds for x in items] == [False, False, True, True, False, False, False]
 
 
 def test_write_json_rejects_non_finite_before_opening(tmp_path):

@@ -18,10 +18,12 @@ from waterline.metrics import (
     detection_report,
     error_stats,
     f1_from_pr,
+    inside_frame,
     iou,
     overall_score,
     pixel_error,
     pixel_errors,
+    positive_size,
     write_curve_csv,
 )
 
@@ -47,6 +49,19 @@ class TestGtBoxValidate:
         box[field] = value
         with pytest.raises(ValueError, match="non-finite"):
             GtBox(**box).validate()
+
+
+def test_box_rules_are_elementwise_and_false_for_nan():
+    """positive_size and inside_frame on arrays equal their scalar answers,
+    and a NaN field breaks both."""
+    boxes = [(0.5, 0.5, 0.2, 0.2), (0.0999995, 0.5, 0.2, 0.2), (0.0999, 0.5, 0.2, 0.2),
+             (0.5, 0.5, 0.0, 0.2), (0.5, 0.5, -0.1, 0.2), (math.nan, 0.5, 0.2, 0.2),
+             (0.5, 0.5, 0.2, math.nan)]
+    columns = np.array(boxes).T
+    assert positive_size(*columns[2:]).tolist() == [positive_size(*b[2:]) for b in boxes]
+    assert inside_frame(*columns).tolist() == [inside_frame(*b) for b in boxes]
+    assert [positive_size(*b[2:]) and inside_frame(*b) for b in boxes] == [
+        True, True, False, False, False, False, False]
 
 
 class TestPixelError:
