@@ -1,11 +1,15 @@
 """Command-line pipeline: generate data, train, evaluate, calibrate, predict.
 
-Every run writes a manifest JSON next to its outputs recording the command,
-input paths, seeds, and artifact paths, so any artifact can be regenerated.
+Each `cmd_*` function does its command's work and returns where its manifest
+goes and what goes in it: the input paths, seeds and artifact paths, so any
+artifact can be regenerated. `main` alone stamps the start and finish times,
+writes the manifest, and turns an error into its exit code and one `error:`
+line on stderr, through the ordered table _EXIT_CODES.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 malformed data file,
-4 numeric failure, 1 unexpected error. Set WATERLINE_LOG=DEBUG|INFO|... to
-control log verbosity.
+Exit codes: 0 success, 2 configuration/usage error, 3 malformed or missing
+data file, 4 numeric failure, 1 unexpected error. Set
+WATERLINE_LOG=DEBUG|INFO|... to control log verbosity; a name that is not a
+logging level is a usage error.
 """
 
 from __future__ import annotations
@@ -35,14 +39,7 @@ from .data import (
     visible_examples,
     write_jsonl,
 )
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    DatasetParseError,
-    DatasetSchemaError,
-    NumericError,
-    write_json,
-)
+from .errors import ConfigError, DatasetParseError, DatasetSchemaError, NumericError, write_json
 from .features import decoder_queries, waterline_targets
 from .geometry import CameraModel, project
 from .metrics import calibrate_bias, error_stats, pixel_errors, write_curve_csv
@@ -53,27 +50,27 @@ from .training import DEFAULT_VAL_RATIO, TrainConfig, train  # noqa: F401
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
-EXIT_UNEXPECTED = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+# The exit code of each error kind, in order: the first match wins, so the
+# dataset errors, which are ValueErrors too, come before ValueError. Any
+# other exception propagates.
+_EXIT_CODES = {
+    DatasetParseError: EXIT_DATA,
+    DatasetSchemaError: EXIT_DATA,
+    OSError: EXIT_DATA,
+    NumericError: EXIT_NUMERIC,
+    ValueError: EXIT_CONFIG,
+}
+
+# What a command returns for its manifest: (path, inputs, seeds, artifacts).
+Manifest = tuple[Path, dict, dict, dict]
+
 
 def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
-
-
-def _write_manifest(path: Path, command: str, inputs: dict, seeds: dict, artifacts: dict,
-                    started_at: str) -> None:
-    write_json(path, {
-        "command": command,
-        "tool_version": __version__,
-        "inputs": inputs,
-        "seeds": seeds,
-        "artifacts": artifacts,
-        "started_at": started_at,
-        "finished_at": _utcnow(),
-    })
 
 
 def _load_camera(path: str | None) -> CameraModel:
@@ -83,8 +80,7 @@ def _load_camera(path: str | None) -> CameraModel:
     return CameraModel.load(path)
 
 
-def cmd_gen(args) -> int:
-    started = _utcnow()
+def cmd_gen(args) -> Manifest:
     camera = _load_camera(args.camera)
     config = GenConfig.load(args.config)
     if args.seed is not None:
@@ -107,15 +103,10 @@ def cmd_gen(args) -> int:
             logger.warning("--verify skipped: config has non-zero noise, identity does not hold")
             print("verify: skipped (noisy config)")
 
-    _write_manifest(
-        out.with_suffix(out.suffix + ".manifest.json"),
-        "gen",
-        inputs={"camera": args.camera, "config": args.config},
-        seeds={"generator": config.seed},
-        artifacts={"dataset": str(out)},
-        started_at=started,
-    )
-    return EXIT_OK
+    return (out.with_suffix(out.suffix + ".manifest.json"),
+            {"camera": args.camera, "config": args.config},
+            {"generator": config.seed},
+            {"dataset": str(out)})
 
 
 def _verify_fidelity(camera: CameraModel, records) -> float:
@@ -147,8 +138,7 @@ def _verify_fidelity(camera: CameraModel, records) -> float:
     return float(gap.max(initial=0.0))
 
 
-def cmd_train(args) -> int:
-    started = _utcnow()
+def cmd_train(args) -> Manifest:
     config = TrainConfig.load(args.config) if args.config else TrainConfig()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -172,23 +162,14 @@ def cmd_train(args) -> int:
     print(f"best val loss: {history.best_val_loss:.6g}")
     print(f"stop reason: {history.stop_reason}")
 
-    _write_manifest(
-        out_dir / "manifest.json",
-        "train",
-        inputs={"dataset": args.dataset, "config": args.config},
-        seeds={"train": config.seed},
-        artifacts={
-            "checkpoint": str(checkpoint),
-            "history_csv": str(out_dir / "history.csv"),
-            "history_json": str(out_dir / "history.json"),
-        },
-        started_at=started,
-    )
-    return EXIT_OK
+    return (out_dir / "manifest.json",
+            {"dataset": args.dataset, "config": args.config},
+            {"train": config.seed},
+            {"checkpoint": str(checkpoint), "history_csv": str(out_dir / "history.csv"),
+             "history_json": str(out_dir / "history.json")})
 
 
-def cmd_eval(args) -> int:
-    started = _utcnow()
+def cmd_eval(args) -> Manifest:
     camera = _load_camera(args.camera)
     frames = load_dataset(args.dataset)
     params = load_checkpoint(args.checkpoint)
@@ -217,22 +198,14 @@ def cmd_eval(args) -> int:
     print(f"mean_px: {stats.mean_px:.4f}")
     print(f"p90_px: {stats.p90_px:.4f}")
 
-    _write_manifest(
-        out_dir / "manifest.json",
-        "eval",
-        inputs={"dataset": args.dataset, "checkpoint": args.checkpoint, "camera": args.camera},
-        seeds={},
-        artifacts={
-            "error_stats": str(out_dir / "error_stats.json"),
-            "errors_csv": str(out_dir / "errors.csv"),
-        },
-        started_at=started,
-    )
-    return EXIT_OK
+    return (out_dir / "manifest.json",
+            {"dataset": args.dataset, "checkpoint": args.checkpoint, "camera": args.camera},
+            {},
+            {"error_stats": str(out_dir / "error_stats.json"),
+             "errors_csv": str(out_dir / "errors.csv")})
 
 
-def cmd_calibrate(args) -> int:
-    started = _utcnow()
+def cmd_calibrate(args) -> Manifest:
     detections = load_predictions(args.dataset)
     lo, hi = args.range
     best_bias, curve = calibrate_bias(
@@ -254,22 +227,13 @@ def cmd_calibrate(args) -> int:
     print(f"best bias: {best_bias}")
     print(f"overall at best bias: {best_report.overall:.4f}")
 
-    _write_manifest(
-        out_dir / "manifest.json",
-        "calibrate",
-        inputs={"predictions": args.dataset},
-        seeds={},
-        artifacts={
-            "best_bias": str(out_dir / "best_bias.json"),
-            "curve": str(out_dir / "curve.csv"),
-        },
-        started_at=started,
-    )
-    return EXIT_OK
+    return (out_dir / "manifest.json",
+            {"predictions": args.dataset},
+            {},
+            {"best_bias": str(out_dir / "best_bias.json"), "curve": str(out_dir / "curve.csv")})
 
 
-def cmd_predict(args) -> int:
-    started = _utcnow()
+def cmd_predict(args) -> Manifest:
     frames = load_dataset(args.dataset)
     params = load_checkpoint(args.checkpoint)
     out = Path(args.out)
@@ -295,15 +259,10 @@ def cmd_predict(args) -> int:
     ))
     print(f"queries predicted: {n_queries}")
 
-    _write_manifest(
-        out.with_suffix(out.suffix + ".manifest.json"),
-        "predict",
-        inputs={"dataset": args.dataset, "checkpoint": args.checkpoint},
-        seeds={},
-        artifacts={"predictions": str(out)},
-        started_at=started,
-    )
-    return EXIT_OK
+    return (out.with_suffix(out.suffix + ".manifest.json"),
+            {"dataset": args.dataset, "checkpoint": args.checkpoint},
+            {},
+            {"predictions": str(out)})
 
 
 @functools.cache
@@ -360,27 +319,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _configure_logging() -> None:
+    level = os.environ.get("WATERLINE_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):  # a level name maps to a number
+        raise ConfigError("WATERLINE_LOG must name a logging level (DEBUG, INFO, WARNING, ERROR "
+                          f"or CRITICAL), got {level!r}")
+    logging.basicConfig(level=level.upper())
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("WATERLINE_LOG", "WARNING").upper())
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: write its manifest and return 0, or print one
+    `error:` line and return the exit code _EXIT_CODES gives its error."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (DatasetParseError, DatasetSchemaError) as exc:
+        _configure_logging()
+        started_at = _utcnow()
+        path, inputs, seeds, artifacts = args.func(args)
+        write_json(path, {
+            "command": args.command,
+            "tool_version": __version__,
+            "inputs": inputs,
+            "seeds": seeds,
+            "artifacts": artifacts,
+            "started_at": started_at,
+            "finished_at": _utcnow(),
+        })
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ConfigError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

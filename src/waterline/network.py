@@ -24,17 +24,19 @@ Pinned numerical conventions:
   - SmoothL1 transition point beta = 1.0, mean reduction over all elements.
 
 Train-mode forwards update the running statistics in place and work in
-place in the buffers of a TrainWorkspace, which training reuses from step to
-step: z = a @ W becomes z - mean, then xhat, which the cache keeps; the layer
-output is gain * xhat + shift with ReLU (and, on the last layer, the dropout
-mask) applied in place. Backward reads the ReLU mask as output > 0 (a dropped
-unit reads 0 too, and its gradient is already zero) and uses BatchNorm's
+place in a TrainWorkspace, which training reuses from step to step and which
+holds all the state backward reads: z = a @ W becomes z - mean, then xhat;
+the layer output is gain * xhat + shift with ReLU in place; after the hidden
+layers, the dropout mask multiplies the last output in place. Backward
+applies that mask once, reads each ReLU mask as output > 0 (a dropped unit
+reads 0 too, and its gradient is already zero) and uses BatchNorm's
 closed-form backward, with dy the gradient at the BatchNorm output and m the
 batch size:
   d shift = sum(dy),  d gain = sum(dy * xhat),
   dz = gain * inv_std * (dy - d shift / m - xhat * d gain / m),
-all in place on the workspace's gradient buffer; backward writes nothing in
-the cache, and its results are views of the workspace's one gradient vector.
+all in place on the workspace's gradient buffer; backward writes nothing the
+forward left, and its results are views of the workspace's one gradient
+vector.
 
 Eval-mode forwards are pure functions of (params, input). Eval mode runs
 each hidden layer as one affine map with BatchNorm folded in (Jacob et al.,
@@ -48,14 +50,13 @@ stale; other params fold on each eval call.
 from __future__ import annotations
 
 import base64
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckpointError, NumericError, load_json
+from .errors import CheckpointError, NumericError, load_json, write_json
 
 LAYER_SIZES = (6, 128, 128, 128, 2)
 N_HIDDEN = 3
@@ -194,44 +195,37 @@ def _fold(params: MlpParams) -> tuple[list, list]:
 
 
 class TrainWorkspace:
-    """The buffers of train-mode forwards and backwards of up to `rows`
-    samples, reused from step to step. A batch of m rows uses the leading m
-    rows of each buffer, which are contiguous, so one workspace serves every
-    batch size up to rows."""
+    """The buffers and state of train-mode forwards and backwards of up to
+    `rows` samples, reused from step to step. A batch of m rows uses the
+    leading m rows of each buffer, which are contiguous, so one workspace
+    serves every batch size up to rows. The latest train forward's state
+    stays here, for backward, until the next train forward overwrites it."""
 
     def __init__(self, rows: int):
         hidden = LAYER_SIZES[1:-1]
         self.rows = rows
         self.z = [_aligned((rows, h)) for h in hidden]  # a @ W, then xhat in place
-        self.out = [_aligned((rows, h)) for h in hidden]  # the layer output
+        self.out = [_aligned((rows, h)) for h in hidden]  # the layer output, the last after dropout
         self.da = [_aligned((rows, h)) for h in hidden]  # backward's gradient at the output
         self.drop = _aligned((rows, hidden[-1]))  # the dropout draw, then its mask
         self.scratch = _aligned((rows, max(hidden)))
         self.logits = _aligned((rows, LAYER_SIZES[-1]))
         self.grads = Gradients()
-        self.forwards = 0  # train forwards run on it; the last one's cache is live
+        self.forwards = 0  # train forwards run on it; the last one's state is live
+        self.x = None  # the forward's (m, 6) input
+        self.inv_std = [None] * N_HIDDEN  # 1 / sqrt(batch_var + eps) per hidden layer
+        self.dropped = False  # whether drop[:m] holds a mask (with its 1/(1-p) scaling)
+        self.pred = None  # the forward's (m, 2) prediction
 
 
-@dataclass
-class _LayerCache:
-    x_in: np.ndarray  # input to the affine map
-    xhat: np.ndarray  # normalized pre-activation
-    inv_std: np.ndarray  # 1 / sqrt(batch_var + eps)
-    out: np.ndarray  # the layer's output; out > 0 is the ReLU mask (dropped units too)
-    drop_mask: np.ndarray | None  # includes the 1/(1-p) scaling; None if p == 0 or a BN follows
-
-
-@dataclass
+@dataclass(frozen=True)
 class ForwardCache:
-    """Intermediates of a train-mode forward; the batch-sized ones are views
-    of its workspace's buffers."""
+    """A handle on the train forward whose state its workspace holds; it
+    goes stale when a later forward on the workspace overwrites that state."""
 
     workspace: TrainWorkspace
     forward_index: int  # workspace.forwards when this forward ran
-    params_ref: MlpParams
-    layers: list = field(default_factory=list)
-    out_in: np.ndarray | None = None
-    pred: np.ndarray | None = None
+    params: MlpParams
 
 
 def _check_batch(x: np.ndarray) -> np.ndarray:
@@ -258,19 +252,14 @@ def forward(
 
     Training mode uses batch statistics (updating the running stats in place)
     and applies dropout to the last hidden layer with the given seed; it
-    returns the cache required by backward. It works in the buffers of
-    `workspace`, or of a fresh one sized to the batch if none is given. The
-    cache and its views live until the next train forward on the same
-    workspace, which overwrites them; backward then refuses the old cache.
-    Eval mode uses running statistics, applies no dropout, touches nothing,
-    and returns (pred, None).
+    returns the cache that backward takes. It works in, and leaves its state
+    in, `workspace`, or a fresh one sized to the batch if none is given. That
+    state lives until the next train forward on the same workspace, which
+    overwrites it; backward then refuses the old cache. Eval mode uses
+    running statistics, ignores the dropout arguments, touches nothing, and
+    returns (pred, None).
     """
     x = _check_batch(x)
-    if training and x.shape[0] < 2:
-        raise ValueError("train-mode batch needs >= 2 samples for batch statistics")
-    if not 0.0 <= dropout_p < 1.0:
-        raise ValueError(f"dropout probability must lie in [0, 1), got {dropout_p}")
-
     if not training:
         weights, biases = params._plan if params._plan is not None else _fold(params)
         a = x
@@ -281,44 +270,40 @@ def forward(
         return sigmoid(a @ weights[-1] + biases[-1]), None
 
     m = x.shape[0]
+    if m < 2:
+        raise ValueError("train-mode batch needs >= 2 samples for batch statistics")
+    if not 0.0 <= dropout_p < 1.0:
+        raise ValueError(f"dropout probability must lie in [0, 1), got {dropout_p}")
     ws = TrainWorkspace(m) if workspace is None else workspace
     if m > ws.rows:
         raise ValueError(f"batch of {m} rows does not fit a workspace of {ws.rows}")
     ws.forwards += 1
-    cache = ForwardCache(ws, ws.forwards, params)
-    rng = np.random.default_rng(dropout_seed) if dropout_p > 0 else None
-
-    a = x
+    ws.x = a = x
     for i in range(N_HIDDEN):
         z = np.matmul(a, params.w[i], out=ws.z[i][:m])
         mu = z.mean(axis=0)
         z -= mu
         var = np.einsum("ij,ij->j", z, z) / m  # biased, used in the normalization
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        z *= inv_std  # z is now xhat
+        ws.inv_std[i] = 1.0 / np.sqrt(var + BN_EPS)
+        z *= ws.inv_std[i]  # z is now xhat
         params.bn_mean[i] *= 1.0 - BN_MOMENTUM
         params.bn_mean[i] += BN_MOMENTUM * mu
         params.bn_var[i] *= 1.0 - BN_MOMENTUM
         params.bn_var[i] += BN_MOMENTUM * var * m / (m - 1)  # unbiased in the running update
-        y = np.multiply(z, params.bn_gain[i], out=ws.out[i][:m])
-        y += params.bn_bias[i]
-        np.maximum(y, 0.0, out=y)
-        drop_mask = None
-        if rng is not None and i == N_HIDDEN - 1:  # the only layer no BatchNorm follows
-            drop_mask = rng.random(out=ws.drop[:m])
-            np.greater_equal(drop_mask, dropout_p, out=drop_mask)
-            drop_mask /= 1.0 - dropout_p
-            y *= drop_mask
-        cache.layers.append(
-            _LayerCache(x_in=a, xhat=z, inv_std=inv_std, out=y, drop_mask=drop_mask)
-        )
-        a = y
+        a = np.multiply(z, params.bn_gain[i], out=ws.out[i][:m])
+        a += params.bn_bias[i]
+        np.maximum(a, 0.0, out=a)
 
-    cache.out_in = a
+    ws.dropped = dropout_p > 0
+    if ws.dropped:  # on the last hidden layer, the only one no BatchNorm follows
+        mask = np.random.default_rng(dropout_seed).random(out=ws.drop[:m])
+        np.greater_equal(mask, dropout_p, out=mask)
+        mask /= 1.0 - dropout_p
+        a *= mask
     logits = np.matmul(a, params.w[-1], out=ws.logits[:m])
     logits += params.b[-1]
-    cache.pred = sigmoid(logits)
-    return cache.pred, cache
+    ws.pred = sigmoid(logits)
+    return ws.pred, ForwardCache(ws, ws.forwards, params)
 
 
 def smooth_l1(pred: np.ndarray, target: np.ndarray) -> float:
@@ -354,46 +339,49 @@ def backward(params: MlpParams, cache: ForwardCache, target: np.ndarray) -> Grad
     """Exact gradients of the SmoothL1 loss w.r.t. every learnable tensor.
 
     Requires the cache of the latest train-mode forward on its workspace, on
-    the same params and batch. Running statistics receive no gradient. The
-    gradients are the workspace's Gradients, which live until the next
-    backward on that workspace overwrites them.
+    the same params and batch; it reads that forward's state from the
+    workspace. Running statistics receive no gradient. The gradients are the
+    workspace's Gradients, which live until the next backward on that
+    workspace overwrites them.
     """
-    if cache is None or cache.pred is None:
+    if cache is None:
         raise ValueError("backward needs the cache of a train-mode forward")
-    if cache.params_ref is not params:
+    if cache.params is not params:
         raise ValueError("cache does not belong to these parameters (stale cache)")
     ws = cache.workspace
     if cache.forward_index != ws.forwards:
         raise ValueError("a later forward on the workspace superseded this cache (stale cache)")
+    pred = ws.pred
     target = np.asarray(target, dtype=np.float64)
-    if target.shape != cache.pred.shape:
-        raise ValueError(f"target shape {target.shape} does not match batch {cache.pred.shape}")
+    if target.shape != pred.shape:
+        raise ValueError(f"target shape {target.shape} does not match batch {pred.shape}")
 
     grads = ws.grads
     m = target.shape[0]
     scratch = ws.scratch[:m]
 
-    dpred = smooth_l1_grad(cache.pred, target)
+    dpred = smooth_l1_grad(pred, target)
     # sigmoid: d pred / d z = pred * (1 - pred)
-    dz = dpred * cache.pred * (1.0 - cache.pred)
-    np.matmul(cache.out_in.T, dz, out=grads["w4"])
+    dz = dpred * pred * (1.0 - pred)
+    np.matmul(ws.out[-1][:m].T, dz, out=grads["w4"])
     np.sum(dz, axis=0, out=grads["b4"])
+    # da is the workspace's buffer, so every update below is in place on it
     da = np.matmul(dz, params.w[-1].T, out=ws.da[-1][:m])
+    if ws.dropped:
+        da *= ws.drop[:m]
 
     for i in reversed(range(N_HIDDEN)):
-        layer = cache.layers[i]
-        # da is the workspace's buffer, so every update below is in place on it
-        if layer.drop_mask is not None:
-            da *= layer.drop_mask
-        da *= np.greater(layer.out, 0.0, out=scratch)  # now dy; dropped units read 0 as well
+        xhat = ws.z[i][:m]
+        da *= np.greater(ws.out[i][:m], 0.0, out=scratch)  # now dy; dropped units read 0 as well
         dbias = np.sum(da, axis=0, out=grads[f"bn{i + 1}_bias"])
-        dgain = np.einsum("ij,ij->j", da, layer.xhat, out=grads[f"bn{i + 1}_gain"])
+        dgain = np.einsum("ij,ij->j", da, xhat, out=grads[f"bn{i + 1}_gain"])
         # BatchNorm backward through the batch statistics, closed form:
         #   dz = gain * inv_std * (dy - dbias / m - xhat * dgain / m)
         da -= dbias / m
-        da -= np.multiply(layer.xhat, dgain / m, out=scratch)
-        da *= params.bn_gain[i] * layer.inv_std
-        np.matmul(layer.x_in.T, da, out=grads[f"w{i + 1}"])
+        da -= np.multiply(xhat, dgain / m, out=scratch)
+        da *= params.bn_gain[i] * ws.inv_std[i]
+        x_in = ws.out[i - 1][:m] if i > 0 else ws.x
+        np.matmul(x_in.T, da, out=grads[f"w{i + 1}"])
         if i > 0:
             da = np.matmul(da, params.w[i].T, out=ws.da[i - 1][:m])
 
@@ -410,9 +398,7 @@ def save_checkpoint(params: MlpParams, path) -> None:
         "train_seed": params.train_seed,
         "params": base64.b64encode(params.flat.astype("<f8", copy=False).tobytes()).decode("ascii"),
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f)
-        f.write("\n")
+    write_json(path, payload)
 
 
 def load_checkpoint(path) -> MlpParams:

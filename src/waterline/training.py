@@ -64,7 +64,7 @@ class OptState:
     scratch: np.ndarray = field(default_factory=lambda: np.empty((2, N_LEARNED)), repr=False)
 
     @classmethod
-    def init(cls, params: MlpParams) -> "OptState":
+    def init(cls) -> "OptState":
         return cls(m=np.zeros(N_LEARNED), v=np.zeros(N_LEARNED))
 
 
@@ -114,7 +114,7 @@ def adamw_step(
     state: OptState,
     lr: float,
     weight_decay: float,
-) -> tuple[MlpParams, OptState]:
+) -> None:
     """One AdamW update of the learnable prefix of params.flat, in place.
     Weight decay is decoupled and applies only to the weight matrices, which
     lead the vector. grads is read, not written."""
@@ -149,7 +149,6 @@ def adamw_step(
     )
     update *= lr
     params.flat[:N_LEARNED] -= update
-    return params, state
 
 
 def _check_set(name: str, data) -> tuple[np.ndarray, np.ndarray]:
@@ -181,7 +180,7 @@ def train(train_set, val_set, config: TrainConfig) -> tuple[MlpParams, TrainHist
 
     params = init_params(config.seed)
     params.train_seed = config.seed
-    state = OptState.init(params)
+    state = OptState.init()
     history = TrainHistory()
 
     best_params = params.copy()

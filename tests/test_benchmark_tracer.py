@@ -8,8 +8,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 import waterline.cli  # noqa: F401  imports every module the tracer wraps
 import waterline.data
+import waterline.training
 from waterline.geometry import CameraModel
 from waterline.network import init_params, save_checkpoint
 
@@ -108,6 +111,31 @@ def test_tracer_sees_each_dataset_load(tmp_path, capsys):
     assert tracer.counts["data.load_calls"] == 2
     assert tracer.counts["data.bytes_read"] == 2 * dataset.stat().st_size
     assert tracer.counts["data.visible_examples_calls"] == 0
+
+
+def test_train_steps_are_traced_per_layer():
+    """training.batches, network.forward_train_s, network.backward_s and
+    training.adamw_s measure their layers: each optimizer step is one train
+    forward, one backward and one AdamW span under the request id the forward
+    derives from the dropout seed, and each epoch one eval forward."""
+    rng = np.random.default_rng(0)
+    data = [(rng.uniform(-1.0, 1.0, (n, 6)), rng.uniform(0.1, 0.9, (n, 2))) for n in (100, 30)]
+    config = waterline.training.TrainConfig(max_epochs=2, patience=2, batch_size=32)
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        _, history = waterline.training.train(*data, config)
+    assert len(history.epochs) == 2
+    counts = tracer.counts
+    steps = {f"epoch{e}/batch{k}" for e in (1, 2) for k in range(4)}  # 32 + 32 + 32 + 4 rows
+    assert counts["network.forward_train_calls"] == len(steps)
+    assert counts["network.backward_calls"] == counts["training.adamw_calls"] == len(steps)
+    assert counts["training.epoch_calls"] == 2
+    names = [span[0] for span in tracer.spans]
+    assert names.count("network.forward_eval") == 2
+    assert names.count("training.train") == 1
+    for name in ("network.forward_train", "network.backward", "training.adamw"):
+        assert sorted(span[4] for span in tracer.spans if span[0] == name) == sorted(steps)
 
 
 def test_workloads_read_only_existing_package_names():

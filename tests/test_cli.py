@@ -18,7 +18,7 @@ import waterline
 from oracles import per_frame_predict_rows, per_line_records
 from waterline.cli import DEFAULT_VAL_RATIO, _verify_fidelity, load_predictions, main
 from waterline.data import GenConfig, SampleRecord, generate, load_dataset, save_dataset
-from waterline.errors import DatasetParseError, DatasetSchemaError, NumericError
+from waterline.errors import DatasetParseError, DatasetSchemaError, NumericError, TrainingAborted
 from waterline.features import ChartQuery, ImuSample
 from waterline.geometry import CameraModel
 from waterline.network import init_params, load_checkpoint, save_checkpoint
@@ -845,6 +845,85 @@ class TestMisc:
             main(["--version"])
         assert excinfo.value.code == 0
         assert "waterline" in capsys.readouterr().out
+
+
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
+class TestExitCodes:
+    """main maps each kind of error to its exit code and one `error:` line on
+    stderr, and writes no manifest for a failed command."""
+
+    @pytest.mark.parametrize("content, message", [
+        ('{"schema": 99}\n', "line 1: unsupported schema version 99"),  # DatasetSchemaError
+        ("{broken\n", "line 1: "),  # DatasetParseError
+    ], ids=["schema", "parse"])
+    def test_malformed_dataset_exits_3(self, tmp_path, capsys, content, message):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(content)
+        out_dir = tmp_path / "o"
+        assert main(["train", "--dataset", str(bad), "--out", str(out_dir)]) == 3
+        assert _one_error_line(capsys).startswith(f"error: {message}")
+        assert not out_dir.exists()
+
+    def test_missing_dataset_exits_3(self, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        assert main(["train", "--dataset", str(missing), "--out", str(tmp_path / "o")]) == 3
+        assert "No such file or directory" in _one_error_line(capsys)
+
+    def test_config_error_exits_2(self, tmp_path, dataset, capsys):
+        config_path = tmp_path / "train.json"
+        config_path.write_text('{"batch_size": 1}')
+        out_dir = tmp_path / "o"
+        argv = ["train", "--dataset", str(dataset), "--config", str(config_path),
+                "--out", str(out_dir)]
+        assert main(argv) == 2
+        assert "batch_size" in _one_error_line(capsys)
+        assert not (out_dir / "manifest.json").exists()
+
+    def test_numeric_error_exits_4(self, tmp_path, dataset, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise TrainingAborted("epoch 1: non-finite gradient in w1")
+
+        monkeypatch.setattr(waterline.cli, "train", diverge)
+        out_dir = tmp_path / "o"
+        assert main(["train", "--dataset", str(dataset), "--out", str(out_dir)]) == 4
+        assert _one_error_line(capsys) == "error: epoch 1: non-finite gradient in w1"
+        assert not (out_dir / "manifest.json").exists()
+
+    def test_unmapped_exception_propagates(self, tmp_path, dataset, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("not an error kind main maps")
+
+        monkeypatch.setattr(waterline.cli, "train", fail)
+        with pytest.raises(RuntimeError, match="not an error kind"):
+            main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "o")])
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("level", ["verbose", "5"])
+    def test_unknown_log_level_is_usage_error(self, tmp_path, level):
+        # In a fresh process: under pytest, logging.basicConfig does nothing,
+        # since the root logger already has pytest's handlers.
+        config = _write_gen_config(tmp_path / "gen.json")
+        out = tmp_path / "data.jsonl"
+        env = {**os.environ, "WATERLINE_LOG": level,
+               "PYTHONPATH": str(Path(waterline.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "waterline.cli", "gen", "--config", str(config),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: WATERLINE_LOG"), done.stderr
+        assert repr(level) in lines[0]
+        assert not out.exists()
 
 
 def test_calibration_demo_recovers_injected_shift(tmp_path):

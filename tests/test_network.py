@@ -232,6 +232,17 @@ class TestForwardTrain:
         with pytest.raises(ValueError):
             forward(p, np.zeros((4, 5)), training=False)
 
+    @pytest.mark.parametrize("dropout_p", [1.0, -0.1, float("nan")])
+    def test_rejects_dropout_outside_unit_interval(self, dropout_p):
+        p = init_params(0)
+        workspace = TrainWorkspace(4)
+        x, _ = _random_batch(19, n=4)
+        with pytest.raises(ValueError, match=r"dropout probability must lie in \[0, 1\)"):
+            forward(p, x, training=True, dropout_p=dropout_p, workspace=workspace)
+        assert workspace.forwards == 0
+        # eval mode applies no dropout, so it ignores the argument
+        assert np.array_equal(forward(p, x, dropout_p=dropout_p)[0], forward(p, x)[0])
+
     def test_rejects_batch_larger_than_workspace(self):
         p = init_params(0)
         x, _ = _random_batch(17, n=9)
@@ -246,9 +257,9 @@ class TestForwardTrain:
             p.bn_gain[i] *= 100.0
         x, _ = _random_batch(4, n=256, scale=30.0)
         _, cache = forward(p, x, training=True, dropout_p=0.0)
-        for layer in cache.layers:
-            assert np.abs(layer.xhat.mean(axis=0)).max() < 1e-6
-            assert np.abs(layer.xhat.var(axis=0) - 1.0).max() < 1e-6
+        for z in cache.workspace.z:  # xhat of each layer
+            assert np.abs(z.mean(axis=0)).max() < 1e-6
+            assert np.abs(z.var(axis=0) - 1.0).max() < 1e-6
 
     def test_running_stats_updated_with_momentum(self):
         p = init_params(0)
@@ -283,9 +294,15 @@ class TestForwardTrain:
         p = init_params(0)
         x, _ = _random_batch(7, n=64)
         _, cache = forward(p, x, training=True, dropout_p=0.2, dropout_seed=9)
-        *feeds_bn, last = cache.layers
-        assert all(layer.drop_mask is None for layer in feeds_bn)
-        assert set(np.unique(last.drop_mask)) == {0.0, 1.0 / 0.8}
+        ws = cache.workspace  # sized to the batch, so its buffers hold 64 rows
+        assert ws.dropped
+        assert set(np.unique(ws.drop)) == {0.0, 1.0 / 0.8}
+        # the one mask multiplies only the last hidden layer's output
+        *feeds_bn, last = ws.out
+        for z, out, gain, shift in zip(ws.z, feeds_bn, p.bn_gain, p.bn_bias):
+            assert np.array_equal(out, np.maximum(z * gain + shift, 0.0))
+        assert np.array_equal(last, np.maximum(ws.z[-1] * p.bn_gain[-1] + p.bn_bias[-1], 0.0)
+                              * ws.drop)
 
     def test_dropout_seed_reproducible(self):
         p = init_params(0)
@@ -303,11 +320,11 @@ class TestForwardTrain:
         x, _ = _random_batch(9, n=4)
         n_draws = 10_000
         _, cache0 = forward(p, x, training=True, dropout_p=0.0)
-        pre_dropout = cache0.out_in
+        pre_dropout = cache0.workspace.out[-1].copy()
         total = np.zeros_like(pre_dropout)
         for seed in range(n_draws):
             _, cache = forward(p, x, training=True, dropout_p=0.2, dropout_seed=seed)
-            total += cache.out_in  # input of the output head = post-dropout of the last layer
+            total += cache.workspace.out[-1]  # input of the output head = post-dropout
         mean = total / n_draws
         # kept values are scaled by 1/(1-p): per entry the mask mean has
         # std a * sqrt(p/(1-p)/N). The aggregate gets the 3-sigma bound; each
@@ -382,7 +399,7 @@ class TestBackward:
         _, cache = forward(p, x, training=True, dropout_p=0.5, dropout_seed=1)
         grads = backward(p, cache, y)
         # dropped units contribute no gradient through their outgoing weights
-        mask = cache.layers[2].drop_mask
+        mask = cache.workspace.drop
         dropped_cols = np.where(mask.sum(axis=0) == 0)[0]
         if dropped_cols.size:
             assert np.abs(grads["w4"][dropped_cols, :]).max() == 0.0
@@ -440,9 +457,8 @@ class TestFusedTrainStep:
         x, y = _random_batch(15, n=64)
         x_before = x.copy()
         _, cache = forward(p, x, training=True, dropout_p=dropout_p, dropout_seed=3)
-        cached = [cache.pred, cache.out_in] + [
-            arr for layer in cache.layers for arr in vars(layer).values() if arr is not None
-        ]
+        ws = cache.workspace  # sized to the batch: every buffer is the forward's state
+        cached = [ws.pred, ws.x, *ws.inv_std, *ws.z, *ws.out] + ([ws.drop] if ws.dropped else [])
         before = [arr.copy() for arr in cached]
         # the gradients are views of the workspace, which the second call rewrites
         first = {name: g.copy() for name, g in backward(p, cache, y).items()}
@@ -458,7 +474,7 @@ class TestFusedTrainStep:
         # After warm-up, a train step at batch 256 allocates only small
         # temporaries: the traced peak stays under one (256, 128) buffer.
         p = init_params(0)
-        state = OptState.init(p)
+        state = OptState.init()
         workspace = TrainWorkspace(256)
         x, y = _random_batch(18, n=256)
 
@@ -486,7 +502,7 @@ def _three_steps_against_unfused(dropout_p, n, workspace):
     forward, against the unfused reference."""
     fused = init_params(21)
     ref = fused.copy()
-    fused_state, ref_state = OptState.init(fused), OptState.init(ref)
+    fused_state, ref_state = OptState.init(), OptState.init()
     rng = np.random.default_rng(31)
     for step in range(3):
         x = rng.uniform(-1.0, 1.0, size=(n, 6))
@@ -506,8 +522,8 @@ def _three_steps_against_unfused(dropout_p, n, workspace):
         first = step == 0
         pairs = [("pred", pred, ref_pred, first), ("params", fused.flat, ref.flat, first)]
         pairs += [
-            (f"xhat{i + 1}", got.xhat, want.xhat, first)
-            for i, (got, want) in enumerate(zip(cache.layers, ref_cache.layers))
+            (f"xhat{i + 1}", got[:n], want.xhat, first)
+            for i, (got, want) in enumerate(zip(cache.workspace.z, ref_cache.layers))
         ]
         pairs += [(name, grads[name], ref_grads[name], first and n == 256) for name in grads]
         for name, got, want, exact in pairs:

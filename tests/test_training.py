@@ -34,7 +34,7 @@ class TestAdamW:
     def test_zero_gradient_zero_decay_is_identity(self):
         p = init_params(0)
         snapshot = {k: v.copy() for k, v in p.learnables().items()}
-        state = OptState.init(p)
+        state = OptState.init()
         adamw_step(p, Gradients(), state, lr=1e-3, weight_decay=0.0)
         for k, v in p.learnables().items():
             assert np.array_equal(v, snapshot[k])
@@ -42,7 +42,7 @@ class TestAdamW:
     def test_scalar_quadratic_converges(self):
         # drive one weight entry through f(theta) = theta^2 / 2, grad = theta
         p = init_params(0)
-        state = OptState.init(p)
+        state = OptState.init()
         p.w[3][0, 0] = 1.0
         for _ in range(500):
             grads = Gradients()
@@ -53,7 +53,7 @@ class TestAdamW:
     @pytest.mark.parametrize("c", [7.3, 1e-4, -42.0])
     def test_first_step_is_signed_lr(self, c):
         p = init_params(0)
-        state = OptState.init(p)
+        state = OptState.init()
         before = p.w[0][0, 0]
         grads = Gradients()
         grads["w1"][0, 0] = c
@@ -64,7 +64,7 @@ class TestAdamW:
     def test_decay_excludes_biases_and_norm_params(self):
         p = init_params(0)
         p.b[0][:] = 0.5  # a nonzero output bias, so that decay would move it
-        state = OptState.init(p)
+        state = OptState.init()
         weights_before = [w.copy() for w in p.w]
         bias_before = p.b[0].copy()
         gain_before = [g.copy() for g in p.bn_gain]
@@ -87,7 +87,7 @@ class TestAdamW:
         m = {k: np.zeros_like(v) for k, v in ref.items()}
         v = {k: np.zeros_like(a) for k, a in ref.items()}
         stats_before = p.flat[N_LEARNED:].copy()
-        state = OptState.init(p)
+        state = OptState.init()
         rng = np.random.default_rng(3)
         for t in range(1, 7):
             grads = {k: rng.normal(0.0, 1e-3, size=a.shape) for k, a in ref.items()}
@@ -104,7 +104,7 @@ class TestAdamW:
         # the first non-finite tensor in buffer order is named, and nothing moves
         p = init_params(0)
         before = p.flat.copy()
-        state = OptState.init(p)
+        state = OptState.init()
         for name, index, value in [
             ("w2", (0, 0), np.nan),
             ("bn3_bias", (127,), np.inf),
@@ -121,11 +121,11 @@ class TestAdamW:
         p = init_params(0)
         grads = {k: np.zeros_like(v) for k, v in p.learnables().items()}
         with pytest.raises(TypeError, match="Gradients"):
-            adamw_step(p, grads, OptState.init(p), lr=1e-3, weight_decay=0.0)
+            adamw_step(p, grads, OptState.init(), lr=1e-3, weight_decay=0.0)
 
     def test_step_counter_advances(self):
         p = init_params(0)
-        state = OptState.init(p)
+        state = OptState.init()
         adamw_step(p, Gradients(), state, lr=1e-3, weight_decay=0.0)
         adamw_step(p, Gradients(), state, lr=1e-3, weight_decay=0.0)
         assert state.t == 2
