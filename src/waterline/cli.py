@@ -28,12 +28,12 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    PREDICT_SCHEMA,
     GenConfig,
     float_rows,
     generate,
     load_dataset,
     load_predictions,
+    predict_lines,
     save_dataset,
     split,
     visible_examples,
@@ -47,7 +47,8 @@ from .network import forward, load_checkpoint, save_checkpoint
 # perfbench/workloads.py reads DEFAULT_VAL_RATIO from this module.
 from .training import DEFAULT_VAL_RATIO, TrainConfig, train  # noqa: F401
 
-logger = logging.getLogger(__name__)
+# Named, not __name__, so that `python -m waterline.cli` logs as waterline.cli too.
+logger = logging.getLogger("waterline.cli")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -240,23 +241,13 @@ def cmd_predict(args) -> Manifest:
 
     # One eval forward over every chart query of the file, in file order.
     n_queries = len(frames.distance_m)
-    rows = []
+    lines = ()
     if n_queries:  # forward rejects an empty batch; a buoy-free file gets no rows
         feats = frames.features()
         pred, _ = forward(params, feats, training=False)
-        rows = zip(*(keys.tolist() for keys in frames.query_keys()),
-                   decoder_queries(feats, pred).tolist(), feats.tolist())
-    write_jsonl(out, (
-        {  # decoder_query ends with the predicted point
-            "schema": PREDICT_SCHEMA,
-            "sample_id": sample_id,
-            "query_index": qi,
-            "prediction": {"c_x": decoder_query[2], "c_y_plus_half_h": decoder_query[3]},
-            "decoder_query": decoder_query,
-            **({"features": feature_row} if args.emit_features else {}),
-        }
-        for sample_id, qi, decoder_query, feature_row in rows
-    ))
+        lines = predict_lines(*frames.query_keys(), decoder_queries(feats, pred),
+                              feats if args.emit_features else None)
+    write_jsonl(out, lines)
     print(f"queries predicted: {n_queries}")
 
     return (out.with_suffix(out.suffix + ".manifest.json"),

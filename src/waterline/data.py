@@ -18,11 +18,16 @@ through: load_dataset and generate build one, and Frames.records() builds
 every SampleRecord. A JSON integer loads as the float it equals; the
 per-line rules of _record_from_dict only name a bad line.
 
+write_jsonl is the one JSONL writer. Its lines come from the templates beside
+the schema versions, each number and string filled in as compact, ASCII-only
+json.dumps writes it.
+
 The generator draws vessel attitude and chart queries at random, projects
 each query's waterline point through the pinhole camera, and anchors a
 distance-scaled box at the projected point. Measurement noise perturbs the
 *recorded* query/IMU values, never the label: the annotation is ground truth,
-the sensors are what lie.
+the sensors are what lie. Sample i draws from the stream of
+np.random.default_rng((seed, i)), whose n states are derived in one array pass.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from itertools import chain, compress
+from json.encoder import encode_basestring_ascii
 from typing import Annotated, NamedTuple
 
 import numpy as np
@@ -56,9 +62,16 @@ DETECTOR_SCHEMA = 1
 # No loader reads them.
 PREDICT_SCHEMA = 1
 
-# The encoder of write_jsonl: json.dumps(obj, separators=(",", ":")) without
-# building an encoder per line.
-COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+# The line templates of the two writers: json.dumps(row, separators=(",", ":"))
+# with %s where a string or number goes. A dataset line joins one query item
+# per query and one label item per label.
+_DATASET_HEAD = ('{"schema":%d,' % SCHEMA_VERSION + '"sample_id":%s,'
+                 '"imu":{"pitch_deg":%s,"roll_deg":%s,"heading_deg":%s},"queries":[')
+_QUERY_ITEM = '{"distance_m":%s,"bearing_deg":%s}'
+_LABEL_ITEMS = ('{"visible":false}', '{"visible":true,"c_x":%s,"c_y":%s,"w":%s,"h":%s}')
+_PREDICT_LINE = ('{"schema":%d,' % PREDICT_SCHEMA + '"sample_id":%s,"query_index":%d,'
+                 '"prediction":{"c_x":%s,"c_y_plus_half_h":%s},"decoder_query":[%s,%s,%s,%s]')
+_FEATURES_END = ',"features":[%s,%s,%s,%s,%s,%s]}\n'
 _RAW_DECODE = json.JSONDecoder().raw_decode  # the decoder of json.loads
 _NUMBER_TYPES = {float, int}  # of a JSON number; a JSON true or false is a bool
 
@@ -189,8 +202,10 @@ def generate(camera: CameraModel, config: GenConfig) -> list[SampleRecord]:
 
     A query is visible when its waterline point projects in front of the
     camera, lands inside the frame, and the anchored box fits entirely within
-    the frame. Per-sample RNG streams are derived from (seed, sample_index),
-    so output is deterministic and independent of iteration parallelism.
+    the frame. Sample i draws from the stream of
+    np.random.default_rng((seed, i)), so output is deterministic and
+    independent of iteration parallelism; _stream_states derives all n
+    stream states in one array pass, and one reused Generator draws them.
 
     Each sample's loop only draws from its stream, in a fixed order: the
     attitude uniforms, the query count, each query's distance and bearing
@@ -214,8 +229,7 @@ def _generated_frames(camera: CameraModel, config: GenConfig) -> Frames:
     sample_draws = array("d")  # per sample: pitch, roll, heading uniforms, then their noise
     query_draws = array("d")  # per query: distance, bearing uniforms; du, dv; dropout; their noise
     counts = []
-    for i in range(config.n_samples):
-        rng = np.random.default_rng((config.seed, i))
+    for rng in _streams(config.seed, config.n_samples):
         attitude = (rng.random(), rng.random(), rng.random())
         n_queries = int(rng.integers(qlo, qhi + 1))
         for _ in range(n_queries):
@@ -280,6 +294,65 @@ def _generated_frames(camera: CameraModel, config: GenConfig) -> Frames:
     boxes = np.column_stack((c_x, c_y, w_norm, h_norm))[visible]
     sample_ids = [f"{i:06d}" for i in range(config.n_samples)]
     return _frames(sample_ids, imu, counts, queries, visible, boxes)
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit multiplier (PCG_DEFAULT_MULTIPLIER_128).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT, _MASK32, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, 2**32 - 1, 2**128 - 1
+
+
+def _streams(seed: int, n: int):
+    """One reused Generator, set in turn to the stream of
+    np.random.default_rng((seed, i)) for i < n, with no half-word buffered."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for state in _stream_states(seed, n):
+        rng.bit_generator.state = state
+        yield rng
+
+
+def _stream_states(seed: int, n: int):
+    """Yield the PCG64 state of np.random.default_rng((seed, i)) for each i < n <= 2**32:
+    SeedSequence's pool mixing and generate_state(4, uint64) over every i at once
+    in uint32 arrays, then PCG64's seeding in Python ints. numpy's RNG policy
+    (NEP 19) keeps both fixed, and tests pin the states to default_rng's."""
+    seed = int(seed)  # SeedSequence's entropy (seed, i) in 32-bit words, low first
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(n, word, np.uint32) for word in words] + [np.arange(n, dtype=np.uint32)]
+    entropy += [np.zeros(n, np.uint32)] * (4 - len(entropy))  # pad to the 4-word pool
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src, dst in [(src, dst) for src in range(4) for dst in range(4) if src != dst]:
+        pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word, dst in [(word, dst) for word in entropy[4:] for dst in range(4)]:
+        pool[dst] = _mix(pool[dst], hashmix(word))  # entropy past the pool
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    halves = [hashmix(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    for s_hi, s_lo, q_hi, q_lo in zip(*[(halves[k] | halves[k + 1] << 32).tolist()
+                                        for k in range(0, 8, 2)]):
+        # pcg64_set_seed: state 0, inc = 2 * initseq + 1, step, add initstate, step.
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
+def _hashmix(hash_const: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays; its running constant is a
+    Python int, so no numpy scalar overflows."""
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    value = x * _MIX_L - y * _MIX_R
+    return value ^ value >> 16
 
 
 def _uniform(u, lo: float, hi: float):
@@ -349,24 +422,66 @@ def split(records, ratio: float, seed: int) -> DatasetSplit:
 
 def save_dataset(records, path) -> None:
     """Write records as JSONL; float fields keep full 64-bit precision."""
-    write_jsonl(path, map(_record_to_dict, records))
+    write_jsonl(path, map(_dataset_line, records))
 
 
-def write_jsonl(path, rows) -> None:
-    """Write each row as one line of compact JSON: the one JSONL writer, as
-    _jsonl is the one reader."""
+def _dataset_line(record: SampleRecord) -> str:
+    imu = record.imu
+    numbers = [imu.pitch_deg, imu.roll_deg, imu.heading_deg]
+    for query in record.queries:
+        numbers += query.distance_m, query.bearing_deg
+    labels = []
+    for label in record.labels:
+        labels.append(_LABEL_ITEMS[bool(label.visible)])
+        if label.visible:
+            numbers += label.c_x, label.c_y, label.w, label.h
+    template = (_DATASET_HEAD + ",".join([_QUERY_ITEM] * len(labels)) + '],"labels":['
+                + ",".join(labels) + "]}\n")
+    return template % (encode_basestring_ascii(record.sample_id), *_json_numbers(numbers))
+
+
+def predict_lines(sample_id, query_index, decoder_query, features=None):
+    """The `predict` output lines of the (m,) Frames.query_keys columns, the (m, 4)
+    decoder queries and, for --emit-features, the (m, 6) features. Each float is
+    formatted once: prediction repeats decoder_query[2:4], and decoder_query[0:2]
+    are features 0 and 2."""
+    query = list(map(_json_numbers, decoder_query.T.tolist()))
+    columns = [map(encode_basestring_ascii, sample_id.tolist()), query_index.tolist(),
+               query[2], query[3], *query]
+    if features is None:
+        return map((_PREDICT_LINE + "}\n").__mod__, zip(*columns))
+    rest = list(map(_json_numbers, features[:, [1, 3, 4, 5]].T.tolist()))
+    return map((_PREDICT_LINE + _FEATURES_END).__mod__,
+               zip(*columns, query[0], rest[0], query[1], *rest[1:]))
+
+
+def _json_numbers(values: list) -> list[str]:
+    """Each finite number as json writes it: float.__repr__ of a float, numpy's
+    float64 too (whose repr is np.float64(...)); json.dumps if any is not."""
+    try:
+        return list(map(float.__repr__, values))
+    except TypeError:  # an int, say
+        return list(map(json.dumps, values))
+
+
+def write_jsonl(path, lines) -> None:
+    """Write lines of compact JSON, each ending in a newline, one at a time:
+    the one JSONL writer, as _jsonl is the one reader."""
     with open(path, "w", encoding="utf-8") as f:
-        for row in rows:
-            f.write(COMPACT_JSON.encode(row))
-            f.write("\n")
+        f.writelines(lines)
 
 
-def _jsonl(path, parse) -> list:
+def _jsonl(path, parse, label: str) -> list:
     """parse(value) for each non-blank line of a JSONL file; the one place that
     names a bad line. A line that is not UTF-8 JSON raises DatasetParseError, and
-    a ValueError from `parse` (schema or range) becomes DatasetSchemaError."""
+    a ValueError from `parse` (schema or range) becomes DatasetSchemaError. A
+    missing file raises FileNotFoundError naming `label`, as load_json does."""
+    try:
+        f = open(path, "rb")  # decoded per line, so a bad byte is reported with its line
+    except FileNotFoundError as exc:
+        raise FileNotFoundError(f"{label} not found: {path}") from exc
     values = []
-    with open(path, "rb") as f:  # decoded per line, so a bad byte is reported with its line
+    with f:
         for line_no, raw in enumerate(f, 1):
             try:
                 line = raw.decode("utf-8").strip()
@@ -397,9 +512,9 @@ def load_dataset(path) -> Frames:
     integer loads as the float it equals. When a column breaks a rule, the
     per-line rules run over the file only to name the first bad line.
     """
-    frames = _checked_frames(_jsonl(path, lambda data: data))
+    frames = _checked_frames(_jsonl(path, lambda data: data, "dataset"))
     if frames is None:
-        _jsonl(path, _record_from_dict)
+        _jsonl(path, _record_from_dict, "dataset")
         raise _unnamed_fault(path)
     return frames
 
@@ -421,10 +536,10 @@ def load_predictions(path) -> Detections:
     float it equals. When a column breaks a rule, the per-line rules of
     _check_prediction run over the file only to name the first bad line.
     """
-    columns = _checked_columns(_jsonl(path, _detector_fields))
+    columns = _checked_columns(_jsonl(path, _detector_fields, "detector file"))
     if columns is None:
         seen = set()
-        _jsonl(path, lambda data: _check_prediction(data, seen))
+        _jsonl(path, lambda data: _check_prediction(data, seen), "detector file")
         raise _unnamed_fault(path)
     return columns
 
@@ -542,30 +657,6 @@ def _frames(sample_id, imu, counts, queries, visible, boxes) -> Frames:
         visible=np.asarray(visible, dtype=bool),
         boxes=np.asarray(boxes, dtype=np.float64).reshape(-1, 4),
     )
-
-
-def _record_to_dict(record: SampleRecord) -> dict:
-    labels = []
-    for label in record.labels:
-        if label.visible:
-            labels.append(
-                {"visible": True, "c_x": label.c_x, "c_y": label.c_y, "w": label.w, "h": label.h}
-            )
-        else:
-            labels.append({"visible": False})
-    return {
-        "schema": SCHEMA_VERSION,
-        "sample_id": record.sample_id,
-        "imu": {
-            "pitch_deg": record.imu.pitch_deg,
-            "roll_deg": record.imu.roll_deg,
-            "heading_deg": record.imu.heading_deg,
-        },
-        "queries": [
-            {"distance_m": q.distance_m, "bearing_deg": q.bearing_deg} for q in record.queries
-        ],
-        "labels": labels,
-    }
 
 
 def _require(data: dict, key: str):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from waterline.data import SampleRecord
 from waterline.features import ChartQuery, ImuSample
 from waterline.geometry import CameraModel, project
-from waterline.metrics import Detections
+from waterline.metrics import Detections, GtBox
 
 
 @pytest.fixture
@@ -38,6 +39,19 @@ def random_query(rng, max_bearing=40.0):
         distance_m=rng.uniform(5.0, 1000.0),
         bearing_deg=rng.uniform(-max_bearing, max_bearing),
     )
+
+
+def hand_made_records():
+    """Valid records that a JSONL writer must escape and format as json does:
+    sample ids with non-ASCII, astral, control, quote, backslash and % characters;
+    -0.0, 5e-324, 1e16, int and numpy float64 fields."""
+    return [
+        SampleRecord('naïve "quoted" back\\slash 100%', ImuSample(np.float64(1.5), 0, -0.0),
+                     (ChartQuery(1e16, -0.0), ChartQuery(np.float64(250.5), 12.25)),
+                     (GtBox(False), GtBox(True, 0.5, np.float64(0.25), 0.01, 0.02))),
+        SampleRecord("日本 \U0001d518 %s\t", ImuSample(5e-324, -90.0, 180), (), ()),
+        SampleRecord("%d", ImuSample(-0.0, 3, 45.5), (ChartQuery(5, 180),), (GtBox(False),)),
+    ]
 
 
 def detections(rows):

@@ -3,9 +3,10 @@
 Each oracle deliberately takes a different computational route than the code
 it checks:
 
-  - raytrace_pixel: inverse ray casting (numeric root-find of the pixel whose
-    water-plane intersection hits the buoy) with scipy's rotation machinery,
-    instead of the forward point-transform-and-divide projection.
+  - raytrace_pixel: inverse ray casting (bracketing root-finds of the ray,
+    rotated by scipy's rotation machinery, that points at the buoy, checked by
+    its water-plane intersection), instead of the forward
+    point-transform-and-divide projection.
   - fd_gradients: central finite differences through the full train-mode
     forward pass, instead of analytic backprop.
   - unfolded_eval_forward: BatchNorm as a separate normalization step after
@@ -29,6 +30,9 @@ it checks:
     instead of one array pass over every query.
   - per_frame_predict_rows: the `predict` rows from one eval forward per
     frame, instead of one forward over every query of the file.
+  - write_json_lines / dataset_row / predict_row: each JSONL line as
+    json.dumps(row, separators=(",", ":")) of a dict, instead of a line
+    template filled with preformatted numbers and strings.
   - per_line_records / frames_of: a dataset file read line by line into
     records, each rule checked as the line's values are built, then put in
     columns with plain loops, instead of each rule checked once per column.
@@ -37,6 +41,7 @@ it checks:
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -45,7 +50,8 @@ import numpy as np
 from scipy.spatial.transform import Rotation
 
 from waterline.data import (
-    MIN_BOX_PX, Frames, SampleRecord, _jsonl, _record_from_dict, default_bearing_range,
+    MIN_BOX_PX, PREDICT_SCHEMA, SCHEMA_VERSION, Frames, SampleRecord, _jsonl, _record_from_dict,
+    default_bearing_range,
 )
 from waterline.errors import ConfigError, GenerationError
 from waterline.features import (
@@ -70,9 +76,15 @@ from waterline.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 def raytrace_pixel(camera, imu, query, tol_scale=1e-10):
     """Pixel whose camera ray intersects the water plane at the buoy position.
 
-    Solves the inverse problem by damped Newton iteration on the ray/plane
-    intersection residual, multi-started around a coarse horizon guess.
-    Returns (u, v) or None if no downward ray reaches the target.
+    Solves the inverse problem with two bracketing bisections over ray
+    angles in the camera frame, each ray rotated to the reference frame by
+    scipy. First the horizontal angle theta in (-90, 90) deg: the rays
+    x/z = tan(theta) span a plane, and the buoy's direction crosses it once,
+    from one side to the other, as theta sweeps the field. Then, within that
+    plane, the angle below the optical axis at which the ray points at the
+    buoy. Returns (u, v), or None if the buoy is not in front of the camera
+    or the ray's water-plane intersection misses it by more than the
+    tolerance.
     """
     rot = Rotation.from_euler(
         "ZXY", [-imu.heading_deg, imu.pitch_deg, imu.roll_deg], degrees=True
@@ -82,66 +94,41 @@ def raytrace_pixel(camera, imu, query, tol_scale=1e-10):
         [query.distance_m * math.sin(azimuth), query.distance_m * math.cos(azimuth)]
     )
     h, f = camera.mount_height_m, camera.focal_px
+    toward = np.array([*target, -h])  # from the camera to the buoy, reference frame
 
-    def residual(uv):
-        u, v = uv
-        dir_cam = np.array([(u - camera.principal_u) / f, (v - camera.principal_v) / f, 1.0])
-        dir_body = np.array([dir_cam[0], dir_cam[2], -dir_cam[1]])
-        dir_ref = rot @ dir_body
-        if dir_ref[2] >= -1e-15:
-            return None  # ray does not descend to the water plane
-        t = -h / dir_ref[2]
-        return t * dir_ref[:2] - target
+    def to_ref(x_cam, y_cam, z_cam):  # camera (right, down, forward) to reference
+        return rot @ np.array([x_cam, z_cam, -y_cam])
 
-    tol = tol_scale * max(1.0, query.distance_m)
-    u0 = camera.principal_u + f * math.tan(math.radians(query.bearing_deg))
-    v0 = (
-        camera.principal_v
-        + f * math.tan(math.radians(imu.pitch_deg))
-        + f * h / query.distance_m
-    )
-    for dv in (0.0, 10, -10, 40, -40, 120, -120, 300, -300, 700, -700, 1500):
-        x = np.array([u0, v0 + dv])
-        res = residual(x)
-        if res is None:
-            continue
-        converged = False
-        for _ in range(60):
-            if np.abs(res).max() <= tol:
-                converged = True
-                break
-            jac = np.empty((2, 2))
-            hstep = 1e-4
-            bad = False
-            for j in range(2):
-                xp = x.copy()
-                xp[j] += hstep
-                xm = x.copy()
-                xm[j] -= hstep
-                rp, rm = residual(xp), residual(xm)
-                if rp is None or rm is None:
-                    bad = True
-                    break
-                jac[:, j] = (rp - rm) / (2 * hstep)
-            if bad:
-                break
-            try:
-                step = np.linalg.solve(jac, res)
-            except np.linalg.LinAlgError:
-                break
-            scale = 1.0
-            for _ in range(30):
-                cand = x - scale * step
-                rc = residual(cand)
-                if rc is not None and np.abs(rc).max() < np.abs(res).max():
-                    x, res = cand, rc
-                    break
-                scale *= 0.5
-            else:
-                break
-        if converged:
-            return float(x[0]), float(x[1])
-    return None
+    def bisect(side, lo, hi):
+        """The angle in [lo, hi] where side() changes from negative to positive."""
+        if not side(lo) < 0 < side(hi):
+            return None
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if side(mid) < 0 else (lo, mid)
+        return mid
+
+    # The plane of theta has camera normal (-cos theta, 0, sin theta).
+    theta = bisect(lambda t: toward @ to_ref(-math.cos(t), 0.0, math.sin(t)),
+                   -math.pi / 2, math.pi / 2)
+    if theta is None:
+        return None  # the buoy is behind the camera plane
+    # Within it, the ray cos(phi) a + sin(phi) b, a = (sin theta, 0, cos theta) and
+    # b = (0, 1, 0) downward, has in-plane normal -sin(phi) a + cos(phi) b.
+    phi = bisect(lambda p: -(toward @ to_ref(-math.sin(p) * math.sin(theta), math.cos(p),
+                                             -math.sin(p) * math.cos(theta))),
+                 -math.pi / 2, math.pi / 2)
+    if phi is None:
+        return None
+    u = camera.principal_u + f * math.tan(theta)
+    v = camera.principal_v + f * math.tan(phi) / math.cos(theta)
+
+    dir_ref = to_ref((u - camera.principal_u) / f, (v - camera.principal_v) / f, 1.0)
+    if dir_ref[2] >= -1e-15:
+        return None  # the ray does not descend to the water plane
+    miss = -h / dir_ref[2] * dir_ref[:2] - target
+    if np.abs(miss).max() > tol_scale * max(1.0, query.distance_m):
+        return None
+    return u, v
 
 
 def fd_gradients(params, x, target, step=1e-5):
@@ -545,10 +532,53 @@ def per_frame_predict_rows(records, params):
     return rows
 
 
+def write_json_lines(path, rows) -> None:
+    """Write each row as compact json.dumps text and a newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        for row in rows:
+            f.write(json.dumps(row, separators=(",", ":")) + "\n")
+
+
+def dataset_row(record) -> dict:
+    """A record's dataset line as a dict."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "sample_id": record.sample_id,
+        "imu": {
+            "pitch_deg": record.imu.pitch_deg,
+            "roll_deg": record.imu.roll_deg,
+            "heading_deg": record.imu.heading_deg,
+        },
+        "queries": [
+            {"distance_m": q.distance_m, "bearing_deg": q.bearing_deg} for q in record.queries
+        ],
+        "labels": [
+            {"visible": True, "c_x": label.c_x, "c_y": label.c_y, "w": label.w, "h": label.h}
+            if label.visible else {"visible": False}
+            for label in record.labels
+        ],
+    }
+
+
+def predict_row(sample_id, query_index, features, point, emit_features) -> dict:
+    """A `predict` output line as a dict, its decoder query built from the
+    six features and the predicted point."""
+    row = {
+        "schema": PREDICT_SCHEMA,
+        "sample_id": sample_id,
+        "query_index": query_index,
+        "prediction": {"c_x": point[0], "c_y_plus_half_h": point[1]},
+        "decoder_query": [features[0], features[2], point[0], point[1]],
+    }
+    if emit_features:
+        row["features"] = list(features)
+    return row
+
+
 def per_line_records(path) -> list:
     """A dataset file's records, each line through the per-line rules of
     data._record_from_dict."""
-    return _jsonl(path, _record_from_dict)
+    return _jsonl(path, _record_from_dict, "dataset")
 
 
 def frames_of(records) -> Frames:

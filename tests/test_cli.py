@@ -15,13 +15,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import waterline
-from oracles import per_frame_predict_rows, per_line_records
+from conftest import hand_made_records
+from oracles import per_frame_predict_rows, per_line_records, predict_row, write_json_lines
 from waterline.cli import DEFAULT_VAL_RATIO, _verify_fidelity, load_predictions, main
 from waterline.data import GenConfig, SampleRecord, generate, load_dataset, save_dataset
 from waterline.errors import DatasetParseError, DatasetSchemaError, NumericError, TrainingAborted
 from waterline.features import ChartQuery, ImuSample
 from waterline.geometry import CameraModel
-from waterline.network import init_params, load_checkpoint, save_checkpoint
+from waterline.network import forward, init_params, load_checkpoint, save_checkpoint
 from waterline.training import TrainConfig
 
 
@@ -542,6 +543,26 @@ class TestPredict:
             assert row["decoder_query"][2:] == prediction
             assert row["features"] == features
 
+    @pytest.mark.parametrize("emit_features", [False, True])
+    def test_hand_made_dataset_rows_equal_reference_writer(self, tmp_path, checkpoint,
+                                                           emit_features):
+        dataset = tmp_path / "hand.jsonl"
+        save_dataset(hand_made_records(), dataset)
+        out, reference = tmp_path / "pred.jsonl", tmp_path / "reference.jsonl"
+        argv = ["predict", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                "--out", str(out)]
+        assert main(argv + ["--emit-features"] * emit_features) == 0
+        frames = load_dataset(dataset)
+        feats = frames.features()
+        pred, _ = forward(load_checkpoint(checkpoint), feats, training=False)
+        write_json_lines(reference, (
+            predict_row(sample_id, qi, features, point, emit_features)
+            for sample_id, qi, features, point in zip(
+                *(keys.tolist() for keys in frames.query_keys()), feats.tolist(), pred.tolist())
+        ))
+        assert out.read_bytes() == reference.read_bytes()
+        assert len(out.read_text(encoding="ascii").splitlines()) == 3
+
     def test_buoy_free_dataset_writes_no_rows(self, tmp_path, checkpoint, capsys):
         dataset = tmp_path / "free.jsonl"
         imu = ImuSample(pitch_deg=1.0, roll_deg=-2.0, heading_deg=30.0)
@@ -874,7 +895,19 @@ class TestExitCodes:
     def test_missing_dataset_exits_3(self, tmp_path, capsys):
         missing = tmp_path / "missing.jsonl"
         assert main(["train", "--dataset", str(missing), "--out", str(tmp_path / "o")]) == 3
-        assert "No such file or directory" in _one_error_line(capsys)
+        assert _one_error_line(capsys) == f"error: dataset not found: {missing}"
+
+    @pytest.mark.parametrize("command, role", [
+        (["predict", "--checkpoint", "ck.json"], "dataset"),
+        (["eval", "--checkpoint", "ck.json"], "dataset"),
+        (["calibrate"], "detector file"),
+    ])
+    def test_missing_input_names_its_role(self, tmp_path, capsys, command, role):
+        missing = tmp_path / "nope.jsonl"
+        out = tmp_path / "out"
+        assert main([*command, "--dataset", str(missing), "--out", str(out)]) == 3
+        assert _one_error_line(capsys) == f"error: {role} not found: {missing}"
+        assert not out.exists()
 
     def test_config_error_exits_2(self, tmp_path, dataset, capsys):
         config_path = tmp_path / "train.json"
@@ -904,6 +937,18 @@ class TestExitCodes:
         with pytest.raises(RuntimeError, match="not an error kind"):
             main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "o")])
         assert capsys.readouterr().err == ""
+
+    def test_module_run_logs_as_waterline_cli(self, tmp_path):
+        config = _write_gen_config(tmp_path / "gen.json")
+        env = {**os.environ, "WATERLINE_LOG": "info",
+               "PYTHONPATH": str(Path(waterline.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "waterline.cli", "gen", "--config", str(config),
+             "--out", str(tmp_path / "data.jsonl")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "INFO:waterline.cli:no camera config given" in done.stderr
 
     @pytest.mark.parametrize("level", ["verbose", "5"])
     def test_unknown_log_level_is_usage_error(self, tmp_path, level):

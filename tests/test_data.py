@@ -32,8 +32,8 @@ from waterline.features import (
 )
 from waterline.metrics import GtBox
 
-from conftest import project_point
-from oracles import frames_of, per_line_records, scalar_generate
+from conftest import hand_made_records, project_point
+from oracles import dataset_row, frames_of, per_line_records, scalar_generate, write_json_lines
 
 BASE_CONFIG = dict(
     n_samples=60,
@@ -225,8 +225,25 @@ class TestGenerate:
         assert reached(records)
         ours, reference = tmp_path / "ours.jsonl", tmp_path / "reference.jsonl"
         save_dataset(records, ours)
-        save_dataset(scalar_generate(camera, config), reference)
+        write_json_lines(reference, map(dataset_row, scalar_generate(camera, config)))
         assert ours.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3])
+    def test_stream_states_equal_default_rng(self, seed):
+        # 2**128 + 3 has five 32-bit words: its entropy runs past the 4-word pool.
+        states = list(waterline.data._stream_states(seed, 320))
+        assert len(states) == 320
+        for i, state in enumerate(states):
+            assert state == np.random.default_rng((seed, i)).bit_generator.state, i
+
+    def test_streams_drop_the_buffered_half_word(self):
+        # Each sample's first draw is a 32-bit integer, which buffers the other
+        # half of its 64-bit word; the next sample must not draw that half.
+        for i, rng in enumerate(waterline.data._streams(2251, 50)):
+            want = np.random.default_rng((2251, i))
+            assert rng.integers(0, 2**31) == want.integers(0, 2**31)
+            assert rng.bit_generator.state == want.bit_generator.state
+            assert rng.bit_generator.state["has_uint32"] == 1
 
     @pytest.mark.parametrize("overrides, error, message", [
         ({"visibility_dropout": 1.0}, GenerationError,
@@ -379,6 +396,18 @@ class TestSerialization:
         path = tmp_path / "data.jsonl"
         save_dataset(records, path)
         assert load_dataset(path).records() == records
+
+    def test_hand_made_records_equal_reference_writer(self, tmp_path):
+        records = hand_made_records()
+        ours, reference = tmp_path / "ours.jsonl", tmp_path / "reference.jsonl"
+        save_dataset(records, ours)
+        write_json_lines(reference, map(dataset_row, records))
+        assert ours.read_bytes() == reference.read_bytes()
+        text = ours.read_text(encoding="ascii")
+        for token in ('"roll_deg":0,', '"distance_m":5,', '"heading_deg":-0.0}', "5e-324",
+                      "1e+16", '\\"quoted\\"', "back\\\\slash", "\\ud835\\udd18", "\\t"):
+            assert token in text, token
+        assert load_dataset(ours).sample_id.tolist() == [record.sample_id for record in records]
 
     def test_buoy_free_line(self, tmp_path):
         path = tmp_path / "data.jsonl"
