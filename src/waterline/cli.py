@@ -1,10 +1,10 @@
 """Command-line pipeline: generate data, train, evaluate, calibrate, predict.
 
-Each `cmd_*` function does its command's work and returns where its manifest
-goes and what goes in it: the input paths, seeds and artifact paths, so any
-artifact can be regenerated. `main` alone stamps the start and finish times,
-writes the manifest, and turns an error into its exit code and one `error:`
-line on stderr, through the ordered table _EXIT_CODES.
+Each `cmd_*` function does its command's work, writing through _make_out, and
+returns what goes in its manifest: the input paths, seeds and artifact paths, so
+any artifact can be regenerated. `main` alone stamps the start and finish times,
+writes the manifest beside or inside --out, and turns an error into its exit
+code and one `error:` line on stderr, through the ordered table _EXIT_CODES.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 malformed or missing
 data file, 4 numeric failure, 1 unexpected error. Set
@@ -15,7 +15,6 @@ logging level is a usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import logging
@@ -28,24 +27,21 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    GenConfig,
-    float_rows,
-    generate,
-    load_dataset,
-    load_predictions,
-    predict_lines,
-    save_dataset,
-    split,
-    visible_examples,
-    write_jsonl,
+    GenConfig, generate, load_dataset, load_predictions, predict_lines, save_dataset, split,
+    visible_examples, visible_rows, write_jsonl,
 )
-from .errors import ConfigError, DatasetParseError, DatasetSchemaError, NumericError, write_json
+from .errors import (
+    ConfigError, DatasetParseError, DatasetSchemaError, NumericError, write_csv, write_json,
+)
 from .features import decoder_queries, waterline_targets
 from .geometry import CameraModel, project
-from .metrics import calibrate_bias, error_stats, pixel_errors, write_curve_csv
+from .metrics import (
+    DEFAULT_BIAS_RANGE, DEFAULT_BIAS_STEP, DEFAULT_THRESHOLD, calibrate_bias, error_stats,
+    pixel_errors,
+)
 from .network import forward, load_checkpoint, save_checkpoint
 # perfbench/workloads.py reads DEFAULT_VAL_RATIO from this module.
-from .training import DEFAULT_VAL_RATIO, TrainConfig, train  # noqa: F401
+from .training import DEFAULT_VAL_RATIO, EpochStats, TrainConfig, train  # noqa: F401
 
 # Named, not __name__, so that `python -m waterline.cli` logs as waterline.cli too.
 logger = logging.getLogger("waterline.cli")
@@ -66,12 +62,30 @@ _EXIT_CODES = {
     ValueError: EXIT_CONFIG,
 }
 
-# What a command returns for its manifest: (path, inputs, seeds, artifacts).
-Manifest = tuple[Path, dict, dict, dict]
+# What a command returns for its manifest: (inputs, seeds, artifacts).
+Manifest = tuple[dict, dict, dict]
+
+# The commands whose --out is one file, with the manifest beside it; the
+# others write into the directory --out, with manifest.json inside.
+_FILE_OUTPUTS = frozenset({"gen", "predict"})
 
 
 def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+def _make_out(args) -> Path:
+    """Create the directory --out, or the missing parent of the file --out; return --out."""
+    out = Path(args.out)
+    (out.parent if args.command in _FILE_OUTPUTS else out).mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _manifest_path(args) -> Path:
+    out = Path(args.out)
+    if args.command in _FILE_OUTPUTS:
+        return out.with_suffix(out.suffix + ".manifest.json")
+    return out / "manifest.json"
 
 
 def _load_camera(path: str | None) -> CameraModel:
@@ -87,55 +101,41 @@ def cmd_gen(args) -> Manifest:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     records = generate(camera, config)
-    out = Path(args.out)
+    out = _make_out(args)
     save_dataset(records, out)
 
-    n_visible = sum(1 for r in records for lb in r.labels if lb.visible)
-    n_invisible = sum(1 for r in records for lb in r.labels if not lb.visible)
+    rows = visible_rows(records)
     print(f"samples: {len(records)}")
-    print(f"visible queries: {n_visible}")
-    print(f"invisible queries: {n_invisible}")
+    print(f"visible queries: {len(rows)}")
+    print(f"invisible queries: {sum(len(r.labels) for r in records) - len(rows)}")
 
     if args.verify:
         if config.noise_free:
-            worst = _verify_fidelity(camera, records)
+            worst = _verify_fidelity(camera, records, rows)
             print(f"verify: max |label - projection| = {worst:.3e} (normalized), OK")
         else:
             logger.warning("--verify skipped: config has non-zero noise, identity does not hold")
             print("verify: skipped (noisy config)")
 
-    return (out.with_suffix(out.suffix + ".manifest.json"),
-            {"camera": args.camera, "config": args.config},
-            {"generator": config.seed},
+    return ({"camera": args.camera, "config": args.config}, {"generator": config.seed},
             {"dataset": str(out)})
 
 
-def _verify_fidelity(camera: CameraModel, records) -> float:
-    """Largest normalized gap between stored labels and fresh projections,
-    every visible label projected in one call."""
-    sample_ids = []
-    rows = []
-    for record in records:
-        imu = record.imu
-        for query, label in zip(record.queries, record.labels):
-            if label.visible:
-                sample_ids.append(record.sample_id)
-                rows.append((imu.pitch_deg, imu.roll_deg, query.distance_m, query.bearing_deg,
-                             *label.box))
-    columns = float_rows(rows, 8)
-    pitch, roll, distance, bearing = columns[:, :4].T
-    target_x, target_y = waterline_targets(columns[:, 4:]).T
+def _verify_fidelity(camera: CameraModel, records, rows: np.ndarray) -> float:
+    """Largest normalized gap between the stored labels and fresh projections
+    of records' visible_rows `rows`, every one projected in one call."""
+    index, distance, bearing, pitch, roll = rows[:, :5].T
+    target_x, target_y = waterline_targets(rows[:, 6:]).T
     u, v = project(camera, pitch, roll, distance, bearing)
     gap = np.maximum(np.abs(target_x - u / camera.image_w), np.abs(target_y - v / camera.image_h))
     bad = np.flatnonzero(np.isnan(gap) | (gap > 1e-9))
     if bad.size:
         first = bad[0]
-        sample_id = sample_ids[first]
+        sample_id = records[int(index[first])].sample_id
         if np.isnan(u[first]):
             raise NumericError(f"sample {sample_id}: visible label but no projection")
-        raise NumericError(
-            f"sample {sample_id}: label/projection gap {gap[first]:.3e} exceeds 1e-9"
-        )
+        raise NumericError(f"sample {sample_id}: label/projection gap {gap[first]:.3e} "
+                           "exceeds 1e-9")
     return float(gap.max(initial=0.0))
 
 
@@ -150,22 +150,20 @@ def cmd_train(args) -> Manifest:
     if train_xy[0].shape[0] == 0 or val_xy[0].shape[0] == 0:
         raise ConfigError("dataset contains no visible queries in train or val split")
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out(args)
     params, history = train(train_xy, val_xy, config)
 
     checkpoint = out_dir / "checkpoint.json"
     save_checkpoint(params, checkpoint)
-    history.to_csv(out_dir / "history.csv")
+    write_csv(out_dir / "history.csv", [f.name for f in dataclasses.fields(EpochStats)],
+              map(dataclasses.astuple, history.epochs))
     write_json(out_dir / "history.json", history.summary())
     print(f"epochs run: {len(history.epochs)}")
     print(f"best epoch: {history.best_epoch}")
     print(f"best val loss: {history.best_val_loss:.6g}")
     print(f"stop reason: {history.stop_reason}")
 
-    return (out_dir / "manifest.json",
-            {"dataset": args.dataset, "config": args.config},
-            {"train": config.seed},
+    return ({"dataset": args.dataset, "config": args.config}, {"train": config.seed},
             {"checkpoint": str(checkpoint), "history_csv": str(out_dir / "history.csv"),
              "history_json": str(out_dir / "history.json")})
 
@@ -186,22 +184,17 @@ def cmd_eval(args) -> Manifest:
     errors = pixel_errors(pred, targets, camera.image_w, camera.image_h)
     stats = error_stats(errors)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out(args)
     write_json(out_dir / "error_stats.json", dataclasses.asdict(stats))
-    with open(out_dir / "errors.csv", "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["sample_id", "query_index", "error_px"])
-        writer.writerows(zip(sample_ids, query_index, map(repr, errors)))
+    write_csv(out_dir / "errors.csv", ["sample_id", "query_index", "error_px"],
+              zip(sample_ids, query_index, errors))
 
     print(f"n: {stats.n}")
     print(f"median_px: {stats.median_px:.4f}")
     print(f"mean_px: {stats.mean_px:.4f}")
     print(f"p90_px: {stats.p90_px:.4f}")
 
-    return (out_dir / "manifest.json",
-            {"dataset": args.dataset, "checkpoint": args.checkpoint, "camera": args.camera},
-            {},
+    return ({"dataset": args.dataset, "checkpoint": args.checkpoint, "camera": args.camera}, {},
             {"error_stats": str(out_dir / "error_stats.json"),
              "errors_csv": str(out_dir / "errors.csv")})
 
@@ -209,35 +202,31 @@ def cmd_eval(args) -> Manifest:
 def cmd_calibrate(args) -> Manifest:
     detections = load_predictions(args.dataset)
     lo, hi = args.range
-    best_bias, curve = calibrate_bias(
-        detections, lo=lo, hi=hi, step=args.step, threshold=args.threshold
-    )
+    best_bias, curve = calibrate_bias(detections, lo=lo, hi=hi, step=args.step,
+                                      threshold=args.threshold)
     best_report = dict(curve)[best_bias]
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out(args)
     write_json(out_dir / "best_bias.json", {
         "best_bias": best_bias,
         "threshold": args.threshold,
         "grid": {"lo": lo, "hi": hi, "step": args.step},
         **dataclasses.asdict(best_report),
     })
-    write_curve_csv(curve, out_dir / "curve.csv")
+    write_csv(out_dir / "curve.csv", ["bias", "precision", "recall", "f1", "miou", "overall"],
+              ((bias, *dataclasses.astuple(report)[:5]) for bias, report in curve))
 
     print(f"grid points: {len(curve)}")
     print(f"best bias: {best_bias}")
     print(f"overall at best bias: {best_report.overall:.4f}")
 
-    return (out_dir / "manifest.json",
-            {"predictions": args.dataset},
-            {},
+    return ({"predictions": args.dataset}, {},
             {"best_bias": str(out_dir / "best_bias.json"), "curve": str(out_dir / "curve.csv")})
 
 
 def cmd_predict(args) -> Manifest:
     frames = load_dataset(args.dataset)
     params = load_checkpoint(args.checkpoint)
-    out = Path(args.out)
 
     # One eval forward over every chart query of the file, in file order.
     n_queries = len(frames.distance_m)
@@ -247,13 +236,11 @@ def cmd_predict(args) -> Manifest:
         pred, _ = forward(params, feats, training=False)
         lines = predict_lines(*frames.query_keys(), decoder_queries(feats, pred),
                               feats if args.emit_features else None)
+    out = _make_out(args)
     write_jsonl(out, lines)
     print(f"queries predicted: {n_queries}")
 
-    return (out.with_suffix(out.suffix + ".manifest.json"),
-            {"dataset": args.dataset, "checkpoint": args.checkpoint},
-            {},
-            {"predictions": str(out)})
+    return {"dataset": args.dataset, "checkpoint": args.checkpoint}, {}, {"predictions": str(out)}
 
 
 @functools.cache
@@ -292,11 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="grid-sweep the objectness logit bias")
     p.add_argument("--dataset", required=True, help="predictions JSONL (see README)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--range", nargs=2, type=float, default=(-3.0, 3.0),
-                   metavar=("LO", "HI"), help="bias sweep range (default -3 3)")
-    p.add_argument("--step", type=float, default=0.25, help="sweep step (default 0.25)")
-    p.add_argument("--threshold", type=float, default=0.90,
-                   help="visibility threshold on sigmoid(logit + bias) (default 0.90)")
+    p.add_argument("--range", nargs=2, type=float, default=DEFAULT_BIAS_RANGE, metavar=("LO", "HI"),
+                   help="bias sweep range (default %g %g)" % DEFAULT_BIAS_RANGE)
+    p.add_argument("--step", type=float, default=DEFAULT_BIAS_STEP,
+                   help="sweep step (default %(default)g)")
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                   help="visibility threshold on sigmoid(logit + bias) (default %(default).2f)")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("predict", help="run the predictor on every chart query")
@@ -325,8 +313,8 @@ def main(argv=None) -> int:
     try:
         _configure_logging()
         started_at = _utcnow()
-        path, inputs, seeds, artifacts = args.func(args)
-        write_json(path, {
+        inputs, seeds, artifacts = args.func(args)
+        write_json(_manifest_path(args), {
             "command": args.command,
             "tool_version": __version__,
             "inputs": inputs,

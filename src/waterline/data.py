@@ -259,7 +259,9 @@ def _generated_frames(camera: CameraModel, config: GenConfig) -> Frames:
     du, dv, dropout_u, d_noise, b_noise = q[:, 2:].T
 
     u, v = project(camera, np.repeat(pitch, counts), np.repeat(roll, counts), d, bearing)
-    h_px = np.minimum(np.maximum(config.box_height_coeff / d, MIN_BOX_PX), camera.image_h / 2)
+    # A floor on d where the height clamps anyway keeps the divide finite.
+    h_px = np.minimum(np.maximum(config.box_height_coeff / np.maximum(
+        d, config.box_height_coeff / camera.image_h), MIN_BOX_PX), camera.image_h / 2)
     w_px = config.box_aspect * h_px
     w_norm = w_px / camera.image_w
     h_norm = h_px / camera.image_h
@@ -362,24 +364,23 @@ def _uniform(u, lo: float, hi: float):
     return float(lo) + float(hi - lo) * u
 
 
-def float_rows(rows, width: int) -> np.ndarray:
-    """The (m, width) float64 array of m tuples of `width` numbers; faster than
-    np.array over the tuples, with the same values."""
-    return np.fromiter(chain.from_iterable(rows), np.float64).reshape(-1, width)
+def visible_rows(records) -> np.ndarray:
+    """The (m_vis, 10) floats of each visible query of records, in order: its record's
+    index, distance, bearing, pitch, roll, heading, then its box c_x, c_y, w, h."""
+    return np.fromiter(chain.from_iterable(
+        (i, query.distance_m, query.bearing_deg,
+         record.imu.pitch_deg, record.imu.roll_deg, record.imu.heading_deg,
+         label.c_x, label.c_y, label.w, label.h)
+        for i, record in enumerate(records)
+        for query, label in zip(record.queries, record.labels)
+        if label.visible
+    ), np.float64).reshape(-1, 10)
 
 
 def visible_examples(records) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (features, waterline targets) for every visible query, the
-    floats gathered in one pass and both arrays built whole-set."""
-    rows = float_rows((
-        (query.distance_m, query.bearing_deg,
-         record.imu.pitch_deg, record.imu.roll_deg, record.imu.heading_deg,
-         label.c_x, label.c_y, label.w, label.h)
-        for record in records
-        for query, label in zip(record.queries, record.labels)
-        if label.visible
-    ), 9)
-    return feature_matrix(*rows[:, :5].T), waterline_targets(rows[:, 5:])
+    """(features, waterline targets) of every visible query, from visible_rows."""
+    rows = visible_rows(records)
+    return feature_matrix(*rows[:, 1:6].T), waterline_targets(rows[:, 6:])
 
 
 def split(records, ratio: float, seed: int) -> DatasetSplit:
@@ -506,22 +507,8 @@ def _jsonl(path, parse, label: str) -> list:
 
 
 def load_dataset(path) -> Frames:
-    """Read a dataset file as columns.
-
-    Each rule of _record_from_dict is checked once per column, and a JSON
-    integer loads as the float it equals. When a column breaks a rule, the
-    per-line rules run over the file only to name the first bad line.
-    """
-    frames = _checked_frames(_jsonl(path, lambda data: data, "dataset"))
-    if frames is None:
-        _jsonl(path, _record_from_dict, "dataset")
-        raise _unnamed_fault(path)
-    return frames
-
-
-def _unnamed_fault(path) -> AssertionError:
-    """A file whose columns break a rule that no line breaks: a defect here, not in the file."""
-    return AssertionError(f"{path}: the column checks refused a file that every line rule keeps")
+    """Read a dataset file as columns; _record_from_dict is the line rule."""
+    return _load_columns(path, "dataset", lambda data: data, _checked_frames, _record_from_dict)
 
 
 def load_predictions(path) -> Detections:
@@ -531,17 +518,23 @@ def load_predictions(path) -> Detections:
     "logit": number, "box": {c_x, c_y, w, h}, "gt_visible": bool,
     "gt_box": {c_x, c_y, w, h} | null}. query_index is a non-negative
     integer, and no (sample_id, query_index) pair appears twice in a file.
-
-    Each rule is checked once per column, and a JSON integer loads as the
-    float it equals. When a column breaks a rule, the per-line rules of
-    _check_prediction run over the file only to name the first bad line.
+    _check_prediction is the line rule.
     """
-    columns = _checked_columns(_jsonl(path, _detector_fields, "detector file"))
-    if columns is None:
-        seen = set()
-        _jsonl(path, lambda data: _check_prediction(data, seen), "detector file")
-        raise _unnamed_fault(path)
-    return columns
+    seen = set()
+    return _load_columns(path, "detector file", _detector_fields, _checked_columns,
+                         lambda data: _check_prediction(data, seen))
+
+
+def _load_columns(path, label: str, extract, columns, line_rule):
+    """`columns` of each line's `extract` value: each rule checked once per column,
+    a JSON integer loaded as the float it equals. If `columns` refuses them (None),
+    `line_rule` runs over each line only to name the first bad one; a refusal no
+    line rule repeats is a defect here, not in the file."""
+    loaded = columns(_jsonl(path, extract, label))
+    if loaded is None:
+        _jsonl(path, line_rule, label)
+        raise AssertionError(f"{path}: the column checks refused a file that every line rule keeps")
+    return loaded
 
 
 _DETECTOR_KEYS = operator.itemgetter("schema", "sample_id", "query_index", "logit")

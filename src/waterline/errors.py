@@ -1,10 +1,11 @@
-"""Exception types shared across the package, the config schema, and the one
-JSON-file reader and writer.
+"""Exception types shared across the package, the config schema, the one
+JSON-file reader and writer, and the one CSV writer.
 
 The split matters for the CLI, which maps each category to a distinct
 exit code (config -> 2, data -> 3, numeric -> 4).
 """
 
+import csv
 import dataclasses
 import functools
 import json
@@ -203,3 +204,11 @@ def write_json(path, data) -> None:
     text = json.dumps(data, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as f:
         f.write(text + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header row, then `rows`, as CSV; csv writes a float as its repr."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -121,7 +121,8 @@ def feature_matrix(distance_m, bearing_deg, pitch_deg, roll_deg, heading_deg) ->
     columns, which the caller took from valid queries and attitudes."""
     feats = np.empty((len(distance_m), 6))
     feats[:, 0] = distance_m / DIST_SCALE_M
-    feats[:, 1] = np.minimum(np.maximum(DIST_SCALE_M / distance_m, 0.0), INV_DIST_MAX)
+    # build_features' clamp as a floor on d (100 m), so the divide cannot overflow.
+    feats[:, 1] = DIST_SCALE_M / np.maximum(distance_m, DIST_SCALE_M / INV_DIST_MAX)
     feats[:, 2] = bearing_deg / BEARING_SCALE_DEG
     feats[:, 3] = pitch_deg / PITCH_ROLL_SCALE_DEG
     feats[:, 4] = roll_deg / PITCH_ROLL_SCALE_DEG

@@ -14,7 +14,6 @@ bias, and reused at every bias where the pair is a true positive.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -23,6 +22,11 @@ import numpy as np
 
 from .network import sigmoid
 
+
+# calibrate's defaults: the bias grid's range and step, and the visibility threshold.
+DEFAULT_BIAS_RANGE = (-3.0, 3.0)
+DEFAULT_BIAS_STEP = 0.25
+DEFAULT_THRESHOLD = 0.90
 
 # calibrate scores one detection report per grid point: 400x the default
 # 25-point grid, e.g. the default range at step 6e-4.
@@ -186,7 +190,7 @@ def overall_score(f1: float, miou: float) -> float:
 def detection_report(
     detections: Detections,
     logit_bias: float = 0.0,
-    threshold: float = 0.90,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> DetectionReport:
     """Score per-query visibility decisions against ground truth.
 
@@ -263,10 +267,10 @@ def bias_grid(lo: float, hi: float, step: float) -> list[float]:
 
 def calibrate_bias(
     detections: Detections,
-    lo: float = -3.0,
-    hi: float = 3.0,
-    step: float = 0.25,
-    threshold: float = 0.90,
+    lo: float = DEFAULT_BIAS_RANGE[0],
+    hi: float = DEFAULT_BIAS_RANGE[1],
+    step: float = DEFAULT_BIAS_STEP,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> tuple[float, list[tuple[float, DetectionReport]]]:
     """Grid-sweep the logit bias and return the Overall-maximizing value.
 
@@ -283,19 +287,3 @@ def calibrate_bias(
     best_bias, _ = min(curve, key=lambda item: (-item[1].overall, abs(item[0]), item[0]))
     return best_bias, curve
 
-
-def write_curve_csv(curve: Sequence[tuple[float, DetectionReport]], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["bias", "precision", "recall", "f1", "miou", "overall"])
-        for bias, report in curve:
-            writer.writerow(
-                [
-                    repr(bias),
-                    repr(report.precision),
-                    repr(report.recall),
-                    repr(report.f1),
-                    repr(report.miou),
-                    repr(report.overall),
-                ]
-            )

@@ -312,11 +312,7 @@ def smooth_l1(pred: np.ndarray, target: np.ndarray) -> float:
 
     Reduced by the mean over all elements.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
-    x = pred - target
+    x = _residual(pred, target)
     absx = np.abs(x)
     beta = SMOOTH_L1_BETA
     per_elem = np.where(absx < beta, 0.5 * x * x / beta, absx - 0.5 * beta)
@@ -325,14 +321,19 @@ def smooth_l1(pred: np.ndarray, target: np.ndarray) -> float:
 
 def smooth_l1_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """d(smooth_l1)/d(pred), including the 1/N mean-reduction factor."""
+    x = _residual(pred, target)
+    beta = SMOOTH_L1_BETA
+    g = np.where(np.abs(x) < beta, x / beta, np.sign(x))
+    return g / x.size
+
+
+def _residual(pred, target) -> np.ndarray:
+    """pred - target, both as float64 arrays of one shape."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
-    x = pred - target
-    beta = SMOOTH_L1_BETA
-    g = np.where(np.abs(x) < beta, x / beta, np.sign(x))
-    return g / x.size
+    return pred - target
 
 
 def backward(params: MlpParams, cache: ForwardCache, target: np.ndarray) -> Gradients:

@@ -13,7 +13,6 @@ base rate and the schedule would reach eta_min after max_epochs epochs.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
 from typing import Annotated
@@ -83,15 +82,6 @@ class TrainHistory:
     best_epoch: int = 0
     best_val_loss: float = float("inf")
     stop_reason: str = ""
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["epoch", "train_loss", "val_loss", "lr", "seconds"])
-            for e in self.epochs:
-                writer.writerow(
-                    [e.epoch, repr(e.train_loss), repr(e.val_loss), repr(e.lr), repr(e.seconds)]
-                )
 
     def summary(self) -> dict:
         return {

@@ -44,12 +44,13 @@ def random_query(rng, max_bearing=40.0):
 def hand_made_records():
     """Valid records that a JSONL writer must escape and format as json does:
     sample ids with non-ASCII, astral, control, quote, backslash and % characters;
-    -0.0, 5e-324, 1e16, int and numpy float64 fields."""
+    -0.0, 5e-324 (a distance, whose 1000 / d overflows), 1e16, int and numpy float64
+    fields."""
     return [
         SampleRecord('naïve "quoted" back\\slash 100%', ImuSample(np.float64(1.5), 0, -0.0),
-                     (ChartQuery(1e16, -0.0), ChartQuery(np.float64(250.5), 12.25)),
+                     (ChartQuery(1e16, -0.0), ChartQuery(np.float64(5e-324), 12.25)),
                      (GtBox(False), GtBox(True, 0.5, np.float64(0.25), 0.01, 0.02))),
-        SampleRecord("日本 \U0001d518 %s\t", ImuSample(5e-324, -90.0, 180), (), ()),
+        SampleRecord("日本 \U0001d518 %s\t", ImuSample(0.5, -90.0, 180), (), ()),
         SampleRecord("%d", ImuSample(-0.0, 3, 45.5), (ChartQuery(5, 180),), (GtBox(False),)),
     ]
 

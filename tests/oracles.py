@@ -36,11 +36,14 @@ it checks:
   - per_line_records / frames_of: a dataset file read line by line into
     records, each rule checked as the line's values are built, then put in
     columns with plain loops, instead of each rule checked once per column.
+  - write_repr_csv: a CSV file with each float passed through repr by hand,
+    as each CSV writer did before, instead of csv's own float formatting.
   - constant_predictor_loss: the no-skill baseline for learnability checks.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from fractions import Fraction
@@ -537,6 +540,15 @@ def write_json_lines(path, rows) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for row in rows:
             f.write(json.dumps(row, separators=(",", ":")) + "\n")
+
+
+def write_repr_csv(path, header, rows) -> None:
+    """Write a header and rows with csv, each float in a row written as repr(x)."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(x) if isinstance(x, float) else x for x in row])
 
 
 def dataset_row(record) -> dict:

@@ -16,14 +16,19 @@ from hypothesis import strategies as st
 
 import waterline
 from conftest import hand_made_records
-from oracles import per_frame_predict_rows, per_line_records, predict_row, write_json_lines
+from oracles import (
+    per_frame_predict_rows, per_line_records, predict_row, write_json_lines, write_repr_csv,
+)
 from waterline.cli import DEFAULT_VAL_RATIO, _verify_fidelity, load_predictions, main
-from waterline.data import GenConfig, SampleRecord, generate, load_dataset, save_dataset
+from waterline.data import (
+    GenConfig, SampleRecord, generate, load_dataset, save_dataset, visible_rows,
+)
 from waterline.errors import DatasetParseError, DatasetSchemaError, NumericError, TrainingAborted
 from waterline.features import ChartQuery, ImuSample
 from waterline.geometry import CameraModel
+from waterline.metrics import DetectionReport
 from waterline.network import forward, init_params, load_checkpoint, save_checkpoint
-from waterline.training import TrainConfig
+from waterline.training import EpochStats, TrainConfig, TrainHistory
 
 
 def _sha256(path):
@@ -115,7 +120,7 @@ class TestGen:
         record order, with that fault's message."""
         camera = CameraModel.default()
         records = generate(camera, GenConfig(n_samples=30, seed=3))
-        assert 0.0 <= _verify_fidelity(camera, records) <= 1e-9
+        assert 0.0 <= _verify_fidelity(camera, records, visible_rows(records)) <= 1e-9
         with_visible = [i for i, r in enumerate(records) if any(lb.visible for lb in r.labels)]
         for k, fault in faults.items():
             record = records[with_visible[k]]
@@ -131,7 +136,7 @@ class TestGen:
         message = (f"sample {sample_id}: label/projection gap 1.000e-06 exceeds 1e-9"
                    if faults[first] == "gap" else f"sample {sample_id}: visible label but no projection")
         with pytest.raises(NumericError) as excinfo:
-            _verify_fidelity(camera, records)
+            _verify_fidelity(camera, records, visible_rows(records))
         assert str(excinfo.value) == message
 
     def test_verify_skipped_on_noisy(self, tmp_path, capsys):
@@ -969,6 +974,97 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error: WATERLINE_LOG"), done.stderr
         assert repr(level) in lines[0]
         assert not out.exists()
+
+
+class TestOutputLocations:
+    """gen and predict write the file --out, with its manifest beside it; train,
+    eval and calibrate write into the directory --out, with manifest.json
+    inside. Each creates the missing directories on the way; a run that fails
+    on its input leaves none behind."""
+
+    @pytest.fixture
+    def argv(self, tmp_path, dataset, checkpoint):
+        """Each command's argv, all but --out; item 2 is its input file."""
+        train_config = tmp_path / "train.json"
+        train_config.write_text(json.dumps({"max_epochs": 2, "patience": 2, "batch_size": 32}))
+        return {
+            "gen": ["gen", "--config", str(_write_gen_config(tmp_path / "gen.json"))],
+            "train": ["train", "--dataset", str(dataset), "--config", str(train_config)],
+            "eval": ["eval", "--dataset", str(dataset), "--checkpoint", str(checkpoint)],
+            "calibrate": ["calibrate", "--dataset",
+                          str(_write_predictions(tmp_path / "detector.jsonl"))],
+            "predict": ["predict", "--dataset", str(dataset), "--checkpoint", str(checkpoint)],
+        }
+
+    @pytest.mark.parametrize("command, out, manifest", [
+        ("gen", "data.jsonl", "data.jsonl.manifest.json"),
+        ("train", "run", "run/manifest.json"),
+        ("eval", "ev", "ev/manifest.json"),
+        ("calibrate", "cal", "cal/manifest.json"),
+        ("predict", "p.jsonl", "p.jsonl.manifest.json"),
+    ])
+    def test_missing_directories_are_created(self, tmp_path, argv, command, out, manifest):
+        new = tmp_path / "new" / "nested"
+        assert main([*argv[command], "--out", str(new / out)]) == 0
+        assert json.loads((new / manifest).read_text())["command"] == command
+        assert (new / out).is_dir() == (command not in ("gen", "predict"))
+
+    @pytest.mark.parametrize("command, code", [
+        ("gen", 2), ("train", 3), ("eval", 3), ("calibrate", 3), ("predict", 3),
+    ])
+    def test_failed_run_leaves_no_out(self, tmp_path, argv, capsys, command, code):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"schema": 99}\n')
+        args = argv[command]
+        args[2] = str(bad)
+        assert main([*args, "--out", str(tmp_path / "new" / "out")]) == code
+        _one_error_line(capsys)
+        assert not (tmp_path / "new").exists()
+
+
+# Floats a CSV writer must write as repr does.
+_ODD_FLOATS = (-0.0, 5e-324, 1e16, 1 / 3)
+
+
+class TestCsvOutputs:
+    """errors.csv, curve.csv and history.csv hold the bytes of the writer that
+    passes each float through repr by hand (oracles.write_repr_csv)."""
+
+    def test_errors_csv(self, tmp_path, dataset, checkpoint, monkeypatch):
+        monkeypatch.setattr(waterline.cli, "pixel_errors",
+                            lambda pred, *_: [_ODD_FLOATS[i % 4] for i in range(len(pred))])
+        out = tmp_path / "ev"
+        assert main(["eval", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                     "--out", str(out)]) == 0
+        frames = load_dataset(dataset)
+        keys = zip(*(column[frames.visible].tolist() for column in frames.query_keys()))
+        rows = [(sample_id, index, _ODD_FLOATS[i % 4])
+                for i, (sample_id, index) in enumerate(keys)]
+        write_repr_csv(tmp_path / "want.csv", ["sample_id", "query_index", "error_px"], rows)
+        assert (out / "errors.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_curve_csv(self, tmp_path, monkeypatch):
+        curve = [(bias, DetectionReport(*_ODD_FLOATS, overall, 1, 2, 3))
+                 for bias, overall in ((-0.0, 1 / 3), (5e-324, 1e16))]
+        monkeypatch.setattr(waterline.cli, "calibrate_bias", lambda *args, **kwargs: (-0.0, curve))
+        out = tmp_path / "cal"
+        detector = _write_predictions(tmp_path / "detector.jsonl")
+        assert main(["calibrate", "--dataset", str(detector), "--out", str(out)]) == 0
+        rows = [(bias, r.precision, r.recall, r.f1, r.miou, r.overall) for bias, r in curve]
+        write_repr_csv(tmp_path / "want.csv",
+                       ["bias", "precision", "recall", "f1", "miou", "overall"], rows)
+        assert (out / "curve.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_history_csv(self, tmp_path, dataset, monkeypatch):
+        epochs = [EpochStats(1, *_ODD_FLOATS), EpochStats(2, 1 / 3, 1e16, 5e-324, -0.0)]
+        history = TrainHistory(epochs, best_epoch=1, best_val_loss=5e-324, stop_reason="max-epochs")
+        monkeypatch.setattr(waterline.cli, "train", lambda *args: (init_params(0), history))
+        out = tmp_path / "run"
+        assert main(["train", "--dataset", str(dataset), "--out", str(out)]) == 0
+        rows = [(e.epoch, e.train_loss, e.val_loss, e.lr, e.seconds) for e in epochs]
+        write_repr_csv(tmp_path / "want.csv",
+                       ["epoch", "train_loss", "val_loss", "lr", "seconds"], rows)
+        assert (out / "history.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_calibration_demo_recovers_injected_shift(tmp_path):

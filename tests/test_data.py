@@ -215,6 +215,11 @@ class TestGenerate:
         "buoy-free-frames": (
             {"queries_per_sample": (0, 3)}, lambda records: any(r.buoy_free for r in records),
         ),
+        # Distances whose box height coeff / d overflows; looking down, some are visible.
+        "tiny-distances": (
+            {"distance_range_m": (5e-324, 1e-306), "pitch_range_deg": (-90.0, 90.0)},
+            lambda records: all(q.distance_m == 1e-3 for r in records for q in r.queries),
+        ),
     }
 
     @pytest.mark.parametrize("case", list(_REFERENCE_CONFIGS))

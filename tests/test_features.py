@@ -169,7 +169,10 @@ class TestWholeSetForms:
             rng.uniform(-90.0, 90.0, m).tolist(), rng.uniform(-90.0, 90.0, m).tolist(),
             rng.uniform(-180.0, 180.0, m).tolist(),
         )]
-        queries[0], imus[0] = ChartQuery(100.0, 180.0), ImuSample(-90.0, 90.0, -180.0)
+        # Where inv_dist saturates, and distances whose 1000 / d overflows.
+        edges = [5e-324, 1e-300, float(np.nextafter(100.0, 0.0)), 100.0, 100.000001, 1e5]
+        queries[:len(edges)] = [ChartQuery(d, 180.0) for d in edges]
+        imus[0] = ImuSample(-90.0, 90.0, -180.0)
         columns = np.array([(q.distance_m, q.bearing_deg, imu.pitch_deg, imu.roll_deg,
                              imu.heading_deg) for q, imu in zip(queries, imus)])
         got = feature_matrix(*columns.T)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import detections, miscalibrated_instance
 from oracles import exact_report_from_queries, exact_sweep, scalar_detection_report, scalar_iou
+from waterline.errors import write_csv
 from waterline.metrics import (
     MAX_GRID_POINTS,
     DetectionReport,
@@ -24,7 +25,6 @@ from waterline.metrics import (
     pixel_error,
     pixel_errors,
     positive_size,
-    write_curve_csv,
 )
 
 VISIBLE = 30.0  # saturated logits: sigmoid ~ 1
@@ -383,7 +383,8 @@ class TestExports:
     def test_curve_csv_round_trips(self, tmp_path, rng):
         _, curve = calibrate_bias(miscalibrated_instance(rng, shift=0.5, n=60))
         path = tmp_path / "curve.csv"
-        write_curve_csv(curve, path)
+        write_csv(path, ["bias", "precision", "recall", "f1", "miou", "overall"],
+                  ((bias, *dataclasses.astuple(report)[:5]) for bias, report in curve))
         with open(path) as f:
             rows = list(csv.reader(f))
         assert rows[0] == ["bias", "precision", "recall", "f1", "miou", "overall"]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -6,10 +7,11 @@ import pytest
 
 from oracles import adamw_reference, constant_predictor_loss, pack_grads
 from waterline.data import GenConfig, generate, split, visible_examples
-from waterline.errors import ConfigError, TrainingAborted, write_json
+from waterline.errors import ConfigError, TrainingAborted, write_csv, write_json
 from waterline.geometry import CameraModel
 from waterline.network import BN_EPS, N_LEARNED, Gradients, forward, init_params, smooth_l1
 from waterline.training import (
+    EpochStats,
     OptState,
     TrainConfig,
     adamw_step,
@@ -251,7 +253,8 @@ class TestTrainLoop:
         _, history = train(train_set, val_set, config)
         csv_path = tmp_path / "history.csv"
         json_path = tmp_path / "history.json"
-        history.to_csv(csv_path)
+        write_csv(csv_path, [f.name for f in dataclasses.fields(EpochStats)],
+                  map(dataclasses.astuple, history.epochs))
         write_json(json_path, history.summary())
         with open(csv_path) as f:
             rows = list(csv.reader(f))
