@@ -39,7 +39,7 @@ from .metrics import (
     DEFAULT_BIAS_RANGE, DEFAULT_BIAS_STEP, DEFAULT_THRESHOLD, calibrate_bias, error_stats,
     pixel_errors,
 )
-from .network import forward, load_checkpoint, save_checkpoint
+from .network import MIN_BATCH, forward, load_checkpoint, save_checkpoint
 # perfbench/workloads.py reads DEFAULT_VAL_RATIO from this module.
 from .training import DEFAULT_VAL_RATIO, EpochStats, TrainConfig, train  # noqa: F401
 
@@ -147,8 +147,10 @@ def cmd_train(args) -> Manifest:
     parts = split(load_dataset(args.dataset).records(), config.val_ratio, seed=config.seed)
     train_xy = visible_examples(parts.train)
     val_xy = visible_examples(parts.val)
-    if train_xy[0].shape[0] == 0 or val_xy[0].shape[0] == 0:
-        raise ConfigError("dataset contains no visible queries in train or val split")
+    n_train, n_val = train_xy[0].shape[0], val_xy[0].shape[0]
+    if n_train < MIN_BATCH or n_val == 0:
+        raise ConfigError(f"dataset has {n_train} visible queries in the train split and {n_val} "
+                          f"in val; training needs >= {MIN_BATCH} and >= 1")
 
     out_dir = _make_out(args)
     params, history = train(train_xy, val_xy, config)

@@ -20,8 +20,8 @@ from typing import Annotated
 import numpy as np
 
 from .errors import Bounds, Config, ConfigError, NumericError, TrainingAborted
-from .network import DROPOUT_P, N_DECAYED, N_LEARNED, Gradients, MlpParams, TrainWorkspace
-from .network import backward, forward, init_params, smooth_l1
+from .network import DROPOUT_P, MIN_BATCH, N_DECAYED, N_LEARNED, Gradients, MlpParams
+from .network import TrainWorkspace, backward, forward, init_params, smooth_l1
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -37,7 +37,7 @@ class TrainConfig(Config):
 
     lr: Annotated[float, Bounds(0, lo_open=True)] = 1e-3
     weight_decay: Annotated[float, Bounds(0)] = 1e-4
-    batch_size: Annotated[int, Bounds(2)] = 256
+    batch_size: Annotated[int, Bounds(MIN_BATCH)] = 256
     max_epochs: Annotated[int, Bounds(1)] = 1000
     patience: Annotated[int, Bounds(1)] = 60
     dropout_p: Annotated[float, Bounds(0, 1, hi_open=True)] = DROPOUT_P
@@ -141,7 +141,7 @@ def adamw_step(
     params.flat[:N_LEARNED] -= update
 
 
-def _check_set(name: str, data) -> tuple[np.ndarray, np.ndarray]:
+def _check_set(name: str, data, min_rows: int) -> tuple[np.ndarray, np.ndarray]:
     try:
         x, y = data
     except (TypeError, ValueError) as exc:
@@ -150,8 +150,8 @@ def _check_set(name: str, data) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise ConfigError(f"{name} set shapes {x.shape} / {y.shape} are inconsistent")
-    if x.shape[0] == 0:
-        raise ConfigError(f"{name} set is empty")
+    if x.shape[0] < min_rows:
+        raise ConfigError(f"{name} set has {x.shape[0]} sample(s), needs >= {min_rows}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise NumericError(f"{name} set contains non-finite values")
     return x, y
@@ -161,12 +161,13 @@ def train(train_set, val_set, config: TrainConfig) -> tuple[MlpParams, TrainHist
     """Fit the network and return the best-validation checkpoint (never the last).
 
     Each epoch shuffles the training set, iterates batches of
-    config.batch_size (a final short batch is kept if it has >= 2 samples,
-    else dropped), and evaluates the mean validation loss in eval mode.
-    Stops after `patience` consecutive epochs without strict improvement.
+    config.batch_size (a final short batch is kept if it has >= MIN_BATCH
+    samples, else dropped), and evaluates the mean validation loss in eval
+    mode. Stops after `patience` consecutive epochs without strict
+    improvement. A train set of fewer than MIN_BATCH samples is refused.
     """
-    train_x, train_y = _check_set("train", train_set)
-    val_x, val_y = _check_set("validation", val_set)
+    train_x, train_y = _check_set("train", train_set, MIN_BATCH)
+    val_x, val_y = _check_set("validation", val_set, 1)
 
     params = init_params(config.seed)
     params.train_seed = config.seed
@@ -191,7 +192,7 @@ def train(train_set, val_set, config: TrainConfig) -> tuple[MlpParams, TrainHist
         sample_count = 0
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
             idx = perm[start : start + config.batch_size]
-            if idx.size < 2:
+            if idx.size < MIN_BATCH:
                 break  # a trailing singleton has no batch statistics
             bx = np.take(train_x, idx, axis=0, out=batch_x[: idx.size])
             by = np.take(train_y, idx, axis=0, out=batch_y[: idx.size])

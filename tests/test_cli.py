@@ -263,6 +263,19 @@ class TestTrain:
         assert code == 2
         assert "need at least 2 records to split" in capsys.readouterr().err
 
+    def test_one_visible_train_query_is_config_error(self, tmp_path, capsys):
+        # two frames of one visible query each: the split leaves one train sample
+        config = GenConfig(n_samples=2, queries_per_sample=(1, 1), distance_range_m=(50.0, 200.0),
+                           bearing_range_deg=(-5.0, 5.0), seed=0)
+        records = generate(CameraModel.default(), config)
+        assert len(visible_rows(records)) == 2
+        dataset = tmp_path / "two.jsonl"
+        save_dataset(records, dataset)
+        out_dir = tmp_path / "o"
+        assert main(["train", "--dataset", str(dataset), "--out", str(out_dir)]) == 2
+        assert "1 visible queries in the train split" in _one_error_line(capsys)
+        assert not out_dir.exists()
+
     def test_malformed_dataset_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{broken\n")

@@ -1,5 +1,6 @@
 import base64
 import json
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -33,7 +34,7 @@ from waterline.network import (
     smooth_l1,
     smooth_l1_grad,
 )
-from waterline.training import OptState, adamw_step
+from waterline.training import OptState, TrainConfig, adamw_step, train
 
 
 def _random_batch(seed, n=16, scale=1.0):
@@ -535,6 +536,59 @@ def _three_steps_against_unfused(dropout_p, n, workspace):
                 assert err <= 1e-12 * np.abs(want).max(), f"{where}: {err:.3e}"
         adamw_step(fused, grads, fused_state, 1e-3, 1e-4)
         adamw_step(ref, pack_grads(ref_grads), ref_state, 1e-3, 1e-4)
+
+
+def _step(params, workspace, x, y, seed):
+    pred, cache = forward(
+        params, x, training=True, dropout_p=0.2, dropout_seed=seed, workspace=workspace
+    )
+    return pred.copy(), backward(params, cache, y).flat.copy()
+
+
+def _step_in_child(params, x, y, want_pred, want_grads):
+    """A forked child's train step; its exit code says whether it matched."""
+    pred, grads = _step(params, TrainWorkspace(len(x)), x, y, seed=(1, 2, 3))
+    raise SystemExit(0 if np.array_equal(pred, want_pred) and np.array_equal(grads, want_grads)
+                     else 1)
+
+
+class TestWorkerThread:
+    """The dropout draw and two weight-gradient matmuls run on a worker
+    thread; errors, state and processes must not tell."""
+
+    def test_worker_error_surfaces_and_workspace_recovers(self):
+        p = init_params(0)
+        x, y = _random_batch(19, n=64)
+        workspace = TrainWorkspace(64)
+        with pytest.raises(ValueError) as direct:
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError) as raised:
+            forward(p, x, training=True, dropout_p=0.2, dropout_seed=-1, workspace=workspace)
+        assert str(raised.value) == str(direct.value)
+        # the failed forward updated the running statistics, as it did before
+        # the draw moved to the worker; compare from the same params onwards
+        fresh = p.copy()
+        on_used, on_fresh = _step(p, workspace, x, y, 4), _step(fresh, TrainWorkspace(64), x, y, 4)
+        for got, want in zip(on_used, on_fresh):
+            assert np.array_equal(got, want)
+        assert np.array_equal(p.flat, fresh.flat)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_child_forked_after_training_runs_a_step(self):
+        x, y = _random_batch(20, n=32)
+        params, _ = train((x, y), (x, y), TrainConfig(max_epochs=2, batch_size=16))
+        want = _step(params.copy(), TrainWorkspace(32), x, y, seed=(1, 2, 3))
+        child = multiprocessing.get_context("fork").Process(
+            target=_step_in_child, args=(params.copy(), x, y, *want)
+        )
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
 
 
 class TestCheckpoint:

@@ -1,16 +1,20 @@
 import csv
 import dataclasses
 import json
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from oracles import adamw_reference, constant_predictor_loss, pack_grads
+from waterline import network
 from waterline.data import GenConfig, generate, split, visible_examples
 from waterline.errors import ConfigError, TrainingAborted, write_csv, write_json
 from waterline.geometry import CameraModel
 from waterline.network import BN_EPS, N_LEARNED, Gradients, forward, init_params, smooth_l1
 from waterline.training import (
+    DEFAULT_VAL_RATIO,
     EpochStats,
     OptState,
     TrainConfig,
@@ -229,6 +233,12 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train((np.zeros((0, 6)), np.zeros((0, 2))), _toy_sets()[1], TrainConfig())
 
+    def test_one_sample_train_set_rejected(self):
+        # its only batch has no batch statistics, so no step would run
+        train_set, val_set = _toy_sets(n_train=1)
+        with pytest.raises(ConfigError, match="train set has 1 sample"):
+            train(train_set, val_set, TrainConfig())
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_history(self):
         train_set, val_set = _toy_sets(seed=4)
@@ -264,6 +274,31 @@ class TestTrainLoop:
         summary = json.loads(json_path.read_text())
         assert set(summary) == {"best_epoch", "best_val_loss", "stop_reason"}
         assert summary["best_val_loss"] == history.best_val_loss
+
+
+class _InlineExecutor:
+    """Runs each task as it is submitted, on the submitting thread."""
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+class TestScheduling:
+    def test_worker_and_inline_runs_are_bitwise_equal(self, monkeypatch):
+        records = generate(CameraModel.default(), GenConfig(n_samples=600, seed=24))
+        parts = split(records, DEFAULT_VAL_RATIO, seed=0)
+        sets = visible_examples(parts.train), visible_examples(parts.val)
+        config = TrainConfig(max_epochs=3, patience=3, dropout_p=0.2, seed=2)
+        threaded, threaded_history = train(*sets, config)
+        assert any(t.name.startswith("waterline") for t in threading.enumerate())
+        monkeypatch.setattr(network, "_executor", _InlineExecutor)
+        inline, inline_history = train(*sets, config)
+        assert threaded.flat.tobytes() == inline.flat.tobytes()
+        traces = [[(e.train_loss, e.val_loss) for e in h.epochs]
+                  for h in (threaded_history, inline_history)]
+        assert traces[0] == traces[1]
 
 
 class TestLearnsGeometry:
