@@ -56,13 +56,20 @@ arXiv 1712.05877, section 3.2): with s = gain / sqrt(var + eps),
 W' = W * s and b' = shift - mean * s. load_checkpoint builds the folded
 maps once, in 64-byte-aligned buffers, and marks every loaded tensor
 read-only, so an in-place write raises instead of leaving the folded maps
-stale; other params fold on each eval call.
+stale; other params fold on each eval call. An eval forward runs its rows in
+blocks of EVAL_BLOCK_ROWS, so a call holds the (n, 2) result plus one block's
+activations, not (n, 128) ones; no buffer outlives the call. Each block runs
+the statements of one pass over every row, and a row's result does not depend
+on the rows beside it while BLAS keeps one kernel, so the predictions equal
+the single pass's bit for bit up to 3,906 rows (where the single pass's head
+switches OpenBLAS kernel) and to within 1e-15 beyond.
 """
 
 from __future__ import annotations
 
 import base64
 import math
+import operator
 import os
 import threading
 from collections.abc import Mapping
@@ -80,6 +87,11 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 DROPOUT_P = 0.2
 MIN_BATCH = 2  # the fewest rows of a train-mode batch: one row has no batch variance
+# Rows per block of an eval forward. 256 and 512 ran whole-set forwards of
+# 962-20,000 rows equally fast, 1.15-1.55x faster than one pass over every row
+# (median of 40 calls, one BLAS thread, 2-vCPU x86-64 VM); 256 holds half the
+# activations.
+EVAL_BLOCK_ROWS = 256
 SMOOTH_L1_BETA = 1.0
 
 CHECKPOINT_VERSION = 2
@@ -183,6 +195,7 @@ def init_params(seed: int) -> MlpParams:
     """Fan-in scaled normal init (variance 2 / fan_in) for weights, zeros for
     the output bias; BatchNorm starts as the identity (gain 1, shift 0, mean 0,
     var 1)."""
+    seed = operator.index(seed)  # a Python int, as a checkpoint's JSON needs
     params = MlpParams(np.zeros(N_PARAMS), init_seed=seed)
     rng = np.random.default_rng(seed)
     for w in params.w:
@@ -197,6 +210,16 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """exp(-log(1 + exp(-x))): no overflow at either tail, and exp underflows
     to the exact sigmoid's subnormal values down to x = -745."""
     return np.exp(-np.logaddexp(0.0, -x))
+
+
+def _eval_logits(x: np.ndarray, weights: list, biases: list) -> np.ndarray:
+    """The eval-mode logits of one block of rows, through the folded maps."""
+    a = x
+    for i in range(N_HIDDEN):
+        a = a @ weights[i]
+        a += biases[i]
+        np.maximum(a, 0.0, out=a)
+    return a @ weights[-1] + biases[-1]
 
 
 def _fold(params: MlpParams) -> tuple[list, list]:
@@ -320,17 +343,23 @@ def forward(
     state lives until the next train forward on the same workspace, which
     overwrites it; backward then refuses the old cache. Eval mode uses
     running statistics, ignores the dropout arguments, touches nothing, and
-    returns (pred, None).
+    returns (pred, None). It runs the rows in blocks of EVAL_BLOCK_ROWS, so it
+    holds the (n, 2) result plus one block's activations; the module
+    docstring says where its predictions equal one pass over every row.
     """
     x = _check_batch(x)
     if not training:
         weights, biases = params._plan if params._plan is not None else _fold(params)
-        a = x
-        for i in range(N_HIDDEN):
-            a = a @ weights[i]
-            a += biases[i]
-            np.maximum(a, 0.0, out=a)
-        return sigmoid(a @ weights[-1] + biases[-1]), None
+        n = x.shape[0]
+        if n <= EVAL_BLOCK_ROWS + 1:  # serve's 1-3 rows: one block, no bookkeeping
+            return sigmoid(_eval_logits(x, weights, biases)), None
+        logits = np.empty((n, LAYER_SIZES[-1]))
+        # A lone trailing row joins the block before it: a 1-row matmul takes
+        # BLAS's vector path, which rounds differently from the block's.
+        starts = range(0, n - 1, EVAL_BLOCK_ROWS)
+        for start, end in zip(starts, [*starts[1:], n]):
+            logits[start:end] = _eval_logits(x[start:end], weights, biases)
+        return sigmoid(logits), None
 
     m = x.shape[0]
     if m < MIN_BATCH:

@@ -170,7 +170,7 @@ def train(train_set, val_set, config: TrainConfig) -> tuple[MlpParams, TrainHist
     val_x, val_y = _check_set("validation", val_set, 1)
 
     params = init_params(config.seed)
-    params.train_seed = config.seed
+    params.train_seed = int(config.seed)  # the config admits numpy integers; JSON does not
     state = OptState.init()
     history = TrainHistory()
 

@@ -11,6 +11,8 @@ it checks:
     forward pass, instead of analytic backprop.
   - unfolded_eval_forward: BatchNorm as a separate normalization step after
     each affine map, instead of folded into the affine maps.
+  - single_pass_eval_forward: the folded eval forward over every row at once,
+    instead of in blocks of network.EVAL_BLOCK_ROWS rows.
   - unfused_train_forward / unfused_backward: the train step with every
     BatchNorm stage as its own fresh array, a cached boolean ReLU mask and
     BatchNorm's backward through dxhat, instead of in-place buffers and the
@@ -68,6 +70,7 @@ from waterline.network import (
     N_HIDDEN,
     Gradients,
     TrainWorkspace,
+    _fold,
     forward,
     sigmoid,
     smooth_l1,
@@ -187,6 +190,18 @@ def unfolded_eval_forward(params, x):
         a = np.where(y > 0, y, 0.0)
     z_out = a @ params.w[-1] + params.b[-1]
     return np.vectorize(math_sigmoid)(z_out)
+
+
+def single_pass_eval_forward(params, x):
+    """Eval-mode forward through the folded maps with (n, 128) activations:
+    the folded statements run once over every row."""
+    weights, biases = params._plan if params._plan is not None else _fold(params)
+    a = np.asarray(x, dtype=np.float64)
+    for i in range(N_HIDDEN):
+        a = a @ weights[i]
+        a += biases[i]
+        np.maximum(a, 0.0, out=a)
+    return sigmoid(a @ weights[-1] + biases[-1])
 
 
 def unfused_train_forward(params, x, dropout_p, dropout_seed):

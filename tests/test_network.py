@@ -12,6 +12,7 @@ from oracles import (
     fd_gradients,
     math_sigmoid,
     pack_grads,
+    single_pass_eval_forward,
     unfolded_eval_forward,
     unfused_backward,
     unfused_train_forward,
@@ -22,6 +23,7 @@ from waterline.geometry import CameraModel
 from waterline.network import (
     BN_EPS,
     BN_MOMENTUM,
+    EVAL_BLOCK_ROWS,
     LAYER_SIZES,
     N_PARAMS,
     TrainWorkspace,
@@ -201,6 +203,60 @@ class TestFoldedEval:
         assert all(arr.flags.writeable for arr in copy.bn_mean + copy.bn_var)
         x, _ = _random_batch(51, n=5, scale=2.0)
         assert np.array_equal(forward(copy, x)[0], forward(loaded, x)[0])
+
+
+# Up to this many rows, the single pass's (n, 128) @ (128, 2) head stays on
+# the BLAS kernel that each block's head takes; above it (M * N * K > 1e6),
+# OpenBLAS switches kernels and the single pass rounds differently.
+SAME_HEAD_KERNEL_ROWS = 3906
+
+
+class TestBlockedEval:
+    """The eval forward runs in blocks of EVAL_BLOCK_ROWS rows; its predictions
+    equal those of one pass over every row."""
+
+    @pytest.fixture(params=["loaded", "unfolded"])
+    def params(self, request, tmp_path):
+        loaded = _loaded_checkpoint(tmp_path)
+        return loaded if request.param == "loaded" else loaded.copy()
+
+    @staticmethod
+    def _x(n):
+        return _random_batch(60, n=n, scale=2.0)[0]
+
+    def test_equals_single_pass_up_to_its_kernel_switch(self, params):
+        # Every n up to two blocks, then the four sizes around each block edge.
+        x = self._x(SAME_HEAD_KERNEL_ROWS)
+        edges = range(3 * EVAL_BLOCK_ROWS, SAME_HEAD_KERNEL_ROWS + 2, EVAL_BLOCK_ROWS)
+        sizes = [*range(1, 2 * EVAL_BLOCK_ROWS + 3)]
+        sizes += [n for k in edges for n in (k - 1, k, k + 1, k + 2) if n <= SAME_HEAD_KERNEL_ROWS]
+        for n in sizes:
+            pred, _ = forward(params, x[:n], training=False)
+            assert np.array_equal(pred, single_pass_eval_forward(params, x[:n])), n
+
+    @pytest.mark.parametrize("n", [4000, 20000])
+    def test_agrees_with_single_pass_above_its_kernel_switch(self, params, n):
+        x = self._x(n)
+        pred, _ = forward(params, x, training=False)
+        assert np.abs(pred - single_pass_eval_forward(params, x)).max() <= 1e-15
+
+    def test_eval_forward_holds_its_result_and_a_few_blocks(self, tmp_path):
+        # At its peak the eval forward holds the (n, 2) logits and sigmoid's
+        # temporaries of that size, or the logits and one block's activations:
+        # under the result plus three blocks (~1.1 MB at 20,000 rows), where
+        # (n, 128) activations would take 41 MB.
+        loaded = _loaded_checkpoint(tmp_path)
+        x = _random_batch(19, n=20000)[0]
+        forward(loaded, x, training=False)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            forward(loaded, x, training=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = x.shape[0] * 2 * 8 + 3 * EVAL_BLOCK_ROWS * 128 * 8
+        assert peak - start < bound, f"{peak - start} bytes"
 
 
 class TestSigmoid:
@@ -606,6 +662,17 @@ class TestCheckpoint:
         pred_a, _ = forward(p, x, training=False)
         pred_b, _ = forward(loaded, x, training=False)
         assert np.array_equal(pred_a, pred_b)
+
+    def test_numpy_integer_seed_round_trips(self, tmp_path):
+        x, y = _random_batch(16, n=40)
+        params, _ = train((x[:32], y[:32]), (x[32:], y[32:]),
+                          TrainConfig(max_epochs=1, seed=np.int64(3)))
+        assert type(params.init_seed) is int and type(params.train_seed) is int
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        assert loaded.init_seed == 3 and loaded.train_seed == 3
+        assert np.array_equal(loaded.flat, params.flat)
 
     @pytest.mark.parametrize("key, value, message", [
         ("format_version", 2.0, "unsupported checkpoint version 2.0"),
