@@ -8,6 +8,7 @@ calibration, and a synthetic dataset generator tying them together.
 
 __version__ = "0.1.0"
 
+from .data import generate_frames
 from .features import ChartQuery, ImuSample, build_decoder_query, build_features, waterline_target
 from .geometry import CameraModel, in_frame, project
 from .metrics import (
@@ -53,6 +54,7 @@ __all__ = [
     "detection_report",
     "error_stats",
     "forward",
+    "generate_frames",
     "in_frame",
     "init_params",
     "iou",

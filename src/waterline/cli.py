@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    GenConfig, generate, load_dataset, load_predictions, predict_lines, save_dataset, split,
-    visible_examples, visible_rows, write_jsonl,
+    Frames, GenConfig, generate_frames, load_dataset, load_predictions, predict_lines, save_dataset,
+    split, visible_examples, write_jsonl,
 )
 from .errors import (
     ConfigError, DatasetParseError, DatasetSchemaError, NumericError, write_csv, write_json,
@@ -100,18 +100,18 @@ def cmd_gen(args) -> Manifest:
     config = GenConfig.load(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    records = generate(camera, config)
+    frames = generate_frames(camera, config)
     out = _make_out(args)
-    save_dataset(records, out)
+    save_dataset(frames, out)
 
-    rows = visible_rows(records)
-    print(f"samples: {len(records)}")
-    print(f"visible queries: {len(rows)}")
-    print(f"invisible queries: {sum(len(r.labels) for r in records) - len(rows)}")
+    n_visible = np.count_nonzero(frames.visible)
+    print(f"samples: {len(frames.sample_id)}")
+    print(f"visible queries: {n_visible}")
+    print(f"invisible queries: {len(frames.visible) - n_visible}")
 
     if args.verify:
         if config.noise_free:
-            worst = _verify_fidelity(camera, records, rows)
+            worst = _verify_fidelity(camera, frames)
             print(f"verify: max |label - projection| = {worst:.3e} (normalized), OK")
         else:
             logger.warning("--verify skipped: config has non-zero noise, identity does not hold")
@@ -121,17 +121,18 @@ def cmd_gen(args) -> Manifest:
             {"dataset": str(out)})
 
 
-def _verify_fidelity(camera: CameraModel, records, rows: np.ndarray) -> float:
+def _verify_fidelity(camera: CameraModel, frames: Frames) -> float:
     """Largest normalized gap between the stored labels and fresh projections
-    of records' visible_rows `rows`, every one projected in one call."""
-    index, distance, bearing, pitch, roll = rows[:, :5].T
-    target_x, target_y = waterline_targets(rows[:, 6:]).T
-    u, v = project(camera, pitch, roll, distance, bearing)
+    of frames' visible queries, every one projected in one call."""
+    visible = frames.visible
+    pitch, roll = np.repeat(frames.imu[:, :2], np.diff(frames.offsets), axis=0)[visible].T
+    target_x, target_y = waterline_targets(frames.boxes).T
+    u, v = project(camera, pitch, roll, frames.distance_m[visible], frames.bearing_deg[visible])
     gap = np.maximum(np.abs(target_x - u / camera.image_w), np.abs(target_y - v / camera.image_h))
     bad = np.flatnonzero(np.isnan(gap) | (gap > 1e-9))
     if bad.size:
         first = bad[0]
-        sample_id = records[int(index[first])].sample_id
+        sample_id = frames.query_keys()[0][visible][first]
         if np.isnan(u[first]):
             raise NumericError(f"sample {sample_id}: visible label but no projection")
         raise NumericError(f"sample {sample_id}: label/projection gap {gap[first]:.3e} "

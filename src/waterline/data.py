@@ -14,13 +14,13 @@ frame. Box fields are normalized to [0, 1] and are omitted when a label is
 not visible. Headings are wrapped into [-180, 180] on ingestion.
 
 Frames, a dataset as columns, is the one in-memory form dataset values pass
-through: load_dataset and generate build one, and Frames.records() builds
-every SampleRecord. A JSON integer loads as the float it equals; the
-per-line rules of _record_from_dict only name a bad line.
+through: load_dataset and generate_frames build one, save_dataset writes one,
+and Frames.records() builds every SampleRecord. A JSON integer loads as the
+float it equals; the per-line rules of _record_from_dict only name a bad line.
 
 write_jsonl is the one JSONL writer. Its lines come from the templates beside
-the schema versions, each number and string filled in as compact, ASCII-only
-json.dumps writes it.
+the schema versions, filled from column lists, each number and string as
+compact, ASCII-only json.dumps writes it.
 
 The generator draws vessel attitude and chart queries at random, projects
 each query's waterline point through the pinhole camera, and anchors a
@@ -198,6 +198,12 @@ def default_bearing_range(camera: CameraModel) -> tuple[float, float]:
 
 
 def generate(camera: CameraModel, config: GenConfig) -> list[SampleRecord]:
+    """generate_frames(camera, config) as SampleRecords, for the callers that
+    still read records: the benchmark's serve and train set-ups and the tests."""
+    return generate_frames(camera, config).records()
+
+
+def generate_frames(camera: CameraModel, config: GenConfig) -> Frames:
     """Produce synthetic samples whose labels are exact pinhole projections.
 
     A query is visible when its waterline point projects in front of the
@@ -211,14 +217,8 @@ def generate(camera: CameraModel, config: GenConfig) -> list[SampleRecord]:
     attitude uniforms, the query count, each query's distance and bearing
     uniforms, label jitter, dropout uniform and measurement noise, then the
     attitude noise. One array pass over the whole dataset then projects,
-    boxes and labels every query and applies the recorded noise into Frames;
-    Frames.records() builds the records last, once the draws are freed.
+    boxes and labels every query and applies the recorded noise into Frames.
     """
-    return _generated_frames(camera, config).records()
-
-
-def _generated_frames(camera: CameraModel, config: GenConfig) -> Frames:
-    """generate's samples as Frames."""
     bearing_range = config.bearing_range_deg or default_bearing_range(camera)
     # The two unbounded ranges: a width that overflows would give non-finite draws.
     if not all(math.isfinite(float(hi) - float(lo))
@@ -234,23 +234,20 @@ def _generated_frames(camera: CameraModel, config: GenConfig) -> Frames:
         n_queries = int(rng.integers(qlo, qhi + 1))
         for _ in range(n_queries):
             query_draws.extend((  # a tuple's items are evaluated left to right
-                rng.random(), rng.random(),
-                rng.normal(0.0, config.label_noise_px),
-                rng.normal(0.0, config.label_noise_px),
-                rng.random(),
-                rng.normal(0.0, config.distance_noise_rel),
-                rng.normal(0.0, config.bearing_noise_deg),
+                rng.random(), rng.random(), rng.standard_normal(), rng.standard_normal(),
+                rng.random(), rng.standard_normal(), rng.standard_normal(),
             ))
-        sample_draws.extend((
-            *attitude,
-            rng.normal(0.0, config.pitch_noise_deg),
-            rng.normal(0.0, config.roll_noise_deg),
-            rng.normal(0.0, config.heading_noise_deg),
-        ))
+        sample_draws.extend((*attitude, rng.standard_normal(), rng.standard_normal(),
+                             rng.standard_normal()))
         counts.append(n_queries)
 
-    s = np.frombuffer(sample_draws, dtype=np.float64).reshape(-1, 6)
-    q = np.frombuffer(query_draws, dtype=np.float64).reshape(-1, 7)  # (0, 7) if no queries
+    # Generator.normal(0.0, sd) is 0.0 + sd * standard_normal() in C, so the
+    # same floats; a uniform's factor of 1.0 keeps it as drawn.
+    s = 0.0 + np.frombuffer(sample_draws, dtype=np.float64).reshape(-1, 6) * (
+        1.0, 1.0, 1.0, config.pitch_noise_deg, config.roll_noise_deg, config.heading_noise_deg)
+    q = 0.0 + np.frombuffer(query_draws, dtype=np.float64).reshape(-1, 7) * (  # (0, 7) if none
+        1.0, 1.0, config.label_noise_px, config.label_noise_px, 1.0, config.distance_noise_rel,
+        config.bearing_noise_deg)
     pitch = _uniform(s[:, 0], *config.pitch_range_deg)
     roll = _uniform(s[:, 1], *config.roll_range_deg)
     heading = wrap_angle_deg(_uniform(s[:, 2], *config.heading_range_deg))
@@ -421,24 +418,28 @@ def split(records, ratio: float, seed: int) -> DatasetSplit:
     return DatasetSplit(train=train, val=val)
 
 
-def save_dataset(records, path) -> None:
-    """Write records as JSONL; float fields keep full 64-bit precision."""
-    write_jsonl(path, map(_dataset_line, records))
-
-
-def _dataset_line(record: SampleRecord) -> str:
-    imu = record.imu
-    numbers = [imu.pitch_deg, imu.roll_deg, imu.heading_deg]
-    for query in record.queries:
-        numbers += query.distance_m, query.bearing_deg
-    labels = []
-    for label in record.labels:
-        labels.append(_LABEL_ITEMS[bool(label.visible)])
-        if label.visible:
-            numbers += label.c_x, label.c_y, label.w, label.h
-    template = (_DATASET_HEAD + ",".join([_QUERY_ITEM] * len(labels)) + '],"labels":['
-                + ",".join(labels) + "]}\n")
-    return template % (encode_basestring_ascii(record.sample_id), *_json_numbers(numbers))
+def save_dataset(frames: Frames, path) -> None:
+    """Write Frames as JSONL from its columns, one line template per visibility
+    pattern; float fields keep full 64-bit precision."""
+    sample_ids = map(encode_basestring_ascii, frames.sample_id.tolist())
+    imu, queries, boxes = (_json_numbers(a.ravel().tolist()) for a in (
+        frames.imu, np.column_stack((frames.distance_m, frames.bearing_deg)), frames.boxes))
+    offsets = frames.offsets.tolist()
+    box_offsets = np.concatenate(([0], np.cumsum(frames.visible) * 4))[frames.offsets].tolist()
+    patterns = frames.visible.tobytes()  # one byte, 0 or 1, per query
+    templates = {}
+    lines = []
+    for i, sample_id in enumerate(sample_ids):
+        start, end = offsets[i], offsets[i + 1]
+        pattern = patterns[start:end]
+        template = templates.get(pattern)
+        if template is None:
+            template = templates[pattern] = (
+                _DATASET_HEAD + ",".join([_QUERY_ITEM] * len(pattern)) + '],"labels":['
+                + ",".join([_LABEL_ITEMS[visible] for visible in pattern]) + "]}\n")
+        lines.append(template % (sample_id, *imu[3 * i:3 * i + 3], *queries[2 * start:2 * end],
+                                 *boxes[box_offsets[i]:box_offsets[i + 1]]))
+    write_jsonl(path, lines)
 
 
 def predict_lines(sample_id, query_index, decoder_query, features=None):
@@ -457,12 +458,9 @@ def predict_lines(sample_id, query_index, decoder_query, features=None):
 
 
 def _json_numbers(values: list) -> list[str]:
-    """Each finite number as json writes it: float.__repr__ of a float, numpy's
-    float64 too (whose repr is np.float64(...)); json.dumps if any is not."""
-    try:
-        return list(map(float.__repr__, values))
-    except TypeError:  # an int, say
-        return list(map(json.dumps, values))
+    """Each finite float as json writes it: float.__repr__, numpy's float64 too
+    (whose repr is np.float64(...))."""
+    return list(map(float.__repr__, values))
 
 
 def write_jsonl(path, lines) -> None:

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 import waterline
 from conftest import hand_made_records
 from oracles import (
-    per_frame_predict_rows, per_line_records, predict_row, write_json_lines, write_repr_csv,
+    frames_of, per_frame_predict_rows, per_line_records, predict_row, write_json_lines,
+    write_repr_csv,
 )
 from waterline.cli import DEFAULT_VAL_RATIO, _verify_fidelity, load_predictions, main
 from waterline.data import (
-    GenConfig, SampleRecord, generate, load_dataset, save_dataset, visible_rows,
+    GenConfig, SampleRecord, generate_frames, load_dataset, save_dataset,
 )
 from waterline.errors import DatasetParseError, DatasetSchemaError, NumericError, TrainingAborted
 from waterline.features import ChartQuery, ImuSample
@@ -54,7 +55,7 @@ def dataset(tmp_path):
         n_samples=60, queries_per_sample=(1, 2), distance_range_m=(20.0, 800.0), seed=3
     )
     path = tmp_path / "dataset.jsonl"
-    save_dataset(generate(camera, config), path)
+    save_dataset(generate_frames(camera, config), path)
     return path
 
 
@@ -117,10 +118,11 @@ class TestGen:
     ])
     def test_verify_names_first_offending_sample(self, faults, first):
         """The one-call check raises for the first faulty visible label in
-        record order, with that fault's message."""
+        file order, with that fault's message."""
         camera = CameraModel.default()
-        records = generate(camera, GenConfig(n_samples=30, seed=3))
-        assert 0.0 <= _verify_fidelity(camera, records, visible_rows(records)) <= 1e-9
+        frames = generate_frames(camera, GenConfig(n_samples=30, seed=3))
+        assert 0.0 <= _verify_fidelity(camera, frames) <= 1e-9
+        records = frames.records()
         with_visible = [i for i, r in enumerate(records) if any(lb.visible for lb in r.labels)]
         for k, fault in faults.items():
             record = records[with_visible[k]]
@@ -136,7 +138,7 @@ class TestGen:
         message = (f"sample {sample_id}: label/projection gap 1.000e-06 exceeds 1e-9"
                    if faults[first] == "gap" else f"sample {sample_id}: visible label but no projection")
         with pytest.raises(NumericError) as excinfo:
-            _verify_fidelity(camera, records, visible_rows(records))
+            _verify_fidelity(camera, frames_of(records))
         assert str(excinfo.value) == message
 
     def test_verify_skipped_on_noisy(self, tmp_path, capsys):
@@ -258,7 +260,8 @@ class TestTrain:
     def test_too_few_samples_is_config_error(self, tmp_path, capsys, n_records):
         dataset = tmp_path / "few.jsonl"
         imu = ImuSample(pitch_deg=1.0, roll_deg=-2.0, heading_deg=30.0)
-        save_dataset([SampleRecord(f"{i:06d}", imu, (), ()) for i in range(n_records)], dataset)
+        save_dataset(frames_of([SampleRecord(f"{i:06d}", imu, (), ()) for i in range(n_records)]),
+                     dataset)
         code = main(["train", "--dataset", str(dataset), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "need at least 2 records to split" in capsys.readouterr().err
@@ -267,10 +270,10 @@ class TestTrain:
         # two frames of one visible query each: the split leaves one train sample
         config = GenConfig(n_samples=2, queries_per_sample=(1, 1), distance_range_m=(50.0, 200.0),
                            bearing_range_deg=(-5.0, 5.0), seed=0)
-        records = generate(CameraModel.default(), config)
-        assert len(visible_rows(records)) == 2
+        frames = generate_frames(CameraModel.default(), config)
+        assert np.count_nonzero(frames.visible) == 2
         dataset = tmp_path / "two.jsonl"
-        save_dataset(records, dataset)
+        save_dataset(frames, dataset)
         out_dir = tmp_path / "o"
         assert main(["train", "--dataset", str(dataset), "--out", str(out_dir)]) == 2
         assert "1 visible queries in the train split" in _one_error_line(capsys)
@@ -545,7 +548,7 @@ class TestPredict:
         # differ from 1-3 row forwards only by BLAS blocking.
         dataset = tmp_path / "mixed.jsonl"
         config = GenConfig(n_samples=200, queries_per_sample=(0, 3), seed=11)
-        save_dataset(generate(CameraModel.default(), config), dataset)
+        save_dataset(generate_frames(CameraModel.default(), config), dataset)
         out = tmp_path / "pred.jsonl"
         code = main(["predict", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
                      "--out", str(out), "--emit-features"])
@@ -565,7 +568,7 @@ class TestPredict:
     def test_hand_made_dataset_rows_equal_reference_writer(self, tmp_path, checkpoint,
                                                            emit_features):
         dataset = tmp_path / "hand.jsonl"
-        save_dataset(hand_made_records(), dataset)
+        save_dataset(frames_of(hand_made_records()), dataset)
         out, reference = tmp_path / "pred.jsonl", tmp_path / "reference.jsonl"
         argv = ["predict", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
                 "--out", str(out)]
@@ -584,7 +587,7 @@ class TestPredict:
     def test_buoy_free_dataset_writes_no_rows(self, tmp_path, checkpoint, capsys):
         dataset = tmp_path / "free.jsonl"
         imu = ImuSample(pitch_deg=1.0, roll_deg=-2.0, heading_deg=30.0)
-        save_dataset([SampleRecord(f"{i:06d}", imu, (), ()) for i in range(3)], dataset)
+        save_dataset(frames_of([SampleRecord(f"{i:06d}", imu, (), ()) for i in range(3)]), dataset)
         out = tmp_path / "pred.jsonl"
         code = main(["predict", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
                      "--out", str(out)])

@@ -14,6 +14,7 @@ from waterline.data import (
     _uniform,
     default_bearing_range,
     generate,
+    generate_frames,
     load_dataset,
     load_predictions,
     save_dataset,
@@ -110,8 +111,8 @@ class TestGenerate:
     def test_deterministic_bytes(self, camera, tmp_path):
         config = GenConfig(**BASE_CONFIG)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        save_dataset(generate(camera, config), p1)
-        save_dataset(generate(camera, config), p2)
+        save_dataset(generate_frames(camera, config), p1)
+        save_dataset(generate_frames(camera, config), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_alignment_and_validity(self, camera):
@@ -226,10 +227,10 @@ class TestGenerate:
     def test_dataset_bytes_equal_scalar_reference(self, camera, tmp_path, case):
         overrides, reached = self._REFERENCE_CONFIGS[case]
         config = GenConfig(**{"n_samples": 400, "seed": 11, **overrides})
-        records = generate(camera, config)
-        assert reached(records)
+        frames = generate_frames(camera, config)
+        assert reached(frames.records())
         ours, reference = tmp_path / "ours.jsonl", tmp_path / "reference.jsonl"
-        save_dataset(records, ours)
+        save_dataset(frames, ours)
         write_json_lines(reference, map(dataset_row, scalar_generate(camera, config)))
         assert ours.read_bytes() == reference.read_bytes()
 
@@ -397,19 +398,21 @@ class TestSplit:
 
 class TestSerialization:
     def test_round_trip(self, camera, tmp_path):
-        records = generate(camera, GenConfig(**BASE_CONFIG))
+        frames = generate_frames(camera, GenConfig(**BASE_CONFIG))
         path = tmp_path / "data.jsonl"
-        save_dataset(records, path)
-        assert load_dataset(path).records() == records
+        save_dataset(frames, path)
+        assert load_dataset(path).records() == frames.records()
 
     def test_hand_made_records_equal_reference_writer(self, tmp_path):
+        """In Frames an int field is the float that a load gives."""
         records = hand_made_records()
+        frames = frames_of(records)
         ours, reference = tmp_path / "ours.jsonl", tmp_path / "reference.jsonl"
-        save_dataset(records, ours)
-        write_json_lines(reference, map(dataset_row, records))
+        save_dataset(frames, ours)
+        write_json_lines(reference, map(dataset_row, frames.records()))
         assert ours.read_bytes() == reference.read_bytes()
         text = ours.read_text(encoding="ascii")
-        for token in ('"roll_deg":0,', '"distance_m":5,', '"heading_deg":-0.0}', "5e-324",
+        for token in ('"roll_deg":0.0,', '"distance_m":5.0,', '"heading_deg":-0.0}', "5e-324",
                       "1e+16", '\\"quoted\\"', "back\\\\slash", "\\ud835\\udd18", "\\t"):
             assert token in text, token
         assert load_dataset(ours).sample_id.tolist() == [record.sample_id for record in records]

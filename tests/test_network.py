@@ -691,6 +691,26 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("blob, reason", [
+        ("QUJD=RA==", "Discontinuous padding not allowed"),
+        ("QUJ D", "Only base64 data is allowed"),
+        ("QUJDRA", "Incorrect padding"),
+        ("QUJDRé", "string argument should contain only ASCII characters"),
+        ("QUJDRA===", "Excess data after padding"),
+        ("not base64!", "Only base64 data is allowed"),
+    ], ids=["discontinuous-padding", "space", "missing-padding", "non-ascii", "excess-padding",
+            "not-base64"])
+    def test_rejects_invalid_base64_with_its_reason(self, tmp_path, blob, reason):
+        """The messages of base64.b64decode(blob, validate=True), word for word."""
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(init_params(0), path)
+        payload = json.loads(path.read_text())
+        payload["params"] = blob
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value) == f"checkpoint params are not valid base64: {reason}"
+
     def test_rejects_bad_version(self, tmp_path):
         p = init_params(0)
         path = tmp_path / "ckpt.json"
