@@ -68,7 +68,6 @@ switches OpenBLAS kernel) and to within 1e-15 beyond.
 from __future__ import annotations
 
 import base64
-import binascii
 import math
 import operator
 import os
@@ -523,8 +522,7 @@ def load_checkpoint(path) -> MlpParams:
     if not isinstance(blob, str):
         raise CheckpointError("checkpoint has no params blob")
     try:
-        # b64decode(blob, validate=True) without its copy of the blob as bytes
-        raw = binascii.a2b_base64(blob, strict_mode=True)
+        raw = base64.b64decode(blob, validate=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise CheckpointError(f"checkpoint params are not valid base64: {exc}") from exc
     if len(raw) != 8 * N_PARAMS:
