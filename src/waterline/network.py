@@ -62,12 +62,15 @@ activations, not (n, 128) ones; no buffer outlives the call. Each block runs
 the statements of one pass over every row, and a row's result does not depend
 on the rows beside it while BLAS keeps one kernel, so the predictions equal
 the single pass's bit for bit up to 3,906 rows (where the single pass's head
-switches OpenBLAS kernel) and to within 1e-15 beyond.
+switches OpenBLAS kernel) and to within 1e-15 beyond. A block of up to
+DOT_MAX_ROWS rows, as serve's are, takes its products with np.dot, which calls
+the same BLAS routine as np.matmul and costs less per call at those sizes.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import math
 import operator
 import os
@@ -92,6 +95,13 @@ MIN_BATCH = 2  # the fewest rows of a train-mode batch: one row has no batch var
 # (median of 40 calls, one BLAS thread, 2-vCPU x86-64 VM); 256 holds half the
 # activations.
 EVAL_BLOCK_ROWS = 256
+# Blocks of up to this many rows take their products with np.dot, larger ones
+# with np.matmul: both call the same BLAS routine, so the results are equal.
+# us per product, best of 7, one BLAS thread, 2-vCPU x86-64 VM:
+#   rows            1     2     4    16     32     64     256  256 (6 wide)
+#   a @ W        2.28  2.22  2.62  7.37  13.36  41.00  133.95   9.90
+#   np.dot(a, W) 1.71  1.86  2.24  7.10  13.45  42.52  141.42  15.11
+DOT_MAX_ROWS = 16
 SMOOTH_L1_BETA = 1.0
 
 CHECKPOINT_VERSION = 2
@@ -128,10 +138,11 @@ def _views(flat: np.ndarray, layout: tuple) -> dict[str, np.ndarray]:
 
 def _aligned(shape: tuple, values: np.ndarray | None = None) -> np.ndarray:
     """A float64 array whose data starts on a 64-byte (cache line) boundary,
-    holding a copy of values if given, else uninitialized. Matmul speed then
-    does not follow the heap layout: a (2, 128) @ (128, 128) product takes
-    3.2 us aligned and 4.7-5.0 us at offsets 16, 32 or 48 (timeit, best of
-    5, one BLAS thread, 2-vCPU x86-64 VM)."""
+    holding a copy of values if given, else uninitialized. Product speed then
+    does not follow the heap layout: a serve-sized np.dot of (2, 128) by
+    (128, 128) takes 1.9 us aligned and 2.8-3.0 us at offsets 16, 32 or 48,
+    and the same product by @ 2.2 against 3.2 us (timeit, best of 5, one
+    BLAS thread, 2-vCPU x86-64 VM)."""
     n = math.prod(shape)
     raw = np.empty(n + 7)  # numpy aligns its data to at least 8 bytes
     start = (-raw.ctypes.data % 64) // 8
@@ -214,12 +225,15 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _eval_logits(x: np.ndarray, weights: list, biases: list) -> np.ndarray:
     """The eval-mode logits of one block of rows, through the folded maps."""
+    product = np.dot if x.shape[0] <= DOT_MAX_ROWS else np.matmul
     a = x
     for i in range(N_HIDDEN):
-        a = a @ weights[i]
+        a = product(a, weights[i])
         a += biases[i]
         np.maximum(a, 0.0, out=a)
-    return a @ weights[-1] + biases[-1]
+    logits = product(a, weights[-1])
+    logits += biases[-1]
+    return logits
 
 
 def _fold(params: MlpParams) -> tuple[list, list]:
@@ -275,7 +289,7 @@ def _check_batch(x: np.ndarray) -> np.ndarray:
         raise ValueError(f"batch must have shape (n, {LAYER_SIZES[0]}), got {x.shape}")
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError("batch contains non-finite values")
     return x
 
@@ -522,7 +536,7 @@ def load_checkpoint(path) -> MlpParams:
     if not isinstance(blob, str):
         raise CheckpointError("checkpoint has no params blob")
     try:
-        raw = base64.b64decode(blob, validate=True)
+        raw = binascii.a2b_base64(blob, strict_mode=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII character
         raise CheckpointError(f"checkpoint params are not valid base64: {exc}") from exc
     if len(raw) != 8 * N_PARAMS:

@@ -23,6 +23,7 @@ from waterline.geometry import CameraModel
 from waterline.network import (
     BN_EPS,
     BN_MOMENTUM,
+    DOT_MAX_ROWS,
     EVAL_BLOCK_ROWS,
     LAYER_SIZES,
     N_PARAMS,
@@ -152,6 +153,14 @@ class TestForwardEval:
         pred, _ = forward(p, np.array([row]), training=False)
         assert np.all(pred > 0.0) and np.all(pred < 1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [1, 3, DOT_MAX_ROWS + 1, 600])
+    def test_rejects_nonfinite(self, params, n, value):
+        x = _random_batch(4, n=n)[0]
+        x[-1, -1] = value
+        with pytest.raises(NumericError, match=r"^batch contains non-finite values$"):
+            forward(params, x, training=False)
+
 
 def _loaded_checkpoint(tmp_path, seed=21):
     """A saved and reloaded network whose BatchNorm layers are far from the identity."""
@@ -166,6 +175,13 @@ def _loaded_checkpoint(tmp_path, seed=21):
     path = tmp_path / "ckpt.json"
     save_checkpoint(p, path)
     return load_checkpoint(path)
+
+
+@pytest.fixture(params=["loaded", "unfolded"])
+def params(request, tmp_path):
+    """A loaded checkpoint with its folded maps, or a writable copy that folds per call."""
+    loaded = _loaded_checkpoint(tmp_path)
+    return loaded if request.param == "loaded" else loaded.copy()
 
 
 class TestFoldedEval:
@@ -215,11 +231,6 @@ class TestBlockedEval:
     """The eval forward runs in blocks of EVAL_BLOCK_ROWS rows; its predictions
     equal those of one pass over every row."""
 
-    @pytest.fixture(params=["loaded", "unfolded"])
-    def params(self, request, tmp_path):
-        loaded = _loaded_checkpoint(tmp_path)
-        return loaded if request.param == "loaded" else loaded.copy()
-
     @staticmethod
     def _x(n):
         return _random_batch(60, n=n, scale=2.0)[0]
@@ -239,6 +250,16 @@ class TestBlockedEval:
         x = self._x(n)
         pred, _ = forward(params, x, training=False)
         assert np.abs(pred - single_pass_eval_forward(params, x)).max() <= 1e-15
+
+    def test_input_layout_does_not_change_predictions(self, params):
+        # Each layout against the single pass on that same layout: at one row
+        # a strided input reads 1.1e-16 away from its contiguous copy, on both.
+        wide = np.random.default_rng(61).uniform(-2.0, 2.0, size=(600, 12))
+        for n in [*range(1, DOT_MAX_ROWS + 2), 300]:
+            strided = wide[: 2 * n : 2, ::2]
+            for x in (strided, np.asfortranarray(strided)):
+                pred, _ = forward(params, x, training=False)
+                assert np.array_equal(pred, single_pass_eval_forward(params, x)), n
 
     def test_eval_forward_holds_its_result_and_a_few_blocks(self, tmp_path):
         # At its peak the eval forward holds the (n, 2) logits and sigmoid's
