@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .data import (
-    Frames, GenConfig, generate_frames, load_dataset, load_predictions, predict_lines, save_dataset,
-    split, visible_examples, write_jsonl,
+    Frames, GenConfig, generate, load_dataset, load_predictions, predict_lines, save_dataset, split,
+    visible_examples, write_jsonl,
 )
 from .errors import (
     ConfigError, DatasetParseError, DatasetSchemaError, NumericError, write_csv, write_json,
@@ -100,12 +100,12 @@ def cmd_gen(args) -> Manifest:
     config = GenConfig.load(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    frames = generate_frames(camera, config)
+    frames = generate(camera, config)
     out = _make_out(args)
     save_dataset(frames, out)
 
     n_visible = np.count_nonzero(frames.visible)
-    print(f"samples: {len(frames.sample_id)}")
+    print(f"samples: {len(frames)}")
     print(f"visible queries: {n_visible}")
     print(f"invisible queries: {len(frames.visible) - n_visible}")
 
@@ -145,7 +145,7 @@ def cmd_train(args) -> Manifest:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
 
-    parts = split(load_dataset(args.dataset).records(), config.val_ratio, seed=config.seed)
+    parts = split(load_dataset(args.dataset), config.val_ratio, seed=config.seed)
     train_xy = visible_examples(parts.train)
     val_xy = visible_examples(parts.val)
     n_train, n_val = train_xy[0].shape[0], val_xy[0].shape[0]
@@ -176,12 +176,10 @@ def cmd_eval(args) -> Manifest:
     frames = load_dataset(args.dataset)
     params = load_checkpoint(args.checkpoint)
 
-    visible = frames.visible
-    feats = frames.features()[visible]
-    targets = waterline_targets(frames.boxes)
+    feats, targets = visible_examples(frames)
     if len(feats) == 0:
         raise ConfigError("no visible queries to evaluate")
-    sample_ids, query_index = (keys[visible].tolist() for keys in frames.query_keys())
+    sample_ids, query_index = (keys[frames.visible].tolist() for keys in frames.query_keys())
 
     pred, _ = forward(params, feats, training=False)
     errors = pixel_errors(pred, targets, camera.image_w, camera.image_h)

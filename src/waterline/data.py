@@ -13,10 +13,10 @@ On-disk format is JSON Lines, one sample per line:
 frame. Box fields are normalized to [0, 1] and are omitted when a label is
 not visible. Headings are wrapped into [-180, 180] on ingestion.
 
-Frames, a dataset as columns, is the one in-memory form dataset values pass
-through: load_dataset and generate_frames build one, save_dataset writes one,
-and Frames.records() builds every SampleRecord. A JSON integer loads as the
-float it equals; the per-line rules of _record_from_dict only name a bad line.
+Frames, a dataset as read-only columns, is the one dataset value: load_dataset
+and generate build one, save_dataset writes one, split returns two and
+visible_examples reads one. A JSON integer loads as the float it equals; the
+per-line rules of _record_from_dict only name a bad line.
 
 write_jsonl is the one JSONL writer. Its lines come from the templates beside
 the schema versions, filled from column lists, each number and string as
@@ -32,6 +32,7 @@ np.random.default_rng((seed, i)), whose n states are derived in one array pass.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -39,7 +40,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
-from typing import Annotated, NamedTuple
+from typing import Annotated
 
 import numpy as np
 
@@ -107,15 +108,13 @@ class SampleRecord:
         for label in self.labels:  # frame containment binds dataset labels, not every box
             label.validate()
 
-    @property
-    def buoy_free(self) -> bool:
-        return len(self.queries) == 0
 
-
-class Frames(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class Frames:
     """A dataset as columns: n frames holding m chart queries, m_vis of them
     visible. Frame i's queries are rows offsets[i]:offsets[i + 1] of the
-    query columns, in file order."""
+    query columns, in file order. len() counts frames; frames[i] and
+    iteration give each frame as a SampleRecord."""
 
     sample_id: np.ndarray  # (n,) object: str
     imu: np.ndarray  # (n, 3) float64: pitch, roll, heading (wrapped), degrees
@@ -124,6 +123,15 @@ class Frames(NamedTuple):
     bearing_deg: np.ndarray  # (m,) float64
     visible: np.ndarray  # (m,) bool
     boxes: np.ndarray  # (m_vis, 4) float64: c_x, c_y, w, h of the visible queries, in order
+
+    def __len__(self) -> int:
+        return len(self.sample_id)
+
+    def __getitem__(self, i) -> SampleRecord:
+        return self._records[i]
+
+    def __iter__(self):
+        return iter(self._records)
 
     def query_keys(self) -> tuple[np.ndarray, np.ndarray]:
         """The (sample_id, query_index) of each query, as two (m,) arrays."""
@@ -136,9 +144,18 @@ class Frames(NamedTuple):
         pitch, roll, heading = np.repeat(self.imu, np.diff(self.offsets), axis=0).T
         return feature_matrix(self.distance_m, self.bearing_deg, pitch, roll, heading)
 
-    def records(self) -> list[SampleRecord]:
-        """The frames as SampleRecords, the input of split and visible_examples,
-        built from column lists (no per-row list): the package's one builder."""
+    def take(self, keep: np.ndarray) -> Frames:
+        """The frames where the (n,) bool mask keep is true, in order."""
+        counts = np.diff(self.offsets)
+        rows = np.repeat(keep, counts)
+        return _frames(self.sample_id[keep], self.imu[keep], counts[keep],
+                       np.column_stack((self.distance_m[rows], self.bearing_deg[rows])),
+                       self.visible[rows], self.boxes[rows[self.visible]])
+
+    @functools.cached_property
+    def _records(self) -> list[SampleRecord]:
+        """Every frame as a SampleRecord, built from column lists (no per-row
+        list) on the first per-frame access: the package's one builder."""
         queries = list(map(ChartQuery, self.distance_m.tolist(), self.bearing_deg.tolist()))
         boxes = zip(*self.boxes.T.tolist())
         labels = [GtBox(True, *next(boxes)) if visible else GtBox(visible=False)
@@ -187,8 +204,8 @@ class GenConfig(Config):
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    train: tuple
-    val: tuple
+    train: Frames
+    val: Frames
 
 
 def default_bearing_range(camera: CameraModel) -> tuple[float, float]:
@@ -197,13 +214,7 @@ def default_bearing_range(camera: CameraModel) -> tuple[float, float]:
     return (-(half_fov + 5.0), half_fov + 5.0)
 
 
-def generate(camera: CameraModel, config: GenConfig) -> list[SampleRecord]:
-    """generate_frames(camera, config) as SampleRecords, for the callers that
-    still read records: the benchmark's serve and train set-ups and the tests."""
-    return generate_frames(camera, config).records()
-
-
-def generate_frames(camera: CameraModel, config: GenConfig) -> Frames:
+def generate(camera: CameraModel, config: GenConfig) -> Frames:
     """Produce synthetic samples whose labels are exact pinhole projections.
 
     A query is visible when its waterline point projects in front of the
@@ -361,41 +372,23 @@ def _uniform(u, lo: float, hi: float):
     return float(lo) + float(hi - lo) * u
 
 
-def visible_rows(records) -> np.ndarray:
-    """The (m_vis, 10) floats of each visible query of records, in order: its record's
-    index, distance, bearing, pitch, roll, heading, then its box c_x, c_y, w, h."""
-    return np.fromiter(chain.from_iterable(
-        (i, query.distance_m, query.bearing_deg,
-         record.imu.pitch_deg, record.imu.roll_deg, record.imu.heading_deg,
-         label.c_x, label.c_y, label.w, label.h)
-        for i, record in enumerate(records)
-        for query, label in zip(record.queries, record.labels)
-        if label.visible
-    ), np.float64).reshape(-1, 10)
+def visible_examples(frames: Frames) -> tuple[np.ndarray, np.ndarray]:
+    """(features, waterline targets) of every visible query, in order."""
+    return frames.features()[frames.visible], waterline_targets(frames.boxes)
 
 
-def visible_examples(records) -> tuple[np.ndarray, np.ndarray]:
-    """(features, waterline targets) of every visible query, from visible_rows."""
-    rows = visible_rows(records)
-    return feature_matrix(*rows[:, 1:6].T), waterline_targets(rows[:, 6:])
-
-
-def split(records, ratio: float, seed: int) -> DatasetSplit:
-    """Deterministic shuffled split by sample, stratified so buoy-free frames
+def split(frames: Frames, ratio: float, seed: int) -> DatasetSplit:
+    """Deterministic shuffled split by frame, stratified so buoy-free frames
     land in both halves proportionally when possible."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"split ratio must lie in (0, 1), got {ratio}")
-    records = list(records)
-    n = len(records)
+    n = len(frames)
     if n < 2:
         raise ValueError("need at least 2 records to split")
     n_train = min(max(int(round(ratio * n)), 1), n - 1)
 
-    strata = [
-        [i for i, r in enumerate(records) if r.buoy_free],
-        [i for i, r in enumerate(records) if not r.buoy_free],
-    ]
-    strata = [s for s in strata if s]
+    buoy_free = frames.offsets[1:] == frames.offsets[:-1]
+    strata = [s for s in (np.flatnonzero(buoy_free), np.flatnonzero(~buoy_free)) if s.size]
 
     # Largest-remainder allocation of the train quota across strata.
     quotas = [n_train * len(s) / n for s in strata]
@@ -408,14 +401,11 @@ def split(records, ratio: float, seed: int) -> DatasetSplit:
     for j in remainders[:shortfall]:
         takes[j] += 1
 
-    train_idx = set()
+    train = np.zeros(n, dtype=bool)
     for j, stratum in enumerate(strata):
         order = np.random.default_rng((seed, j)).permutation(len(stratum))
-        train_idx.update(stratum[k] for k in order[: takes[j]])
-
-    train = tuple(records[i] for i in range(n) if i in train_idx)
-    val = tuple(records[i] for i in range(n) if i not in train_idx)
-    return DatasetSplit(train=train, val=val)
+        train[stratum[order[: takes[j]]]] = True
+    return DatasetSplit(train=frames.take(train), val=frames.take(~train))
 
 
 def save_dataset(frames: Frames, path) -> None:
@@ -612,13 +602,13 @@ def _checked_frames(lines) -> Frames | None:
             and _types(visible) <= {bool}):
         return None
     try:
+        imu = np.asarray(imu, dtype=np.float64).reshape(-1, 3)
+        if not np.isfinite(imu[:, 2]).all():  # before the wrap, which would make it NaN
+            return None
+        imu[:, 2] = wrap_angle_deg(imu[:, 2])  # before _frames makes the columns read-only
         frames = _frames(sample_id, imu, counts, query_values, visible, box_values)
     except OverflowError:  # an integer beyond the float range
         return None
-    heading = frames.imu[:, 2]
-    if not np.isfinite(heading).all():  # before the wrap, which would make it NaN
-        return None
-    heading[:] = wrap_angle_deg(heading)
     # Each range holds only for finite values (a comparison with NaN is false),
     # so it is its field's finiteness check too.
     in_range = (
@@ -635,11 +625,12 @@ def _frames(sample_id, imu, counts, queries, visible, boxes) -> Frames:
     """Frames of the given values: per frame its sample_id, its (pitch, roll,
     heading) and its query count; per query its (distance, bearing) and
     visible flag; per visible query its box. Each number sequence may also be
-    flat; an integer beyond the float range raises OverflowError."""
+    flat; an integer beyond the float range raises OverflowError. The columns
+    are read-only, so a write raises instead of leaving the records stale."""
     queries = np.asarray(queries, dtype=np.float64).reshape(-1, 2)
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(np.asarray(counts, dtype=np.int64), out=offsets[1:])
-    return Frames(
+    frames = Frames(
         sample_id=np.array(sample_id, dtype=object),
         imu=np.asarray(imu, dtype=np.float64).reshape(-1, 3),
         offsets=offsets,
@@ -648,6 +639,9 @@ def _frames(sample_id, imu, counts, queries, visible, boxes) -> Frames:
         visible=np.asarray(visible, dtype=bool),
         boxes=np.asarray(boxes, dtype=np.float64).reshape(-1, 4),
     )
+    for column in vars(frames).values():
+        column.flags.writeable = False
+    return frames
 
 
 def _require(data: dict, key: str):

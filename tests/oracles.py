@@ -38,6 +38,9 @@ it checks:
   - per_line_records / frames_of: a dataset file read line by line into
     records, each rule checked as the line's values are built, then put in
     columns with plain loops, instead of each rule checked once per column.
+  - record_split / record_visible_examples: the train/val split over a list
+    of records, by index sets, and the visible queries gathered record by
+    record and query by query, instead of a frame mask and Frames columns.
   - write_repr_csv: a CSV file with each float passed through repr by hand,
     as each CSV writer did before, instead of csv's own float formatting.
   - constant_predictor_loss: the no-skill baseline for learnability checks.
@@ -49,18 +52,20 @@ import csv
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
 from scipy.spatial.transform import Rotation
 
 from waterline.data import (
-    MIN_BOX_PX, PREDICT_SCHEMA, SCHEMA_VERSION, Frames, SampleRecord, _jsonl, _record_from_dict,
-    default_bearing_range,
+    MIN_BOX_PX, PREDICT_SCHEMA, SCHEMA_VERSION, DatasetSplit, Frames, SampleRecord, _jsonl,
+    _record_from_dict, default_bearing_range,
 )
 from waterline.errors import ConfigError, GenerationError
 from waterline.features import (
-    ChartQuery, ImuSample, build_decoder_query, build_features, wrap_angle_deg,
+    ChartQuery, ImuSample, build_decoder_query, build_features, feature_matrix, waterline_targets,
+    wrap_angle_deg,
 )
 from waterline.geometry import DEPTH_EPS_M
 from waterline.metrics import DetectionReport, GtBox, f1_from_pr, overall_score
@@ -630,6 +635,50 @@ def frames_of(records) -> Frames:
         visible=np.array(visible, dtype=bool),
         boxes=np.array(boxes, dtype=np.float64).reshape(-1, 4),
     )
+
+
+def record_split(records, ratio: float, seed: int) -> DatasetSplit:
+    """data.split over a list of records: the same strata, largest-remainder
+    quotas and default_rng((seed, j)) permutations, kept as index sets; the
+    halves are tuples of records."""
+    if not 0.0 < ratio < 1.0:
+        raise ValueError(f"split ratio must lie in (0, 1), got {ratio}")
+    records = list(records)
+    n = len(records)
+    if n < 2:
+        raise ValueError("need at least 2 records to split")
+    n_train = min(max(int(round(ratio * n)), 1), n - 1)
+    strata = [
+        [i for i, r in enumerate(records) if not r.queries],
+        [i for i, r in enumerate(records) if r.queries],
+    ]
+    strata = [s for s in strata if s]
+    quotas = [n_train * len(s) / n for s in strata]
+    takes = [int(math.floor(q)) for q in quotas]
+    remainders = sorted(range(len(strata)), key=lambda j: (-(quotas[j] - takes[j]), j))
+    for j in remainders[:n_train - sum(takes)]:
+        takes[j] += 1
+    train_idx = set()
+    for j, stratum in enumerate(strata):
+        order = np.random.default_rng((seed, j)).permutation(len(stratum))
+        train_idx.update(stratum[k] for k in order[: takes[j]])
+    return DatasetSplit(train=tuple(records[i] for i in range(n) if i in train_idx),
+                        val=tuple(records[i] for i in range(n) if i not in train_idx))
+
+
+def record_visible_examples(records) -> tuple[np.ndarray, np.ndarray]:
+    """(features, waterline targets) of every visible query of records, from
+    the (m_vis, 10) rows of its record's index, distance, bearing, pitch,
+    roll, heading and box c_x, c_y, w, h, gathered query by query."""
+    rows = np.fromiter(chain.from_iterable(
+        (i, query.distance_m, query.bearing_deg,
+         record.imu.pitch_deg, record.imu.roll_deg, record.imu.heading_deg,
+         label.c_x, label.c_y, label.w, label.h)
+        for i, record in enumerate(records)
+        for query, label in zip(record.queries, record.labels)
+        if label.visible
+    ), np.float64).reshape(-1, 10)
+    return feature_matrix(*rows[:, 1:6].T), waterline_targets(rows[:, 6:])
 
 
 def exact_iou(a, b) -> Fraction:

@@ -31,16 +31,17 @@ def test_instrument_finds_every_traced_function():
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     original = waterline.data.visible_examples
+    frames = waterline.data.generate(CameraModel.default(), waterline.data.GenConfig(n_samples=3))
     with tracing.instrument(tracer):  # getattr on every traced name
         assert waterline.data.visible_examples is not original
-        waterline.data.visible_examples([])
+        waterline.data.visible_examples(frames)
     assert waterline.data.visible_examples is original
     assert tracer.counts["data.visible_examples_calls"] == 1
 
 
 def test_gen_verify_projects_once_per_stage(tmp_path, capsys):
     """geometry.project_s measures geometry: `gen --verify` projects the whole
-    dataset in one call in generate_frames and checks it in one more."""
+    dataset in one call in generate and checks it in one more."""
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     config = tmp_path / "gen.json"
@@ -50,16 +51,15 @@ def test_gen_verify_projects_once_per_stage(tmp_path, capsys):
         assert waterline.cli.main(argv) == 0
     assert "OK" in capsys.readouterr().out
     assert tracer.counts["geometry.project_calls"] == 2
-    # gen calls generate_frames, which the tracer does not wrap; data.generate
-    # spans only the callers that still read records.
-    assert tracer.counts["data.generate_calls"] == 0
+    # data.generate_s measures gen's generator: gen calls data.generate once.
+    assert tracer.counts["data.generate_calls"] == 1
 
 
 def _predict_and_eval(tmp_path):
     """A 40-frame dataset, and the argv of `predict --emit-features` and
     `eval` on it."""
     dataset, checkpoint = tmp_path / "data.jsonl", tmp_path / "checkpoint.json"
-    frames = waterline.data.generate_frames(
+    frames = waterline.data.generate(
         CameraModel.default(), waterline.data.GenConfig(n_samples=40, seed=3)
     )
     waterline.data.save_dataset(frames, dataset)
@@ -102,7 +102,7 @@ def test_offline_stages_make_no_per_query_calls(tmp_path, capsys):
 def test_tracer_sees_each_dataset_load(tmp_path, capsys):
     """data.load_s keeps measuring the loader: predict and eval each read the
     dataset once through data.load_dataset, which the tracer wraps by name,
-    and eval no longer goes through visible_examples."""
+    and eval takes its examples through data.visible_examples once."""
     dataset, runs = _predict_and_eval(tmp_path)
     tracing = _load_tracing()
     tracer = tracing.Tracer()
@@ -112,7 +112,7 @@ def test_tracer_sees_each_dataset_load(tmp_path, capsys):
     capsys.readouterr()
     assert tracer.counts["data.load_calls"] == 2
     assert tracer.counts["data.bytes_read"] == 2 * dataset.stat().st_size
-    assert tracer.counts["data.visible_examples_calls"] == 0
+    assert tracer.counts["data.visible_examples_calls"] == 1
 
 
 def test_train_steps_are_traced_per_layer():

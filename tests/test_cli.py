@@ -22,7 +22,7 @@ from oracles import (
 )
 from waterline.cli import DEFAULT_VAL_RATIO, _verify_fidelity, load_predictions, main
 from waterline.data import (
-    GenConfig, SampleRecord, generate_frames, load_dataset, save_dataset,
+    GenConfig, SampleRecord, generate, load_dataset, save_dataset,
 )
 from waterline.errors import DatasetParseError, DatasetSchemaError, NumericError, TrainingAborted
 from waterline.features import ChartQuery, ImuSample
@@ -55,7 +55,7 @@ def dataset(tmp_path):
         n_samples=60, queries_per_sample=(1, 2), distance_range_m=(20.0, 800.0), seed=3
     )
     path = tmp_path / "dataset.jsonl"
-    save_dataset(generate_frames(camera, config), path)
+    save_dataset(generate(camera, config), path)
     return path
 
 
@@ -120,9 +120,9 @@ class TestGen:
         """The one-call check raises for the first faulty visible label in
         file order, with that fault's message."""
         camera = CameraModel.default()
-        frames = generate_frames(camera, GenConfig(n_samples=30, seed=3))
+        frames = generate(camera, GenConfig(n_samples=30, seed=3))
         assert 0.0 <= _verify_fidelity(camera, frames) <= 1e-9
-        records = frames.records()
+        records = list(frames)
         with_visible = [i for i, r in enumerate(records) if any(lb.visible for lb in r.labels)]
         for k, fault in faults.items():
             record = records[with_visible[k]]
@@ -270,7 +270,7 @@ class TestTrain:
         # two frames of one visible query each: the split leaves one train sample
         config = GenConfig(n_samples=2, queries_per_sample=(1, 1), distance_range_m=(50.0, 200.0),
                            bearing_range_deg=(-5.0, 5.0), seed=0)
-        frames = generate_frames(CameraModel.default(), config)
+        frames = generate(CameraModel.default(), config)
         assert np.count_nonzero(frames.visible) == 2
         dataset = tmp_path / "two.jsonl"
         save_dataset(frames, dataset)
@@ -548,7 +548,7 @@ class TestPredict:
         # differ from 1-3 row forwards only by BLAS blocking.
         dataset = tmp_path / "mixed.jsonl"
         config = GenConfig(n_samples=200, queries_per_sample=(0, 3), seed=11)
-        save_dataset(generate_frames(CameraModel.default(), config), dataset)
+        save_dataset(generate(CameraModel.default(), config), dataset)
         out = tmp_path / "pred.jsonl"
         code = main(["predict", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
                      "--out", str(out), "--emit-features"])
@@ -887,6 +887,29 @@ class TestMisc:
             main(["--version"])
         assert excinfo.value.code == 0
         assert "waterline" in capsys.readouterr().out
+
+    def test_commands_build_no_records(self, tmp_path, monkeypatch, capsys):
+        """gen, train, predict and eval work on Frames columns: none of them
+        builds a SampleRecord."""
+        def refuse(record):
+            raise AssertionError(f"a SampleRecord was built: {record.sample_id}")
+
+        monkeypatch.setattr(SampleRecord, "__post_init__", refuse)
+        config = _write_gen_config(tmp_path / "gen.json", n_samples=60, queries_per_sample=[0, 2])
+        train_config = tmp_path / "train.json"
+        train_config.write_text(json.dumps({"max_epochs": 1, "patience": 1, "batch_size": 32}))
+        dataset, checkpoint = tmp_path / "data.jsonl", tmp_path / "run" / "checkpoint.json"
+        for argv in (
+            ["gen", "--config", str(config), "--out", str(dataset), "--verify"],
+            ["train", "--dataset", str(dataset), "--config", str(train_config),
+             "--out", str(tmp_path / "run")],
+            ["predict", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+             "--out", str(tmp_path / "pred.jsonl"), "--emit-features"],
+            ["eval", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+             "--out", str(tmp_path / "eval")],
+        ):
+            assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 def _one_error_line(capsys) -> str:

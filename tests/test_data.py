@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -14,7 +15,6 @@ from waterline.data import (
     _uniform,
     default_bearing_range,
     generate,
-    generate_frames,
     load_dataset,
     load_predictions,
     save_dataset,
@@ -34,7 +34,10 @@ from waterline.features import (
 from waterline.metrics import GtBox
 
 from conftest import hand_made_records, project_point
-from oracles import dataset_row, frames_of, per_line_records, scalar_generate, write_json_lines
+from oracles import (
+    dataset_row, frames_of, per_line_records, record_split, record_visible_examples,
+    scalar_generate, write_json_lines,
+)
 
 BASE_CONFIG = dict(
     n_samples=60,
@@ -44,8 +47,8 @@ BASE_CONFIG = dict(
 )
 
 
-def _make_records(n, buoy_free_every=None):
-    """Cheap hand-built records for split/serialization tests."""
+def _make_frames(n, buoy_free_every=None):
+    """Cheap hand-built frames for split tests."""
     records = []
     for i in range(n):
         if buoy_free_every and i % buoy_free_every == 0:
@@ -61,7 +64,7 @@ def _make_records(n, buoy_free_every=None):
                 labels=labels,
             )
         )
-    return records
+    return frames_of(records)
 
 
 class TestGenConfig:
@@ -106,13 +109,13 @@ class TestGenConfig:
 class TestGenerate:
     def test_deterministic(self, camera):
         config = GenConfig(**BASE_CONFIG)
-        assert generate(camera, config) == generate(camera, config)
+        assert list(generate(camera, config)) == list(generate(camera, config))
 
     def test_deterministic_bytes(self, camera, tmp_path):
         config = GenConfig(**BASE_CONFIG)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        save_dataset(generate_frames(camera, config), p1)
-        save_dataset(generate_frames(camera, config), p2)
+        save_dataset(generate(camera, config), p1)
+        save_dataset(generate(camera, config), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_alignment_and_validity(self, camera):
@@ -214,7 +217,7 @@ class TestGenerate:
             lambda records: any(abs(q.bearing_deg) > 170.0 for r in records for q in r.queries),
         ),
         "buoy-free-frames": (
-            {"queries_per_sample": (0, 3)}, lambda records: any(r.buoy_free for r in records),
+            {"queries_per_sample": (0, 3)}, lambda records: any(not r.queries for r in records),
         ),
         # Distances whose box height coeff / d overflows; looking down, some are visible.
         "tiny-distances": (
@@ -227,8 +230,8 @@ class TestGenerate:
     def test_dataset_bytes_equal_scalar_reference(self, camera, tmp_path, case):
         overrides, reached = self._REFERENCE_CONFIGS[case]
         config = GenConfig(**{"n_samples": 400, "seed": 11, **overrides})
-        frames = generate_frames(camera, config)
-        assert reached(frames.records())
+        frames = generate(camera, config)
+        assert reached(frames)
         ours, reference = tmp_path / "ours.jsonl", tmp_path / "reference.jsonl"
         save_dataset(frames, ours)
         write_json_lines(reference, map(dataset_row, scalar_generate(camera, config)))
@@ -312,14 +315,14 @@ class TestGenerate:
 
 class TestVisibleExamples:
     def test_shapes_and_content(self, camera):
-        records = generate(camera, GenConfig(**BASE_CONFIG))
-        x, y = visible_examples(records)
-        n_visible = sum(1 for r in records for lb in r.labels if lb.visible)
+        frames = generate(camera, GenConfig(**BASE_CONFIG))
+        x, y = visible_examples(frames)
+        n_visible = sum(1 for r in frames for lb in r.labels if lb.visible)
         assert x.shape == (n_visible, 6)
         assert y.shape == (n_visible, 2)
         first = next(
             (r, q, lb)
-            for r in records
+            for r in frames
             for q, lb in zip(r.queries, r.labels)
             if lb.visible
         )
@@ -331,54 +334,53 @@ class TestVisibleExamples:
         config = GenConfig(**{**BASE_CONFIG, "n_samples": 600, "queries_per_sample": (0, 3),
                               "distance_noise_rel": 0.05, "bearing_noise_deg": 1.0,
                               "pitch_noise_deg": 1.0, "label_noise_px": 2.0})
-        records = generate(camera, config)
-        visible = [(q, r.imu, lb) for r in records for q, lb in zip(r.queries, r.labels)
+        frames = generate(camera, config)
+        visible = [(q, r.imu, lb) for r in frames for q, lb in zip(r.queries, r.labels)
                    if lb.visible]
-        x, y = visible_examples(records)
+        x, y = visible_examples(frames)
         assert x.tobytes() == np.stack([build_features(q, imu) for q, imu, _ in visible]).tobytes()
         assert [tuple(row) for row in y.tolist()] == [waterline_target(lb) for _, _, lb in visible]
-        assert any(r.buoy_free for r in records) and len(visible) > 300
+        assert any(not r.queries for r in frames) and len(visible) > 300
 
     def test_empty(self):
-        x, y = visible_examples([])
+        x, y = visible_examples(frames_of([]))
         assert x.shape == (0, 6) and y.shape == (0, 2)
 
 
 class TestSplit:
     def test_ratio_respected(self):
-        parts = split(_make_records(10), 0.8, seed=0)
+        parts = split(_make_frames(10), 0.8, seed=0)
         assert len(parts.train) == 8 and len(parts.val) == 2
 
     def test_benchmark_sized_split(self):
-        parts = split(_make_records(5189), 4285 / 5189, seed=1)
+        parts = split(_make_frames(5189), 4285 / 5189, seed=1)
         assert len(parts.train) == 4285 and len(parts.val) == 904
 
     def test_deterministic(self):
-        records = _make_records(50)
-        a = split(records, 0.7, seed=4)
-        b = split(records, 0.7, seed=4)
-        assert [r.sample_id for r in a.train] == [r.sample_id for r in b.train]
+        frames = _make_frames(50)
+        a = split(frames, 0.7, seed=4)
+        b = split(frames, 0.7, seed=4)
+        assert a.train.sample_id.tolist() == b.train.sample_id.tolist()
 
     def test_disjoint_and_complete(self):
-        records = _make_records(37)
-        parts = split(records, 0.6, seed=2)
-        train_ids = {r.sample_id for r in parts.train}
-        val_ids = {r.sample_id for r in parts.val}
+        parts = split(_make_frames(37), 0.6, seed=2)
+        train_ids = set(parts.train.sample_id.tolist())
+        val_ids = set(parts.val.sample_id.tolist())
         assert not train_ids & val_ids
         assert len(train_ids | val_ids) == 37
 
     def test_buoy_free_frames_stratified(self):
-        records = _make_records(100, buoy_free_every=5)  # 20 buoy-free
-        parts = split(records, 0.8, seed=3)
-        train_free = sum(1 for r in parts.train if r.buoy_free)
-        val_free = sum(1 for r in parts.val if r.buoy_free)
+        frames = _make_frames(100, buoy_free_every=5)  # 20 buoy-free
+        parts = split(frames, 0.8, seed=3)
+        train_free = sum(1 for r in parts.train if not r.queries)
+        val_free = sum(1 for r in parts.val if not r.queries)
         assert train_free == 16 and val_free == 4
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            split(_make_records(1), 0.8, seed=0)
-        with pytest.raises(ValueError):
-            split(_make_records(10), 1.0, seed=0)
+        with pytest.raises(ValueError, match=r"^need at least 2 records to split$"):
+            split(_make_frames(1), 0.8, seed=0)
+        with pytest.raises(ValueError, match=r"^split ratio must lie in \(0, 1\), got 1\.0$"):
+            split(_make_frames(10), 1.0, seed=0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -387,21 +389,83 @@ class TestSplit:
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_split_properties(self, n, ratio, seed):
-        records = _make_records(n, buoy_free_every=4)
-        parts = split(records, ratio, seed)
+        parts = split(_make_frames(n, buoy_free_every=4), ratio, seed)
         assert len(parts.train) + len(parts.val) == n
         assert len(parts.train) >= 1 and len(parts.val) >= 1
         assert abs(len(parts.train) - ratio * n) <= 1.0
-        ids = {r.sample_id for r in parts.train} | {r.sample_id for r in parts.val}
+        ids = set(parts.train.sample_id.tolist()) | set(parts.val.sample_id.tolist())
         assert len(ids) == n
+
+    @pytest.mark.parametrize("queries_per_sample", [(1, 3), (0, 2), (0, 1)])
+    @pytest.mark.parametrize("ratio", [0.1, 0.5, 4285 / 5189, 0.97])
+    def test_equal_to_record_reference(self, camera, queries_per_sample, ratio):
+        """The frame-mask split and the column examples give what the
+        record-based split and per-query gather give: the same frames in the
+        same order, and bit-equal (x, y) on each half."""
+        for seed in range(6):
+            frames = generate(camera, GenConfig(n_samples=200, queries_per_sample=queries_per_sample,
+                                                seed=seed))
+            records = list(frames)
+            parts, reference = split(frames, ratio, seed), record_split(records, ratio, seed)
+            for half, want in ((parts.train, reference.train), (parts.val, reference.val)):
+                assert half.sample_id.tolist() == [r.sample_id for r in want]
+                assert list(half) == list(want)
+                for got, expected in zip(visible_examples(half), record_visible_examples(want)):
+                    assert (got.shape, got.tobytes()) == (expected.shape, expected.tobytes())
+            assert len(parts.train) == len(reference.train)
+
+    @pytest.mark.parametrize("n, ratio, message", [
+        (1, 0.5, "need at least 2 records to split"),
+        (0, 0.5, "need at least 2 records to split"),
+        (5, 0.0, "split ratio must lie in (0, 1), got 0.0"),
+        (5, 1.5, "split ratio must lie in (0, 1), got 1.5"),
+    ])
+    def test_errors_equal_to_record_reference(self, n, ratio, message):
+        frames = _make_frames(n)
+        for route, value in ((split, frames), (record_split, list(frames))):
+            with pytest.raises(ValueError) as excinfo:
+                route(value, ratio, seed=0)
+            assert str(excinfo.value) == message
+
+
+class TestFrames:
+    def test_frames_as_records(self, camera):
+        """len counts frames; frames[i] and iteration give the same records,
+        built once; take keeps the masked frames' records in order."""
+        frames = generate(camera, GenConfig(**BASE_CONFIG))
+        records = list(frames)
+        assert len(frames) == len(records) == 60
+        assert all(frames[i] is record for i, record in enumerate(records))
+        assert [r.sample_id for r in records] == frames.sample_id.tolist()
+        keep = np.arange(60) % 3 == 1
+        kept = frames.take(keep)
+        assert list(kept) == [r for r, k in zip(records, keep) if k]
+        assert list(frames.take(np.zeros(60, dtype=bool))) == []
+
+    @pytest.mark.parametrize("source", ["generate", "load_dataset", "take"])
+    def test_columns_are_read_only(self, camera, tmp_path, source):
+        """An in-place write to a column raises, so the records a Frames has
+        built cannot go stale."""
+        frames = generate(camera, GenConfig(**BASE_CONFIG))
+        if source == "load_dataset":
+            save_dataset(frames, tmp_path / "data.jsonl")
+            frames = load_dataset(tmp_path / "data.jsonl")
+        elif source == "take":
+            frames = frames.take(np.arange(60) % 2 == 0)
+        first = frames[0]
+        for field in dataclasses.fields(Frames):
+            column = getattr(frames, field.name)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[-1]
+        assert frames[0] is first
 
 
 class TestSerialization:
     def test_round_trip(self, camera, tmp_path):
-        frames = generate_frames(camera, GenConfig(**BASE_CONFIG))
+        frames = generate(camera, GenConfig(**BASE_CONFIG))
         path = tmp_path / "data.jsonl"
         save_dataset(frames, path)
-        assert load_dataset(path).records() == frames.records()
+        assert list(load_dataset(path)) == list(frames)
 
     def test_hand_made_records_equal_reference_writer(self, tmp_path):
         """In Frames an int field is the float that a load gives."""
@@ -409,7 +473,7 @@ class TestSerialization:
         frames = frames_of(records)
         ours, reference = tmp_path / "ours.jsonl", tmp_path / "reference.jsonl"
         save_dataset(frames, ours)
-        write_json_lines(reference, map(dataset_row, frames.records()))
+        write_json_lines(reference, map(dataset_row, frames))
         assert ours.read_bytes() == reference.read_bytes()
         text = ours.read_text(encoding="ascii")
         for token in ('"roll_deg":0.0,', '"distance_m":5.0,', '"heading_deg":-0.0}', "5e-324",
@@ -846,13 +910,14 @@ def test_mutated_line_loads_or_names_its_line(tmp_path, data):
             assert type(label.visible) is bool
         assert all(type(v) is float and math.isfinite(v) for v in values)
     assert_same_frames(frames, frames_of(records))
-    assert frames.records() == records
+    assert list(frames) == records
 
 
 def assert_same_frames(frames, reference):
     """Equal fields, dtypes and shapes; numbers equal bit for bit."""
     assert type(frames) is Frames
-    for name, got, want in zip(Frames._fields, frames, reference):
+    for name in (field.name for field in dataclasses.fields(Frames)):
+        got, want = getattr(frames, name), getattr(reference, name)
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         if got.dtype == object:
             assert got.tolist() == want.tolist() and {type(v) for v in got.tolist()} <= {str}

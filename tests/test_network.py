@@ -194,8 +194,8 @@ class TestFoldedEval:
 
     def test_matches_unfolded_reference_on_generated_set(self, tmp_path):
         loaded = _loaded_checkpoint(tmp_path)
-        records = generate(CameraModel.default(), GenConfig(n_samples=400, seed=8))
-        x, _ = visible_examples(records)
+        frames = generate(CameraModel.default(), GenConfig(n_samples=400, seed=8))
+        x, _ = visible_examples(frames)
         pred, _ = forward(loaded, x, training=False)
         assert np.abs(pred - unfolded_eval_forward(loaded, x)).max() <= 1e-12
 

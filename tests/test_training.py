@@ -287,8 +287,8 @@ class _InlineExecutor:
 
 class TestScheduling:
     def test_worker_and_inline_runs_are_bitwise_equal(self, monkeypatch):
-        records = generate(CameraModel.default(), GenConfig(n_samples=600, seed=24))
-        parts = split(records, DEFAULT_VAL_RATIO, seed=0)
+        frames = generate(CameraModel.default(), GenConfig(n_samples=600, seed=24))
+        parts = split(frames, DEFAULT_VAL_RATIO, seed=0)
         sets = visible_examples(parts.train), visible_examples(parts.val)
         config = TrainConfig(max_epochs=3, patience=3, dropout_p=0.2, seed=2)
         threaded, threaded_history = train(*sets, config)
@@ -316,8 +316,8 @@ class TestLearnsGeometry:
             roll_range_deg=(-2.0, 2.0),
             seed=11,
         )
-        records = generate(camera, config)
-        parts = split(records, 0.8, seed=0)
+        frames = generate(camera, config)
+        parts = split(frames, 0.8, seed=0)
         train_xy = visible_examples(parts.train)
         val_xy = visible_examples(parts.val)
         assert train_xy[0].shape[0] > 3000
