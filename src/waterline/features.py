@@ -103,17 +103,14 @@ def build_features(query: ChartQuery, imu: ImuSample) -> np.ndarray:
     """Return the six normalized inputs as a float64 vector."""
     d = float(query.distance_m)
     inv_dist = min(max(DIST_SCALE_M / d, 0.0), INV_DIST_MAX)
-    return np.array(
-        [
-            d / DIST_SCALE_M,
-            inv_dist,
-            query.bearing_deg / BEARING_SCALE_DEG,
-            imu.pitch_deg / PITCH_ROLL_SCALE_DEG,
-            imu.roll_deg / PITCH_ROLL_SCALE_DEG,
-            imu.heading_deg / HEADING_SCALE_DEG,
-        ],
-        dtype=np.float64,
-    )
+    return np.array((
+        d / DIST_SCALE_M,
+        inv_dist,
+        query.bearing_deg / BEARING_SCALE_DEG,
+        imu.pitch_deg / PITCH_ROLL_SCALE_DEG,
+        imu.roll_deg / PITCH_ROLL_SCALE_DEG,
+        imu.heading_deg / HEADING_SCALE_DEG,
+    ))
 
 
 def feature_matrix(distance_m, bearing_deg, pitch_deg, roll_deg, heading_deg) -> np.ndarray:
@@ -163,15 +160,9 @@ def build_decoder_query(query: ChartQuery, predicted: tuple[float, float]) -> np
     c_x, c_y_plus_half_h = predicted
     if not (0.0 <= c_x <= 1.0 and 0.0 <= c_y_plus_half_h <= 1.0):
         raise ValueError(_OUTSIDE_UNIT_SQUARE.format(predicted))
-    return np.array(
-        [
-            query.distance_m / DIST_SCALE_M,
-            query.bearing_deg / BEARING_SCALE_DEG,
-            c_x,
-            c_y_plus_half_h,
-        ],
-        dtype=np.float64,
-    )
+    return np.array((
+        query.distance_m / DIST_SCALE_M, query.bearing_deg / BEARING_SCALE_DEG, c_x, c_y_plus_half_h
+    ))
 
 
 def decoder_queries(features: np.ndarray, predicted: np.ndarray) -> np.ndarray:

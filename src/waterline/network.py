@@ -53,15 +53,21 @@ a time.
 Eval-mode forwards are pure functions of (params, input). Eval mode runs
 each hidden layer as one affine map with BatchNorm folded in (Jacob et al.,
 arXiv 1712.05877, section 3.2): with s = gain / sqrt(var + eps),
-W' = W * s and b' = shift - mean * s. load_checkpoint builds the folded
-maps once, in 64-byte-aligned buffers, and marks every loaded tensor
-read-only, so an in-place write raises instead of leaving the folded maps
-stale; other params fold on each eval call. An eval forward runs its rows in
-blocks of EVAL_BLOCK_ROWS, so a call holds the (n, 2) result plus one block's
-activations, not (n, 128) ones; no buffer outlives the call. Each block runs
+W' = W * s and b' = shift - mean * s. The folded maps are augmented so that
+every bias but layer 1's rides inside its product: layer 1 is [W1' | 0]
+(6 x 129) with bias [b1', 1], whose one add writes a ones column; layers 2
+and 3 are [[W', 0], [b', 1]] (129 x 129), whose last column carries the ones
+column through ReLU exactly; the head is [W4; b4] (129 x 2). A block then
+takes four products, one add and three ReLUs, and its predictions lie within
+1e-15 of the separate-bias pass a @ W' + b'. load_checkpoint builds the augmented maps once, in
+64-byte-aligned read-only buffers, and marks every loaded tensor read-only,
+so an in-place write raises instead of leaving the folded maps stale; other
+params fold on each eval call. An eval forward runs its rows in blocks of
+EVAL_BLOCK_ROWS, so a call holds the (n, 2) result plus one block's
+activations, not (n, 129) ones; no buffer outlives the call. Each block runs
 the statements of one pass over every row, and a row's result does not depend
 on the rows beside it while BLAS keeps one kernel, so the predictions equal
-the single pass's bit for bit up to 3,906 rows (where the single pass's head
+the single pass's bit for bit up to 3,875 rows (where the single pass's head
 switches OpenBLAS kernel) and to within 1e-15 beyond. A block of up to
 DOT_MAX_ROWS rows, as serve's are, takes its products with np.dot, which calls
 the same BLAS routine as np.matmul and costs less per call at those sizes.
@@ -97,10 +103,11 @@ MIN_BATCH = 2  # the fewest rows of a train-mode batch: one row has no batch var
 EVAL_BLOCK_ROWS = 256
 # Blocks of up to this many rows take their products with np.dot, larger ones
 # with np.matmul: both call the same BLAS routine, so the results are equal.
-# us per product, best of 7, one BLAS thread, 2-vCPU x86-64 VM:
-#   rows            1     2     4    16     32     64     256  256 (6 wide)
-#   a @ W        2.28  2.22  2.62  7.37  13.36  41.00  133.95   9.90
-#   np.dot(a, W) 1.71  1.86  2.24  7.10  13.45  42.52  141.42  15.11
+# us per product by a 129 x 129 map, best of 9, one BLAS thread, 2-vCPU
+# x86-64 VM:
+#   rows            1     2     4     8    16     32     64     256  256 (6 wide)
+#   a @ W        2.98  3.23  3.49  5.14  8.51  14.69  42.77  148.58  10.06
+#   np.dot(a, W) 2.68  2.96  3.12  4.87  8.42  14.42  43.17  152.90  15.44
 DOT_MAX_ROWS = 16
 SMOOTH_L1_BETA = 1.0
 
@@ -160,7 +167,7 @@ class MlpParams:
     flat: np.ndarray
     init_seed: int
     train_seed: int | None = None
-    # Folded eval maps (weights, biases) of read-only tensors; see load_checkpoint.
+    # Folded eval maps (augmented weights, layer 1's bias) of read-only tensors; see _fold.
     _plan: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -223,29 +230,38 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -x))
 
 
-def _eval_logits(x: np.ndarray, weights: list, biases: list) -> np.ndarray:
-    """The eval-mode logits of one block of rows, through the folded maps."""
+def _eval_logits(x: np.ndarray, weights: tuple, bias: np.ndarray) -> np.ndarray:
+    """The eval-mode logits of one block of rows, through the augmented folded
+    maps of _fold: each bias after layer 1's rides in its product."""
     product = np.dot if x.shape[0] <= DOT_MAX_ROWS else np.matmul
-    a = x
-    for i in range(N_HIDDEN):
-        a = product(a, weights[i])
-        a += biases[i]
+    a = product(x, weights[0])
+    a += bias  # b1' and the ones column
+    np.maximum(a, 0.0, out=a)
+    for w in weights[1:-1]:
+        a = product(a, w)
         np.maximum(a, 0.0, out=a)
-    logits = product(a, weights[-1])
-    logits += biases[-1]
-    return logits
+    return product(a, weights[-1])
 
 
-def _fold(params: MlpParams) -> tuple[list, list]:
-    """The eval-mode affine maps with each BatchNorm folded into its layer."""
-    weights, biases = [], []
+def _fold(params: MlpParams) -> tuple[tuple, np.ndarray]:
+    """The eval-mode affine maps with each BatchNorm folded into its layer,
+    augmented as the module docstring says, in 64-byte-aligned arrays: each
+    hidden layer's map is [[W', 0], [b', 1]], and layer 1's input has no ones
+    column, so its last row becomes the separate bias [b1', 1]."""
+    maps = []
     for i in range(N_HIDDEN):
         s = params.bn_gain[i] / np.sqrt(params.bn_var[i] + BN_EPS)
-        weights.append(params.w[i] * s)
-        biases.append(params.bn_bias[i] - params.bn_mean[i] * s)
-    weights.append(params.w[-1])
-    biases.append(params.b[-1])
-    return weights, biases
+        fan_in, width = params.w[i].shape
+        m = _aligned((fan_in + 1, width + 1))
+        np.multiply(params.w[i], s, out=m[:-1, :-1])
+        m[-1, :-1] = params.bn_bias[i] - params.bn_mean[i] * s
+        m[:, -1] = 0.0
+        m[-1, -1] = 1.0
+        maps.append(m)
+    head = _aligned((params.w[-1].shape[0] + 1, LAYER_SIZES[-1]))
+    head[:-1], head[-1] = params.w[-1], params.b[-1]
+    bias = _aligned(maps[0][-1].shape, maps[0][-1])
+    return (maps[0][:-1], *maps[1:], head), bias
 
 
 class TrainWorkspace:
@@ -289,7 +305,7 @@ def _check_batch(x: np.ndarray) -> np.ndarray:
         raise ValueError(f"batch must have shape (n, {LAYER_SIZES[0]}), got {x.shape}")
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    if not np.isfinite(x).all():
+    if np.count_nonzero(np.isfinite(x)) != x.size:
         raise NumericError("batch contains non-finite values")
     return x
 
@@ -363,16 +379,16 @@ def forward(
     """
     x = _check_batch(x)
     if not training:
-        weights, biases = params._plan if params._plan is not None else _fold(params)
+        weights, bias = params._plan if params._plan is not None else _fold(params)
         n = x.shape[0]
         if n <= EVAL_BLOCK_ROWS + 1:  # serve's 1-3 rows: one block, no bookkeeping
-            return sigmoid(_eval_logits(x, weights, biases)), None
+            return sigmoid(_eval_logits(x, weights, bias)), None
         logits = np.empty((n, LAYER_SIZES[-1]))
         # A lone trailing row joins the block before it: a 1-row matmul takes
         # BLAS's vector path, which rounds differently from the block's.
         starts = range(0, n - 1, EVAL_BLOCK_ROWS)
         for start, end in zip(starts, [*starts[1:], n]):
-            logits[start:end] = _eval_logits(x[start:end], weights, biases)
+            logits[start:end] = _eval_logits(x[start:end], weights, bias)
         return sigmoid(logits), None
 
     m = x.shape[0]
@@ -501,7 +517,11 @@ def backward(params: MlpParams, cache: ForwardCache, target: np.ndarray) -> Grad
 
 def save_checkpoint(params: MlpParams, path) -> None:
     """Write the parameter vector as one base64 blob of little-endian float64
-    in a versioned JSON container; lossless."""
+    in a versioned JSON container; lossless. Params with a NaN or inf, which
+    load_checkpoint would refuse, raise NumericError before the file opens."""
+    if not np.isfinite(params.flat).all():
+        name = next(name for name, view in params._views.items() if not np.isfinite(view).all())
+        raise NumericError(f"cannot save checkpoint: {name} has non-finite values")
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "layer_sizes": list(LAYER_SIZES),
@@ -513,7 +533,9 @@ def save_checkpoint(params: MlpParams, path) -> None:
 
 
 def load_checkpoint(path) -> MlpParams:
-    """Read a checkpoint into read-only tensors with their folded eval maps.
+    """Read a checkpoint into read-only tensors with their folded eval maps:
+    _fold's augmented matrices and layer 1's bias, built once in
+    64-byte-aligned, read-only buffers.
 
     Use params.copy() for writable tensors, e.g. to train further.
     """
@@ -547,5 +569,7 @@ def load_checkpoint(path) -> MlpParams:
     # Read-only before MlpParams takes its views, so that every view inherits it.
     flat.flags.writeable = False
     params = MlpParams(flat, init_seed, train_seed)
-    params._plan = tuple([_aligned(a.shape, a) for a in group] for group in _fold(params))
+    weights, bias = params._plan = _fold(params)
+    for a in (*weights, bias):
+        a.flags.writeable = False
     return params

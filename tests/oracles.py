@@ -13,6 +13,9 @@ it checks:
     each affine map, instead of folded into the affine maps.
   - single_pass_eval_forward: the folded eval forward over every row at once,
     instead of in blocks of network.EVAL_BLOCK_ROWS rows.
+  - separate_bias_eval_forward: the folded eval forward over every row at
+    once with each bias added after its product, a @ W' + b', instead of
+    inside the augmented maps.
   - unfused_train_forward / unfused_backward: the train step with every
     BatchNorm stage as its own fresh array, a cached boolean ReLU mask and
     BatchNorm's backward through dxhat, instead of in-place buffers and the
@@ -198,15 +201,28 @@ def unfolded_eval_forward(params, x):
 
 
 def single_pass_eval_forward(params, x):
-    """Eval-mode forward through the folded maps with (n, 128) activations:
-    the folded statements run once over every row."""
-    weights, biases = params._plan if params._plan is not None else _fold(params)
+    """Eval-mode forward through the augmented folded maps with (n, 129)
+    activations: the folded statements run once over every row."""
+    weights, bias = params._plan if params._plan is not None else _fold(params)
+    a = np.asarray(x, dtype=np.float64) @ weights[0]
+    a += bias
+    np.maximum(a, 0.0, out=a)
+    for w in weights[1:-1]:
+        a = a @ w
+        np.maximum(a, 0.0, out=a)
+    return sigmoid(a @ weights[-1])
+
+
+def separate_bias_eval_forward(params, x):
+    """Eval-mode forward through the folded maps W' = W * s and
+    b' = shift - mean * s, each bias added after its product, over every row."""
     a = np.asarray(x, dtype=np.float64)
     for i in range(N_HIDDEN):
-        a = a @ weights[i]
-        a += biases[i]
+        s = params.bn_gain[i] / np.sqrt(params.bn_var[i] + BN_EPS)
+        a = a @ (params.w[i] * s)
+        a += params.bn_bias[i] - params.bn_mean[i] * s
         np.maximum(a, 0.0, out=a)
-    return sigmoid(a @ weights[-1] + biases[-1])
+    return sigmoid(a @ params.w[-1] + params.b[-1])
 
 
 def unfused_train_forward(params, x, dropout_p, dropout_seed):

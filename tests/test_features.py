@@ -119,7 +119,7 @@ class TestWaterlineTarget:
 class TestBuildDecoderQuery:
     def test_concatenation(self):
         q = build_decoder_query(ChartQuery(500.0, 0.0), (0.5, 0.6))
-        assert q.tolist() == [0.5, 0.0, 0.5, 0.6]
+        assert q.dtype == np.float64 and q.tolist() == [0.5, 0.0, 0.5, 0.6]
 
     def test_range_corners(self):
         q = build_decoder_query(ChartQuery(1000.0, -180.0), (0.0, 1.0))

@@ -1,7 +1,9 @@
 import base64
 import json
 import multiprocessing
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from oracles import (
     fd_gradients,
     math_sigmoid,
     pack_grads,
+    separate_bias_eval_forward,
     single_pass_eval_forward,
     unfolded_eval_forward,
     unfused_backward,
@@ -19,6 +22,7 @@ from oracles import (
 )
 from waterline.data import GenConfig, generate, visible_examples
 from waterline.errors import CheckpointError, NumericError
+from waterline.features import feature_matrix
 from waterline.geometry import CameraModel
 from waterline.network import (
     BN_EPS,
@@ -28,6 +32,8 @@ from waterline.network import (
     LAYER_SIZES,
     N_PARAMS,
     TrainWorkspace,
+    _check_batch,
+    _fold,
     backward,
     forward,
     init_params,
@@ -155,11 +161,34 @@ class TestForwardEval:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("n", [1, 3, DOT_MAX_ROWS + 1, 600])
-    def test_rejects_nonfinite(self, params, n, value):
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_rejects_nonfinite(self, params, n, value, at):
         x = _random_batch(4, n=n)[0]
-        x[-1, -1] = value
+        x[at, at] = value
         with pytest.raises(NumericError, match=r"^batch contains non-finite values$"):
             forward(params, x, training=False)
+
+    @pytest.mark.parametrize("value", [-0.0, 5e-324, 1.7976931348623157e308,
+                                       -1.7976931348623157e308])
+    def test_finiteness_check_accepts_edge_doubles(self, value):
+        for n in (1, 3, 600):
+            x = _random_batch(4, n=n)[0]
+            x[-1, -1] = value
+            assert _check_batch(x) is x
+
+    def test_far_feature_rows_match_separate_bias_pass(self, params):
+        # dist_norm reaches 1.8e305 at the largest double: the activations stay
+        # finite, so the ones column meets no inf and the predictions saturate
+        # as those of the separate-bias single pass do.
+        distance = np.array([1e3, 1e300, 1e305, 1e307, sys.float_info.max])
+        x = feature_matrix(distance, np.array([0.0, 90.0, -180.0, 45.0, 180.0]),
+                           np.array([0.0, 10.0, -90.0, 5.0, 90.0]), np.zeros(5),
+                           np.array([0.0, -180.0, 180.0, 30.0, -90.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pred, _ = forward(params, x, training=False)
+            want = separate_bias_eval_forward(params, x)
+        assert np.array_equal(pred, want)
 
 
 def _loaded_checkpoint(tmp_path, seed=21):
@@ -217,14 +246,42 @@ class TestFoldedEval:
         assert copy.flat.flags.writeable
         assert all(arr.flags.writeable for arr in copy.learnables().values())
         assert all(arr.flags.writeable for arr in copy.bn_mean + copy.bn_var)
-        x, _ = _random_batch(51, n=5, scale=2.0)
-        assert np.array_equal(forward(copy, x)[0], forward(loaded, x)[0])
+        x, _ = _random_batch(51, n=600, scale=2.0)
+        for n in (1, 2, 3, 5, DOT_MAX_ROWS + 1, EVAL_BLOCK_ROWS + 1, 600):
+            assert np.array_equal(forward(copy, x[:n])[0], forward(loaded, x[:n])[0]), n
+
+    def test_loaded_plan_is_read_only_and_aligned(self, tmp_path):
+        weights, bias = _loaded_checkpoint(tmp_path)._plan
+        for arr in (*weights, bias):
+            assert arr.ctypes.data % 64 == 0
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1.0
+
+    def test_ones_column_is_exactly_one_after_each_hidden_layer(self, params):
+        weights, bias = params._plan if params._plan is not None else _fold(params)
+        assert [w.shape for w in weights] == [(6, 129), (129, 129), (129, 129), (129, 2)]
+        assert bias[-1] == 1.0 and not weights[0][:, -1].any()
+        for w in weights[1:-1]:
+            assert not w[:-1, -1].any() and w[-1, -1] == 1.0
+        x = np.concatenate([_random_batch(52, n=300, scale=s)[0] for s in (1.0, 10.0, 1e6)])
+        a = np.maximum(x @ weights[0] + bias, 0.0)
+        assert np.all(a[:, -1] == 1.0)
+        for w in weights[1:-1]:
+            a = np.maximum(a @ w, 0.0)
+            assert np.all(a[:, -1] == 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, DOT_MAX_ROWS + 1, EVAL_BLOCK_ROWS,
+                                   EVAL_BLOCK_ROWS + 1, 4000, 20000])
+    def test_bias_inside_the_product_moves_predictions_by_at_most_1e_15(self, params, n):
+        x, _ = _random_batch(53, n=n, scale=2.0)
+        pred, _ = forward(params, x, training=False)
+        assert np.abs(pred - separate_bias_eval_forward(params, x)).max() <= 1e-15
 
 
-# Up to this many rows, the single pass's (n, 128) @ (128, 2) head stays on
+# Up to this many rows, the single pass's (n, 129) @ (129, 2) head stays on
 # the BLAS kernel that each block's head takes; above it (M * N * K > 1e6),
 # OpenBLAS switches kernels and the single pass rounds differently.
-SAME_HEAD_KERNEL_ROWS = 3906
+SAME_HEAD_KERNEL_ROWS = 3875
 
 
 class TestBlockedEval:
@@ -241,6 +298,7 @@ class TestBlockedEval:
         edges = range(3 * EVAL_BLOCK_ROWS, SAME_HEAD_KERNEL_ROWS + 2, EVAL_BLOCK_ROWS)
         sizes = [*range(1, 2 * EVAL_BLOCK_ROWS + 3)]
         sizes += [n for k in edges for n in (k - 1, k, k + 1, k + 2) if n <= SAME_HEAD_KERNEL_ROWS]
+        sizes.append(SAME_HEAD_KERNEL_ROWS)
         for n in sizes:
             pred, _ = forward(params, x[:n], training=False)
             assert np.array_equal(pred, single_pass_eval_forward(params, x[:n])), n
@@ -770,6 +828,19 @@ class TestCheckpoint:
         path.write_text("not json at all")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_non_finite_params_and_writes_nothing(self, tmp_path, value):
+        p = init_params(0)
+        p.bn_var[1][7] = value
+        p.b[0][0] = value  # b4 comes first in the layout, so the message names it
+        fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+        kept.write_text("earlier checkpoint")
+        for path in (fresh, kept):
+            with pytest.raises(NumericError) as excinfo:
+                save_checkpoint(p, path)
+            assert str(excinfo.value) == "cannot save checkpoint: b4 has non-finite values"
+        assert not fresh.exists() and kept.read_text() == "earlier checkpoint"
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_weight(self, tmp_path, value):
