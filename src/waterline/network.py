@@ -59,10 +59,10 @@ every bias but layer 1's rides inside its product: layer 1 is [W1' | 0]
 and 3 are [[W', 0], [b', 1]] (129 x 129), whose last column carries the ones
 column through ReLU exactly; the head is [W4; b4] (129 x 2). A block then
 takes four products, one add and three ReLUs, and its predictions lie within
-1e-15 of the separate-bias pass a @ W' + b'. load_checkpoint builds the augmented maps once, in
-64-byte-aligned read-only buffers, and marks every loaded tensor read-only,
-so an in-place write raises instead of leaving the folded maps stale; other
-params fold on each eval call. An eval forward runs its rows in blocks of
+1e-15 of the separate-bias pass a @ W' + b'. load_checkpoint builds the
+augmented maps once, in 64-byte-aligned read-only buffers, and marks every
+loaded tensor read-only, so an in-place write raises instead of leaving the
+folded maps stale; other params fold on each eval call. An eval forward runs its rows in blocks of
 EVAL_BLOCK_ROWS, so a call holds the (n, 2) result plus one block's
 activations, not (n, 129) ones; no buffer outlives the call. Each block runs
 the statements of one pass over every row, and a row's result does not depend

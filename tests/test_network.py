@@ -161,12 +161,12 @@ class TestForwardEval:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("n", [1, 3, DOT_MAX_ROWS + 1, 600])
-    @pytest.mark.parametrize("at", [0, -1])
-    def test_rejects_nonfinite(self, params, n, value, at):
-        x = _random_batch(4, n=n)[0]
-        x[at, at] = value
-        with pytest.raises(NumericError, match=r"^batch contains non-finite values$"):
-            forward(params, x, training=False)
+    def test_rejects_nonfinite(self, params, n, value):
+        for at in (0, -1):
+            x = _random_batch(4, n=n)[0]
+            x[at, at] = value
+            with pytest.raises(NumericError, match=r"^batch contains non-finite values$"):
+                forward(params, x, training=False)
 
     @pytest.mark.parametrize("value", [-0.0, 5e-324, 1.7976931348623157e308,
                                        -1.7976931348623157e308])
