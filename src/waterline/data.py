@@ -473,7 +473,8 @@ def _jsonl(path, parse, label: str) -> list:
     with f:
         for line_no, raw in enumerate(f, 1):
             try:
-                line = raw.decode("utf-8").strip()
+                # JSON's whitespace only: str.strip() also strips \f or NBSP, which json refuses
+                line = raw.decode("utf-8").strip(" \t\r\n")
                 if not line:
                     continue
                 # json.loads(line) is this call once it has checked for a BOM and

@@ -38,18 +38,6 @@ all in place on the workspace's gradient buffer; backward writes nothing the
 forward left, and its results are views of the workspace's one gradient
 vector.
 
-A train step runs three operations on one worker thread per process, which
-the first train forward starts (a child forked later starts its own): the
-dropout draw and mask, while the main thread runs hidden layers 2 and 3, and
-the weight-gradient matmuls of layers 3 and 2, each while the main thread runs
-the backward below it. numpy releases the interpreter lock in all of them,
-so they run on a second core. Each keeps its inputs, output buffer and
-arithmetic, no buffer is written while the other thread uses it, and forward
-and backward wait for every task before they return or raise. Results
-therefore do not depend on scheduling: they are bit-identical to running the
-same statements in order on one thread. One workspace serves one caller at
-a time.
-
 Eval-mode forwards are pure functions of (params, input). Eval mode runs
 each hidden layer as one affine map with BatchNorm folded in (Jacob et al.,
 arXiv 1712.05877, section 3.2): with s = gain / sqrt(var + eps),
@@ -79,11 +67,7 @@ import base64
 import binascii
 import math
 import operator
-import os
-import threading
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,7 +262,7 @@ class TrainWorkspace:
         self.z = [_aligned((rows, h)) for h in hidden]  # a @ W, then xhat in place
         self.out = [_aligned((rows, h)) for h in hidden]  # the layer output, the last after dropout
         self.da = [_aligned((rows, h)) for h in hidden]  # backward's gradient at the output
-        self.drop = _aligned((rows, hidden[-1]))  # the dropout draw, then its mask
+        self.drop = _aligned((rows, hidden[-1]))  # the last layer's dropout mask, drawn in place
         self.scratch = _aligned((rows, max(hidden)))
         self.logits = _aligned((rows, LAYER_SIZES[-1]))
         self.grads = Gradients()
@@ -310,45 +294,9 @@ def _check_batch(x: np.ndarray) -> np.ndarray:
     return x
 
 
-_worker = None  # (pid, executor) of the process's worker thread, once a train step starts it
-_worker_lock = threading.Lock()
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The process's one worker thread, started on first use. A child forked
-    after training inherits the executor but not its thread, so it starts its
-    own."""
-    global _worker
-    with _worker_lock:
-        if _worker is None or _worker[0] != os.getpid():
-            _worker = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="waterline"))
-        return _worker[1]
-
-
-@contextmanager
-def _joined():
-    """Yield submit(fn, *args, **kwargs), which runs fn on the worker thread
-    and returns its future. Every task submitted in the block has finished
-    when the block exits, by an exception or not, so no task writes a buffer
-    after forward or backward returns; on a normal exit, the first task's
-    error is raised here."""
-    tasks = []
-
-    def submit(fn, *args, **kwargs):
-        tasks.append(_executor().submit(fn, *args, **kwargs))
-        return tasks[-1]
-
-    try:
-        yield submit
-    finally:
-        wait(tasks)
-    for task in tasks:
-        task.result()
-
-
 def _dropout_mask(out: np.ndarray, p: float, seed) -> np.ndarray:
-    """The mask of seed's draw, in out: 1 / (1 - p) where a uniform draw is
-    >= p, else 0."""
+    """The dropout mask of seed's draw, written in place into out: 1 / (1 - p)
+    where a uniform draw is >= p, else 0."""
     np.random.default_rng(seed).random(out=out)
     np.greater_equal(out, p, out=out)
     out /= 1.0 - p
@@ -402,28 +350,22 @@ def forward(
     ws.forwards += 1
     ws.x = a = x
     ws.dropped = dropout_p > 0
-    with _joined() as submit:
-        for i in range(N_HIDDEN):
-            if i == 1 and ws.dropped:
-                # The mask is for the last hidden layer, the only one no BatchNorm
-                # follows. It is drawn from here, not from layer 1, whose matmul is
-                # too short to cover the draw's set-up, which holds the interpreter lock.
-                draw = submit(_dropout_mask, ws.drop[:m], dropout_p, dropout_seed)
-            z = np.matmul(a, params.w[i], out=ws.z[i][:m])
-            mu = z.mean(axis=0)
-            z -= mu
-            var = np.einsum("ij,ij->j", z, z) / m  # biased, used in the normalization
-            ws.inv_std[i] = 1.0 / np.sqrt(var + BN_EPS)
-            z *= ws.inv_std[i]  # z is now xhat
-            params.bn_mean[i] *= 1.0 - BN_MOMENTUM
-            params.bn_mean[i] += BN_MOMENTUM * mu
-            params.bn_var[i] *= 1.0 - BN_MOMENTUM
-            params.bn_var[i] += BN_MOMENTUM * var * m / (m - 1)  # unbiased in the running update
-            a = np.multiply(z, params.bn_gain[i], out=ws.out[i][:m])
-            a += params.bn_bias[i]
-            np.maximum(a, 0.0, out=a)
-        if ws.dropped:
-            a *= draw.result()
+    for i in range(N_HIDDEN):
+        z = np.matmul(a, params.w[i], out=ws.z[i][:m])
+        mu = z.mean(axis=0)
+        z -= mu
+        var = np.einsum("ij,ij->j", z, z) / m  # biased, used in the normalization
+        ws.inv_std[i] = 1.0 / np.sqrt(var + BN_EPS)
+        z *= ws.inv_std[i]  # z is now xhat
+        params.bn_mean[i] *= 1.0 - BN_MOMENTUM
+        params.bn_mean[i] += BN_MOMENTUM * mu
+        params.bn_var[i] *= 1.0 - BN_MOMENTUM
+        params.bn_var[i] += BN_MOMENTUM * var * m / (m - 1)  # unbiased in the running update
+        a = np.multiply(z, params.bn_gain[i], out=ws.out[i][:m])
+        a += params.bn_bias[i]
+        np.maximum(a, 0.0, out=a)
+    if ws.dropped:  # on the last hidden layer only, the one no BatchNorm follows
+        a *= _dropout_mask(ws.drop[:m], dropout_p, dropout_seed)
     logits = np.matmul(a, params.w[-1], out=ws.logits[:m])
     logits += params.b[-1]
     ws.pred = sigmoid(logits)
@@ -495,22 +437,21 @@ def backward(params: MlpParams, cache: ForwardCache, target: np.ndarray) -> Grad
     if ws.dropped:
         da *= ws.drop[:m]
 
-    with _joined() as submit:
-        for i in reversed(range(N_HIDDEN)):
-            xhat = ws.z[i][:m]
-            da *= np.greater(ws.out[i][:m], 0.0, out=scratch)  # now dy; dropped units read 0 too
-            dbias = np.sum(da, axis=0, out=grads[f"bn{i + 1}_bias"])
-            dgain = np.einsum("ij,ij->j", da, xhat, out=grads[f"bn{i + 1}_gain"])
-            # BatchNorm backward through the batch statistics, closed form:
-            #   dz = gain * inv_std * (dy - dbias / m - xhat * dgain / m)
-            da -= dbias / m
-            da -= np.multiply(xhat, dgain / m, out=scratch)
-            da *= params.bn_gain[i] * ws.inv_std[i]
-            if i == 0:
-                np.matmul(ws.x.T, da, out=grads["w1"])
-            else:  # the worker reads out[i - 1] and da[i], which nothing writes until the join
-                submit(np.matmul, ws.out[i - 1][:m].T, da, out=grads[f"w{i + 1}"])
-                da = np.matmul(da, params.w[i].T, out=ws.da[i - 1][:m])
+    for i in reversed(range(N_HIDDEN)):
+        xhat = ws.z[i][:m]
+        da *= np.greater(ws.out[i][:m], 0.0, out=scratch)  # now dy; dropped units read 0 too
+        dbias = np.sum(da, axis=0, out=grads[f"bn{i + 1}_bias"])
+        dgain = np.einsum("ij,ij->j", da, xhat, out=grads[f"bn{i + 1}_gain"])
+        # BatchNorm backward through the batch statistics, closed form:
+        #   dz = gain * inv_std * (dy - dbias / m - xhat * dgain / m)
+        da -= dbias / m
+        da -= np.multiply(xhat, dgain / m, out=scratch)
+        da *= params.bn_gain[i] * ws.inv_std[i]
+        if i == 0:
+            np.matmul(ws.x.T, da, out=grads["w1"])
+        else:
+            np.matmul(ws.out[i - 1][:m].T, da, out=grads[f"w{i + 1}"])
+            da = np.matmul(da, params.w[i].T, out=ws.da[i - 1][:m])
 
     return grads
 

@@ -725,6 +725,12 @@ _SINGLE_FAULTS = {
 }
 
 
+def _loader_argv(loader, path, out):
+    """main's argv for a command that loads path with loader first."""
+    return (["predict", "--dataset", str(path), "--checkpoint", out, "--out", out]
+            if loader == D else ["calibrate", "--dataset", str(path), "--out", out])
+
+
 @pytest.mark.parametrize("case", list(_SINGLE_FAULTS))
 def test_single_fault_message_names_line(tmp_path, capsys, case):
     """Each loader check keeps its message and its line; through main the
@@ -741,11 +747,47 @@ def test_single_fault_message_names_line(tmp_path, capsys, case):
         (load_dataset if loader == D else load_predictions)(path)
     assert str(excinfo.value) == message and excinfo.value.line == 3
 
-    out = str(tmp_path / "out")
-    argv = (["predict", "--dataset", str(path), "--checkpoint", out, "--out", out]
-            if loader == D else ["calibrate", "--dataset", str(path), "--out", out])
-    assert main(argv) == 3  # predict reads the dataset before the checkpoint
+    # predict reads the dataset before the checkpoint
+    assert main(_loader_argv(loader, path, str(tmp_path / "out"))) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Whitespace to str.strip() but not to JSON: form feed, U+001C, NBSP, U+3000.
+@pytest.mark.parametrize("space", ["\x0c", "\x1c", "\xa0", "　"],
+                         ids=["form-feed", "u001c", "nbsp", "u3000"])
+@pytest.mark.parametrize("where", ["before", "after", "alone"])
+@pytest.mark.parametrize("loader", [D, P])
+def test_non_json_whitespace_is_a_parse_error(tmp_path, capsys, loader, where, space):
+    """json.loads refuses such a character around a line and on a line of its
+    own, so both loaders name the line, and main exits 3."""
+    make = _dataset_line if loader == D else _prediction_line
+    lines = [json.dumps(make(i)) for i in range(3)]
+    lines[2] = {"before": space + lines[2], "after": lines[2] + space, "alone": space}[where]
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes("\n".join(lines).encode() + b"\n")
+
+    with pytest.raises(DatasetParseError) as excinfo:
+        (load_dataset if loader == D else load_predictions)(path)
+    assert excinfo.value.line == 3 and str(excinfo.value).startswith("line 3: ")
+
+    assert main(_loader_argv(loader, path, str(tmp_path / "out"))) == 3
+    assert capsys.readouterr().err == f"error: {excinfo.value}\n"
+
+
+@pytest.mark.parametrize("loader", [D, P])
+def test_json_whitespace_and_crlf_load(tmp_path, loader):
+    """Space and tab padding, CRLF endings and lines of JSON whitespace alone
+    load as the plain file does."""
+    make = _dataset_line if loader == D else _prediction_line
+    lines = [json.dumps(make(i)) for i in range(3)]
+    plain, padded = tmp_path / "plain.jsonl", tmp_path / "padded.jsonl"
+    plain.write_text("".join(line + "\n" for line in lines))
+    padded.write_bytes(b"".join(f" \t{line}\t \r\n \t\r\n".encode() for line in lines))
+    if loader == D:
+        assert_same_frames(load_dataset(padded), load_dataset(plain))
+    else:
+        for got, want in zip(load_predictions(padded), load_predictions(plain), strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _float_edit(path, token):

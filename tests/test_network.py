@@ -687,11 +687,11 @@ def _step_in_child(params, x, y, want_pred, want_grads):
                      else 1)
 
 
-class TestWorkerThread:
-    """The dropout draw and two weight-gradient matmuls run on a worker
-    thread; errors, state and processes must not tell."""
+class TestStepState:
+    """A failed train forward and a forked child leave no state that a later
+    step can tell."""
 
-    def test_worker_error_surfaces_and_workspace_recovers(self):
+    def test_bad_seed_error_surfaces_and_workspace_recovers(self):
         p = init_params(0)
         x, y = _random_batch(19, n=64)
         workspace = TrainWorkspace(64)
@@ -700,8 +700,8 @@ class TestWorkerThread:
         with pytest.raises(ValueError) as raised:
             forward(p, x, training=True, dropout_p=0.2, dropout_seed=-1, workspace=workspace)
         assert str(raised.value) == str(direct.value)
-        # the failed forward updated the running statistics, as it did before
-        # the draw moved to the worker; compare from the same params onwards
+        # the mask is drawn after the hidden layers, so the failed forward has
+        # updated the running statistics; compare from the same params onwards
         fresh = p.copy()
         on_used, on_fresh = _step(p, workspace, x, y, 4), _step(fresh, TrainWorkspace(64), x, y, 4)
         for got, want in zip(on_used, on_fresh):
@@ -710,7 +710,6 @@ class TestWorkerThread:
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork start method")
-    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     def test_child_forked_after_training_runs_a_step(self):
         x, y = _random_batch(20, n=32)
         params, _ = train((x, y), (x, y), TrainConfig(max_epochs=2, batch_size=16))

@@ -1,20 +1,16 @@
 import csv
 import dataclasses
 import json
-import threading
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from oracles import adamw_reference, constant_predictor_loss, pack_grads
-from waterline import network
 from waterline.data import GenConfig, generate, split, visible_examples
 from waterline.errors import ConfigError, TrainingAborted, write_csv, write_json
 from waterline.geometry import CameraModel
 from waterline.network import BN_EPS, N_LEARNED, Gradients, forward, init_params, smooth_l1
 from waterline.training import (
-    DEFAULT_VAL_RATIO,
     EpochStats,
     OptState,
     TrainConfig,
@@ -274,31 +270,6 @@ class TestTrainLoop:
         summary = json.loads(json_path.read_text())
         assert set(summary) == {"best_epoch", "best_val_loss", "stop_reason"}
         assert summary["best_val_loss"] == history.best_val_loss
-
-
-class _InlineExecutor:
-    """Runs each task as it is submitted, on the submitting thread."""
-
-    def submit(self, fn, *args, **kwargs):
-        future = Future()
-        future.set_result(fn(*args, **kwargs))
-        return future
-
-
-class TestScheduling:
-    def test_worker_and_inline_runs_are_bitwise_equal(self, monkeypatch):
-        frames = generate(CameraModel.default(), GenConfig(n_samples=600, seed=24))
-        parts = split(frames, DEFAULT_VAL_RATIO, seed=0)
-        sets = visible_examples(parts.train), visible_examples(parts.val)
-        config = TrainConfig(max_epochs=3, patience=3, dropout_p=0.2, seed=2)
-        threaded, threaded_history = train(*sets, config)
-        assert any(t.name.startswith("waterline") for t in threading.enumerate())
-        monkeypatch.setattr(network, "_executor", _InlineExecutor)
-        inline, inline_history = train(*sets, config)
-        assert threaded.flat.tobytes() == inline.flat.tobytes()
-        traces = [[(e.train_loss, e.val_loss) for e in h.epochs]
-                  for h in (threaded_history, inline_history)]
-        assert traces[0] == traces[1]
 
 
 class TestLearnsGeometry:
