@@ -47,18 +47,21 @@ every bias but layer 1's rides inside its product: layer 1 is [W1' | 0]
 and 3 are [[W', 0], [b', 1]] (129 x 129), whose last column carries the ones
 column through ReLU exactly; the head is [W4; b4] (129 x 2). A block then
 takes four products, one add and three ReLUs, and its predictions lie within
-1e-15 of the separate-bias pass a @ W' + b'. load_checkpoint builds the
-augmented maps once, in 64-byte-aligned read-only buffers, and marks every
-loaded tensor read-only, so an in-place write raises instead of leaving the
-folded maps stale; other params fold on each eval call. An eval forward runs its rows in blocks of
-EVAL_BLOCK_ROWS, so a call holds the (n, 2) result plus one block's
+1e-15 of the separate-bias pass a @ W' + b'. _fold zero-pads each map to
+PLAN_WIDTH = 136 columns (and rows, after layer 1); the pad stays exactly zero
+through every ReLU. A block of up to DOT_MAX_ROWS rows, as serve's are, takes
+np.dot through the padded maps and so skips OpenBLAS's slower 129-column edge
+kernel; a larger block takes np.matmul through 129-column views of the same
+buffers, where the pad would cost more than it saves. Both give the unpadded
+maps' bits. load_checkpoint builds the plan once and marks it and every loaded
+tensor read-only, so an in-place write raises instead of leaving the folded
+maps stale; other params fold on each eval call. An eval forward runs its rows
+in blocks of EVAL_BLOCK_ROWS, so a call holds the (n, 2) result plus one block's
 activations, not (n, 129) ones; no buffer outlives the call. Each block runs
 the statements of one pass over every row, and a row's result does not depend
 on the rows beside it while BLAS keeps one kernel, so the predictions equal
 the single pass's bit for bit up to 3,875 rows (where the single pass's head
-switches OpenBLAS kernel) and to within 1e-15 beyond. A block of up to
-DOT_MAX_ROWS rows, as serve's are, takes its products with np.dot, which calls
-the same BLAS routine as np.matmul and costs less per call at those sizes.
+switches OpenBLAS kernel) and to within 1e-15 beyond.
 """
 
 from __future__ import annotations
@@ -85,14 +88,17 @@ MIN_BATCH = 2  # the fewest rows of a train-mode batch: one row has no batch var
 # (median of 40 calls, one BLAS thread, 2-vCPU x86-64 VM); 256 holds half the
 # activations.
 EVAL_BLOCK_ROWS = 256
-# Blocks of up to this many rows take their products with np.dot, larger ones
-# with np.matmul: both call the same BLAS routine, so the results are equal.
-# us per product by a 129 x 129 map, best of 9, one BLAS thread, 2-vCPU
-# x86-64 VM:
-#   rows            1     2     4     8    16     32     64     256  256 (6 wide)
-#   a @ W        2.98  3.23  3.49  5.14  8.51  14.69  42.77  148.58  10.06
-#   np.dot(a, W) 2.68  2.96  3.12  4.87  8.42  14.42  43.17  152.90  15.44
+# Blocks of up to this many rows run through the padded maps with np.dot,
+# larger ones through their 129-column views with np.matmul (see _eval_logits).
+# us per block, best of 15 interleaved, one BLAS thread, 2-vCPU x86-64 VM:
+#   rows                  1      2      4      8     16     32      64     256
+#   padded, np.dot     9.17   9.69  11.47  16.07  25.65  44.73  118.81  415.80
+#   views, np.matmul  10.58  11.02  12.73  17.05  25.87  42.58  111.42  379.00
 DOT_MAX_ROWS = 16
+# Columns of the folded maps' buffers. us per block, padded at every size, as above:
+#   width                 129              132              136              144
+#   2 / 256 rows  11.53 / 371.42   10.82 / 378.85    9.74 / 384.74   10.00 / 423.64
+PLAN_WIDTH = 136
 SMOOTH_L1_BETA = 1.0
 
 CHECKPOINT_VERSION = 2
@@ -151,7 +157,7 @@ class MlpParams:
     flat: np.ndarray
     init_seed: int
     train_seed: int | None = None
-    # Folded eval maps (augmented weights, layer 1's bias) of read-only tensors; see _fold.
+    # Folded eval maps of read-only tensors, padded and as 129-column views; see _fold.
     _plan: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -214,10 +220,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -x))
 
 
-def _eval_logits(x: np.ndarray, weights: tuple, bias: np.ndarray) -> np.ndarray:
-    """The eval-mode logits of one block of rows, through the augmented folded
-    maps of _fold: each bias after layer 1's rides in its product."""
-    product = np.dot if x.shape[0] <= DOT_MAX_ROWS else np.matmul
+def _eval_logits(x: np.ndarray, plan: tuple) -> np.ndarray:
+    """The eval-mode logits of one block of rows through _fold's plan, padded
+    or as views by the block's size (module docstring). np.matmul hands BLAS
+    a view's row stride, where np.dot would copy the view."""
+    small = x.shape[0] <= DOT_MAX_ROWS
+    product, (weights, bias) = (np.dot, plan[0]) if small else (np.matmul, plan[1])
     a = product(x, weights[0])
     a += bias  # b1' and the ones column
     np.maximum(a, 0.0, out=a)
@@ -227,25 +235,28 @@ def _eval_logits(x: np.ndarray, weights: tuple, bias: np.ndarray) -> np.ndarray:
     return product(a, weights[-1])
 
 
-def _fold(params: MlpParams) -> tuple[tuple, np.ndarray]:
+def _fold(params: MlpParams) -> tuple[tuple, tuple]:
     """The eval-mode affine maps with each BatchNorm folded into its layer,
-    augmented as the module docstring says, in 64-byte-aligned arrays: each
-    hidden layer's map is [[W', 0], [b', 1]], and layer 1's input has no ones
-    column, so its last row becomes the separate bias [b1', 1]."""
+    augmented and padded as the module docstring says: each hidden layer's map
+    is [[W', 0], [b', 1]], and layer 1's input has no ones column, so its last
+    row becomes the separate bias [b1', 1]. Returns the padded (weights, bias),
+    in 64-byte-aligned arrays, and their 129-column views."""
+    units = LAYER_SIZES[1]  # then the ones column, then the pad
     maps = []
     for i in range(N_HIDDEN):
         s = params.bn_gain[i] / np.sqrt(params.bn_var[i] + BN_EPS)
-        fan_in, width = params.w[i].shape
-        m = _aligned((fan_in + 1, width + 1))
-        np.multiply(params.w[i], s, out=m[:-1, :-1])
-        m[-1, :-1] = params.bn_bias[i] - params.bn_mean[i] * s
-        m[:, -1] = 0.0
-        m[-1, -1] = 1.0
+        fan_in = params.w[i].shape[0]
+        m = _aligned((PLAN_WIDTH if i else fan_in + 1, PLAN_WIDTH), 0.0)
+        np.multiply(params.w[i], s, out=m[:fan_in, :units])
+        m[fan_in, :units] = params.bn_bias[i] - params.bn_mean[i] * s
+        m[fan_in, units] = 1.0
         maps.append(m)
-    head = _aligned((params.w[-1].shape[0] + 1, LAYER_SIZES[-1]))
-    head[:-1], head[-1] = params.w[-1], params.b[-1]
-    bias = _aligned(maps[0][-1].shape, maps[0][-1])
-    return (maps[0][:-1], *maps[1:], head), bias
+    head = _aligned((PLAN_WIDTH, LAYER_SIZES[-1]), 0.0)
+    head[:units], head[units] = params.w[-1], params.b[-1]
+    weights, bias = (maps[0][:-1], *maps[1:], head), _aligned((PLAN_WIDTH,), maps[0][-1])
+    k = units + 1
+    views = (weights[0][:, :k], *(w[:k, :k] for w in maps[1:]), head[:k])
+    return (weights, bias), (views, bias[:k])
 
 
 class TrainWorkspace:
@@ -327,16 +338,16 @@ def forward(
     """
     x = _check_batch(x)
     if not training:
-        weights, bias = params._plan if params._plan is not None else _fold(params)
+        plan = params._plan if params._plan is not None else _fold(params)
         n = x.shape[0]
         if n <= EVAL_BLOCK_ROWS + 1:  # serve's 1-3 rows: one block, no bookkeeping
-            return sigmoid(_eval_logits(x, weights, bias)), None
+            return sigmoid(_eval_logits(x, plan)), None
         logits = np.empty((n, LAYER_SIZES[-1]))
         # A lone trailing row joins the block before it: a 1-row matmul takes
         # BLAS's vector path, which rounds differently from the block's.
         starts = range(0, n - 1, EVAL_BLOCK_ROWS)
         for start, end in zip(starts, [*starts[1:], n]):
-            logits[start:end] = _eval_logits(x[start:end], weights, bias)
+            logits[start:end] = _eval_logits(x[start:end], plan)
         return sigmoid(logits), None
 
     m = x.shape[0]
@@ -475,8 +486,7 @@ def save_checkpoint(params: MlpParams, path) -> None:
 
 def load_checkpoint(path) -> MlpParams:
     """Read a checkpoint into read-only tensors with their folded eval maps:
-    _fold's augmented matrices and layer 1's bias, built once in
-    64-byte-aligned, read-only buffers.
+    _fold's padded plan and its 129-column views, built once and read-only.
 
     Use params.copy() for writable tensors, e.g. to train further.
     """
@@ -510,7 +520,8 @@ def load_checkpoint(path) -> MlpParams:
     # Read-only before MlpParams takes its views, so that every view inherits it.
     flat.flags.writeable = False
     params = MlpParams(flat, init_seed, train_seed)
-    weights, bias = params._plan = _fold(params)
-    for a in (*weights, bias):
-        a.flags.writeable = False
+    params._plan = _fold(params)
+    for weights, bias in params._plan:
+        for a in (*weights, bias):
+            a.flags.writeable = False
     return params

@@ -202,8 +202,9 @@ def unfolded_eval_forward(params, x):
 
 def single_pass_eval_forward(params, x):
     """Eval-mode forward through the augmented folded maps with (n, 129)
-    activations: the folded statements run once over every row."""
-    weights, bias = params._plan if params._plan is not None else _fold(params)
+    activations: the folded statements run once over every row, through the
+    plan's 129-column views."""
+    weights, bias = (params._plan if params._plan is not None else _fold(params))[1]
     a = np.asarray(x, dtype=np.float64) @ weights[0]
     a += bias
     np.maximum(a, 0.0, out=a)

@@ -12,7 +12,6 @@ from oracles import exact_report_from_queries, exact_sweep, scalar_detection_rep
 from waterline.errors import write_csv
 from waterline.metrics import (
     MAX_GRID_POINTS,
-    DetectionReport,
     GtBox,
     bias_grid,
     calibrate_bias,

@@ -25,7 +25,6 @@ from waterline.errors import CheckpointError, NumericError
 from waterline.features import feature_matrix
 from waterline.geometry import CameraModel
 from waterline.network import (
-    BN_EPS,
     BN_MOMENTUM,
     DOT_MAX_ROWS,
     EVAL_BLOCK_ROWS,
@@ -251,24 +250,31 @@ class TestFoldedEval:
             assert np.array_equal(forward(copy, x[:n])[0], forward(loaded, x[:n])[0]), n
 
     def test_loaded_plan_is_read_only_and_aligned(self, tmp_path):
-        weights, bias = _loaded_checkpoint(tmp_path)._plan
-        for arr in (*weights, bias):
+        (weights, bias), (views, bias_view) = _loaded_checkpoint(tmp_path)._plan
+        for arr in (*weights, bias, *views, bias_view):
             assert arr.ctypes.data % 64 == 0
             with pytest.raises(ValueError, match="read-only"):
                 arr += 1.0
 
     def test_ones_column_is_exactly_one_after_each_hidden_layer(self, params):
-        weights, bias = params._plan if params._plan is not None else _fold(params)
-        assert [w.shape for w in weights] == [(6, 129), (129, 129), (129, 129), (129, 2)]
-        assert bias[-1] == 1.0 and not weights[0][:, -1].any()
+        # The padded maps, whose pad is exactly zero, and their unpadded views.
+        plan = params._plan if params._plan is not None else _fold(params)
+        (weights, bias), (views, bias_view) = plan
+        assert [w.shape for w in weights] == [(6, 136), (136, 136), (136, 136), (136, 2)]
+        assert [w.shape for w in views] == [(6, 129), (129, 129), (129, 129), (129, 2)]
+        assert bias.shape == (136,) and bias_view.shape == (129,)
+        assert all(np.shares_memory(w, v) for w, v in zip((*weights, bias), (*views, bias_view)))
+        assert bias[128] == 1.0 and not bias[129:].any() and not weights[0][:, 128:].any()
         for w in weights[1:-1]:
-            assert not w[:-1, -1].any() and w[-1, -1] == 1.0
+            assert not w[:128, 128:].any() and w[128, 128] == 1.0 and not w[128, 129:].any()
+            assert not w[129:].any()
+        assert not weights[-1][129:].any()
         x = np.concatenate([_random_batch(52, n=300, scale=s)[0] for s in (1.0, 10.0, 1e6)])
         a = np.maximum(x @ weights[0] + bias, 0.0)
-        assert np.all(a[:, -1] == 1.0)
+        assert np.all(a[:, 128] == 1.0) and np.all(a[:, 129:] == 0.0)
         for w in weights[1:-1]:
             a = np.maximum(a @ w, 0.0)
-            assert np.all(a[:, -1] == 1.0)
+            assert np.all(a[:, 128] == 1.0) and np.all(a[:, 129:] == 0.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, DOT_MAX_ROWS + 1, EVAL_BLOCK_ROWS,
                                    EVAL_BLOCK_ROWS + 1, 4000, 20000])
@@ -308,6 +314,20 @@ class TestBlockedEval:
         x = self._x(n)
         pred, _ = forward(params, x, training=False)
         assert np.abs(pred - single_pass_eval_forward(params, x)).max() <= 1e-15
+
+    def test_serve_frames_agree_with_the_whole_set(self, params):
+        # Each frame's 1-3 rows take the padded maps, the whole set's 256-row
+        # blocks their 129-column views. The two block sizes take different
+        # OpenBLAS kernels, which sum in different orders, so about 1 in 6
+        # predictions differs, by up to 4.4e-16; at 129 columns too.
+        frames = generate(CameraModel.default(), GenConfig(n_samples=300, seed=62))
+        x = frames.features()
+        whole, _ = forward(params, x, training=False)
+        bounds = [(lo, hi) for lo, hi in zip(frames.offsets, frames.offsets[1:]) if hi > lo]
+        assert {hi - lo for lo, hi in bounds} == {1, 2, 3}
+        for lo, hi in bounds:
+            pred, _ = forward(params, x[lo:hi], training=False)
+            assert np.abs(pred - whole[lo:hi]).max() <= 1e-15
 
     def test_input_layout_does_not_change_predictions(self, params):
         # Each layout against the single pass on that same layout: at one row
